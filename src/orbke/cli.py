@@ -252,7 +252,8 @@ def _cmd_enumerate(args, emit: Emitter) -> int:
         "count_only": count_only,
         "max_order": args.max_order,
         "min_order": cfg.min_order,
-        "jobs": cfg.parallel_width,
+        # The stream is serial: iter_tuples has no pool.
+        "jobs": cfg.parallel_width if count_only else 1,
         "max_nodes": args.max_nodes,
     }
     if count_only:

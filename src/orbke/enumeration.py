@@ -1,18 +1,20 @@
 """Branch-and-bound enumeration and exact counting of admissible tuples.
 
 The search runs depth-first over sorted pairwise-coprime prefixes
-(m0 <= ... <= mn), resolving the final coordinate in closed form: given the
-prefix reciprocal sum S, the three bounds are linear in 1/m, so each
-classification occupies an explicit integer interval of the last coordinate
-(solved exactly with Fraction arithmetic), and counting reduces to
-inclusion-exclusion coprime counts over those intervals.
+(m0 <= ... <= mn), resolving the final coordinate in closed form.  A prefix
+is carried as (N, P) with P = prod(prefix) and reciprocal sum S = N/P.  Each
+bound is linear in 1/m, so it is one integer inequality a*m < b, solved by
+ceiling or floor division: each classification occupies an explicit integer
+interval of the last coordinate, and counting reduces to inclusion-exclusion
+coprime counts over those intervals.  The same inequalities bound the
+candidates for every earlier entry.
 
 Key facts the pruning relies on (all for sorted tuples, exact arithmetic;
 S is the reciprocal sum of the n+1 prefix entries, m the last coordinate):
 
-  fano         <=>  m*(1-S) < 1          (all m when S >= 1)
-  new bound    <=>  m*(S-1) < n          (all m when S <= 1)
-  old bound    <=>  n*m*(S-1) < 1        (all m when S <= 1)
+  fano         <=>  m*(1-S) < 1    <=>  m*(P-N) < P      (all m when S >= 1)
+  new bound    <=>  m*(S-1) < n    <=>  m*(N-P) < n*P    (all m when S <= 1)
+  old bound    <=>  n*m*(S-1) < 1  <=>  n*m*(N-P) < P    (all m when S <= 1)
 
 so a NewOnlyKE tuple (new holds, old fails) forces S > 1, and an OldKE or
 NewOnlyKE verdict confines m to a finite interval per prefix.  NotFano and
@@ -32,14 +34,14 @@ n=2 it would admit last coordinates up to 491 where the true bound is 60).
 from __future__ import annotations
 
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
-from fractions import Fraction
+from dataclasses import dataclass
 
 from .errors import InputError, NodeBudgetExceeded, SearchSpaceTooLarge
-from .exactmath import Rat, count_coprime_in_range, coprime_in_range, factorize
-from .orbifold import CLASSIFICATIONS, FanoReport, RamTuple, classify, make_tuple
+from .exactmath import count_coprime_in_range, coprime_in_range, factorize
+from .orbifold import CLASSIFICATIONS, RamTuple, classify, make_tuple
 
 # Classes whose members form a finite set without any order cap.
 _BOUNDED_CLASSES = frozenset({"OldKE", "NewOnlyKE"})
@@ -129,37 +131,75 @@ def sylvester_family(n: int) -> SylvesterFamily:
 
 
 # ---------------------------------------------------------------------------
-# Exact last-coordinate intervals
+# The bound kernel
+#
+# A window is a half-open integer range (lo, hi) with hi None for unbounded
+# above; None is the empty window.  A pairwise-coprime prefix is carried as
+# (N, P) with S = N/P, and every bound of the search is a linear inequality
+# a*v < b in one unknown order v with a, b integers built from n, N and P.
 
-# Intervals are half-open [lo, hi) over candidate last coordinates; hi=None
-# means unbounded above; None means empty.
-Interval = "tuple[int, int | None] | None"
+
+def _window(lo: int, hi):
+    return None if hi is not None and lo >= hi else (lo, hi)
+
+
+def _meet(x, y):
+    """Intersection of two windows."""
+    if x is None or y is None:
+        return None
+    his = [hi for hi in (x[1], y[1]) if hi is not None]
+    return _window(max(x[0], y[0]), min(his, default=None))
+
+
+def _past(w):
+    """The integers >= 1 outside a window that starts at 1."""
+    if w is None:
+        return (1, None)
+    return None if w[1] is None else (w[1], None)
+
+
+def _solve(a: int, b: int):
+    """Window of the integers v >= 1 with a*v < b, by ceiling or floor division."""
+    if a > 0:
+        return _window(1, -(-b // a))
+    if a < 0:
+        return (max(1, b // a + 1), None)
+    return (1, None) if b > 0 else None
+
+
+def _last_windows(N: int, P: int, n: int, floor: int) -> dict:
+    """Per-class windows of the last coordinate m >= floor after a prefix N/P."""
+    if N == P:
+        # gcd(N, P) = 1 for pairwise-coprime orders (N = sum P/m_i is P/m_j
+        # modulo each m_j), so N = P forces P = 1: every order is 1 and then
+        # N counts them.  A prefix of n + 1 >= 2 orders never sums to 1.
+        raise AssertionError(f"prefix sum N/P = {N}/{P} is 1")
+    fano = _solve(P - N, P)  # m*(P-N) < P
+    old = _solve(n * (N - P), P)  # n*m*(N-P) < P
+    new = _solve(N - P, n * P)  # m*(N-P) < n*P
+    raw = {
+        "NotFano": _past(fano),
+        "OldKE": _meet(fano, old),
+        "NewOnlyKE": _meet(fano, _meet(new, _past(old))),
+        "NoCriterion": _meet(fano, _past(new)),
+    }
+    return {label: _meet(w, (floor, None)) for label, w in raw.items()}
 
 
 @dataclass(frozen=True)
 class LastIntervals:
     """Exact integer ranges of the last coordinate for a fixed prefix.
 
-    `fano`, `old`, `new` are the raw bound intervals (each bound taken on
-    its own); `by_class` maps each classification to its sub-interval.  All
-    intervals start no lower than `floor` = max(prefix); coprime filtering
-    is the caller's step.
+    `by_class` maps each classification to its half-open window (lo, hi),
+    hi None meaning unbounded above and None meaning empty.  Every window
+    starts no lower than `floor` = max(prefix); coprime filtering is the
+    caller's step.
     """
 
     prefix: tuple[int, ...]
     n: int
     floor: int
-    fano: tuple | None
-    old: tuple | None
-    new: tuple | None
     by_class: dict
-
-
-def _clip(lo: int, hi, floor: int):
-    lo = max(lo, floor)
-    if hi is not None and lo >= hi:
-        return None
-    return (lo, hi)
 
 
 def admissible_last_interval(prefix, n: int) -> LastIntervals:
@@ -171,6 +211,8 @@ def admissible_last_interval(prefix, n: int) -> LastIntervals:
     except for repeated unit orders).
     """
     prefix = tuple(int(m) for m in prefix)
+    if n < 1:
+        raise InputError(f"dimension must be >= 1, got {n}")
     if not prefix:
         raise InputError("prefix must be nonempty")
     if len(prefix) != n + 1:
@@ -182,51 +224,9 @@ def admissible_last_interval(prefix, n: int) -> LastIntervals:
     prod = math.prod(prefix)
     if any(math.gcd(prefix[i], prod // prefix[i]) != 1 for i in range(len(prefix))):
         raise InputError("prefix must be pairwise coprime")
-
-    s = sum(Fraction(1, m) for m in prefix)
     floor = prefix[-1]
-
-    if s < 1:
-        # fano <=> m < 1/(1-S); both bounds hold for every m.
-        fano_hi = math.ceil(Fraction(1) / (1 - s))
-        fano = _clip(floor, fano_hi, floor)
-        old = (floor, None)
-        new = (floor, None)
-        by_class = {
-            "NotFano": _clip(fano_hi, None, floor),
-            "OldKE": fano,
-            "NewOnlyKE": None,
-            "NoCriterion": None,
-        }
-    elif s == 1:
-        # Unreachable for pairwise-coprime prefixes (the reciprocal sum is a
-        # fraction with denominator prod(prefix) in lowest terms), but the
-        # algebra is well defined: every m is Fano and satisfies both bounds.
-        fano = (floor, None)
-        old = (floor, None)
-        new = (floor, None)
-        by_class = {
-            "NotFano": None,
-            "OldKE": (floor, None),
-            "NewOnlyKE": None,
-            "NoCriterion": None,
-        }
-    else:
-        # S > 1: fano always; old <=> n*m*(S-1) < 1; new <=> m*(S-1) < n.
-        old_hi = math.ceil(Fraction(1) / (n * (s - 1)))
-        new_hi = math.ceil(Fraction(n) / (s - 1))
-        fano = (floor, None)
-        old = _clip(floor, old_hi, floor)
-        new = _clip(floor, new_hi, floor)
-        by_class = {
-            "NotFano": None,
-            "OldKE": old,
-            "NewOnlyKE": _clip(old_hi, new_hi, floor),
-            "NoCriterion": _clip(new_hi, None, floor),
-        }
-    return LastIntervals(
-        prefix=prefix, n=n, floor=floor, fano=fano, old=old, new=new, by_class=by_class
-    )
+    by_class = _last_windows(sum(prod // m for m in prefix), prod, n, floor)
+    return LastIntervals(prefix=prefix, n=n, floor=floor, by_class=by_class)
 
 
 # ---------------------------------------------------------------------------
@@ -238,9 +238,11 @@ class SearchConfig:
     """Parameters of one enumeration run.
 
     classes is the set of classifications to emit/count.  Requesting any
-    class outside {OldKE, NewOnlyKE} requires max_order, since those classes
-    are infinite.  prefix_filter pins the leading orders (sorted, coprime).
-    node_cap bounds the number of search nodes; hitting it raises
+    class outside {OldKE, NewOnlyKE}, or admitting unit orders, requires
+    max_order: those classes are infinite, and after a unit order the
+    prefix sum is already 1, which every larger order can extend.
+    prefix_filter pins the leading orders (sorted, coprime).  node_cap
+    bounds the number of search nodes; hitting it raises
     NodeBudgetExceeded carrying the partial result, and forces serial
     execution so the partial result is deterministic.
     """
@@ -269,6 +271,10 @@ class SearchConfig:
             raise InputError(
                 f"classes {unbounded} are infinite; set max_order to bound the search"
             )
+        if self.min_order == 1 and self.max_order is None:
+            raise InputError(
+                "unit orders leave the search unbounded; set max_order to bound it"
+            )
         if self.max_order is not None and self.max_order < self.min_order:
             raise InputError("max_order below min_order")
         if self.parallel_width < 1:
@@ -295,6 +301,7 @@ class EnumResult:
 
     counts always holds one entry per requested classification; tuples is
     None in count mode.  In materialize mode counts equal the list sizes.
+    nodes_visited counts the prefixes the search created, each once.
     """
 
     tuples: tuple | None
@@ -306,16 +313,20 @@ class EnumResult:
 # ---------------------------------------------------------------------------
 # The depth-first search
 
+# A search state: (prefix, N, P, primes) with N/P the reciprocal sum of the
+# prefix, P its product and primes the distinct prime factors of P.
+_ROOT = ((), 0, 1, ())
+
 
 class _Search:
     def __init__(self, cfg: SearchConfig):
         self.cfg = cfg
         self.n = cfg.n
-        self.total_slots = cfg.n + 2
         self.prefix_slots = cfg.n + 1
-        self.classes = set(cfg.classes)
+        self.cap = None if cfg.max_order is None else cfg.max_order + 1
         self.counts = {c: 0 for c in cfg.classes}
         self.nodes = 0
+        self.started = time.perf_counter()
 
     def _bump(self):
         self.nodes += 1
@@ -325,129 +336,116 @@ class _Search:
                 tuples=None,
                 counts=dict(self.counts),
                 nodes_visited=self.nodes,
-                elapsed_s=0.0,
+                elapsed_s=time.perf_counter() - self.started,
             )
             raise NodeBudgetExceeded(
                 f"node cap {cap} exceeded (progress: {dict(self.counts)})", partial
             )
 
-    def _candidate_state(self, v, s, depth):
-        """(alive, dead_forever) of candidate v against the requested classes.
+    def _candidates(self, prefix, N, P):
+        """Next entries v, ascending, that can still lead to a requested class.
 
-        s is the prefix sum before v; monotonicity in v justifies breaking
-        the candidate loop only when every requested class is dead for all
-        larger v as well.
+        With k prefix slots open (v's included) and every later entry >= v,
+        a Fano tuple needs v*(P-N) < (k+1)*P and a prefix sum above 1 needs
+        v*(P-N) < k*P; the old and new bounds must already hold with v as
+        the largest order, since the final sum is at least the sum up to v
+        and the final largest order is at least v.
+        Each class is reachable on one window of v.  The windows overlap
+        (all but OldKE's start at 1; OldKE's lies within NoCriterion's and
+        starts below the end of NewOnlyKE's), so their union is one window.
         """
-        s1 = s + Fraction(1, v)
-        fano_reach = s + Fraction(self.total_slots - depth, v) > 1
-        prefix_reach = s + Fraction(self.prefix_slots - depth, v) > 1
-        alive = False
-        forever = True
-        for label in self.classes:
-            if label == "NotFano":
-                alive = True
-                forever = False
-                continue
-            if label == "NoCriterion":
-                if fano_reach:
-                    alive = True
-                forever = forever and not fano_reach
-                continue
-            if label == "OldKE":
-                if fano_reach and (s1 <= 1 or self.n * v * (s1 - 1) < 1):
-                    alive = True
-                    forever = False
-                else:
-                    forever = forever and (not fano_reach or s >= 1)
-                continue
-            # NewOnlyKE
-            if prefix_reach and (s1 <= 1 or v * (s1 - 1) < self.n):
-                alive = True
-                forever = False
-            else:
-                forever = forever and (not prefix_reach or s >= 1)
-        return alive, forever
+        n = self.n
+        k = self.prefix_slots - len(prefix)
+        fano = _solve(P - N, (k + 1) * P)
+        reach = {
+            "NotFano": (1, None),
+            "NoCriterion": fano,
+            "OldKE": _meet(fano, _solve(n * (N - P), (1 - n) * P)),
+            "NewOnlyKE": _meet(_solve(P - N, k * P), _solve(N - P, (n - 1) * P)),
+        }
+        spans = [reach[c] for c in self.cfg.classes if reach[c] is not None]
+        if not spans:
+            return ()
+        his = [hi for _, hi in spans]
+        window = (min(lo for lo, _ in spans), None if None in his else max(his))
+        if not prefix:
+            start = self.cfg.min_order
+        elif prefix[-1] == 1:
+            start = 1
+        else:
+            start = prefix[-1] + 1
+        window = _meet(window, (start, self.cap))
+        if window is None:
+            return ()
+        lo, hi = window
+        if hi is None:
+            raise AssertionError(
+                f"unbounded candidates after {prefix} escaped config validation"
+            )  # pragma: no cover
+        pinned = self.cfg.prefix_filter or ()
+        if len(prefix) < len(pinned):
+            return (pinned[len(prefix)],) if lo <= pinned[len(prefix)] < hi else ()
+        return (v for v in range(lo, hi) if math.gcd(v, P) == 1)
 
-    def _leaf_windows(self, prefix):
-        """Per-class last-coordinate windows [lo, hi_inclusive] for a full prefix."""
-        intervals = admissible_last_interval(prefix, self.n)
+    def prefixes(self, depth: int, root=_ROOT):
+        """Yield the state of every viable prefix of length depth below root.
+
+        Lexicographic order.  Each prefix created below root is one node;
+        root itself was counted by whoever created it.
+        """
+        if len(root[0]) == depth:
+            yield root
+            return
+        stack = [(root, iter(self._candidates(*root[:3])))]
+        while stack:
+            (prefix, N, P, primes), todo = stack[-1]
+            v = next(todo, None)
+            if v is None:
+                stack.pop()
+                continue
+            self._bump()
+            child = (prefix + (v,), N * v + P, P * v, primes + factorize(v).primes)
+            if len(child[0]) == depth:
+                yield child
+            else:
+                stack.append((child, iter(self._candidates(*child[:3]))))
+
+    def _leaf_windows(self, N, P, floor):
+        """Requested (label, lo, hi_inclusive) windows of the last coordinate, ascending."""
         windows = []
-        for label in CLASSIFICATIONS:
-            if label not in self.classes:
+        for label, window in _last_windows(N, P, self.n, floor).items():
+            if label not in self.cfg.classes:
                 continue
-            iv = intervals.by_class[label]
-            if iv is None:
+            window = _meet(window, (1, self.cap))
+            if window is None:
                 continue
-            lo, hi = iv
-            if self.cfg.max_order is not None:
-                hi = self.cfg.max_order + 1 if hi is None else min(hi, self.cfg.max_order + 1)
+            lo, hi = window
             if hi is None:
                 raise AssertionError(
                     f"unbounded window for {label} escaped config validation"
                 )  # pragma: no cover
-            if lo < hi:
-                windows.append((label, lo, hi - 1))
+            windows.append((label, lo, hi - 1))
         windows.sort(key=lambda w: w[1])
         return windows
 
-    def run_count(self, prefix, s, prod, primes):
-        depth = len(prefix)
-        if depth == self.prefix_slots:
-            self._bump()
-            for label, lo, hi in self._leaf_windows(prefix):
+    def count(self, root=_ROOT):
+        for prefix, N, P, primes in self.prefixes(self.prefix_slots, root):
+            for label, lo, hi in self._leaf_windows(N, P, prefix[-1]):
                 self.counts[label] += count_coprime_in_range(lo, hi, primes)
-            return
-        for v, s1, prod1, primes1 in self._children(prefix, s, prod, primes):
-            self.run_count(prefix + (v,), s1, prod1, primes1)
 
-    def iter_materialize(self, prefix, s, prod, primes):
-        depth = len(prefix)
-        if depth == self.prefix_slots:
-            self._bump()
-            for label, lo, hi in self._leaf_windows(prefix):
-                for m in coprime_in_range(lo, hi, prod):
+    def materialize(self, root=_ROOT):
+        for prefix, N, P, _ in self.prefixes(self.prefix_slots, root):
+            for label, lo, hi in self._leaf_windows(N, P, prefix[-1]):
+                for m in coprime_in_range(lo, hi, P):
                     t = RamTuple(self.n, prefix + (m,))
                     report = classify(t)
-                    assert report.classification == label, (prefix, m, label)
+                    if report.classification != label:
+                        raise AssertionError(
+                            f"{t.orders} solved into {label} but classifies as "
+                            f"{report.classification}"
+                        )
                     self.counts[label] += 1
                     yield t, report
-            return
-        for v, s1, prod1, primes1 in self._children(prefix, s, prod, primes):
-            yield from self.iter_materialize(prefix + (v,), s1, prod1, primes1)
-
-    def _children(self, prefix, s, prod, primes):
-        depth = len(prefix)
-        if self.cfg.prefix_filter is not None and depth < len(self.cfg.prefix_filter):
-            v = self.cfg.prefix_filter[depth]
-            alive, _ = self._candidate_state(v, s, depth)
-            if alive:
-                self._bump()
-                yield v, s + Fraction(1, v), prod * v, primes + factorize(v).primes
-            return
-        if not prefix:
-            lo = self.cfg.min_order
-        elif prefix[-1] == 1:
-            lo = 1
-        else:
-            lo = prefix[-1] + 1
-        v = lo
-        while True:
-            if self.cfg.max_order is not None and v > self.cfg.max_order:
-                return
-            alive, forever = self._candidate_state(v, s, depth)
-            if not alive:
-                if forever:
-                    return
-                v += 1
-                continue
-            if math.gcd(v, prod) == 1:
-                self._bump()
-                yield v, s + Fraction(1, v), prod * v, primes + factorize(v).primes
-            v += 1
-
-
-def _initial_state(cfg: SearchConfig):
-    return (), Fraction(0), 1, ()
 
 
 def iter_tuples(cfg: SearchConfig):
@@ -457,37 +455,22 @@ def iter_tuples(cfg: SearchConfig):
     per-class counts, so arbitrarily large result sets can be consumed
     one record at a time.
     """
-    cfg = replace(cfg, mode="materialize")
-    search = _Search(cfg)
-    prefix, s, prod, primes = _initial_state(cfg)
-    yield from search.iter_materialize(prefix, s, prod, primes)
+    yield from _Search(cfg).materialize()
 
 
-def _run_partition(cfg: SearchConfig):
-    """Worker entry: run one subtree serially, return plain data."""
+def pool_workers(jobs: int, tasks: int, cpus: int | None) -> int:
+    """Worker processes for a pool: at most jobs, cpus (None counts as 1) and tasks."""
+    return max(1, min(jobs, cpus or 1, tasks))
+
+
+def _run_task(task):
+    """Worker entry: search the subtree below one planned prefix state."""
+    cfg, root = task
     search = _Search(cfg)
-    prefix, s, prod, primes = _initial_state(cfg)
     if cfg.mode == "count":
-        search.run_count(prefix, s, prod, primes)
-        return dict(search.counts), None, search.nodes
-    out = [t.orders for t, _ in search.iter_materialize(prefix, s, prod, primes)]
-    return dict(search.counts), out, search.nodes
-
-
-def _partition_prefixes(cfg: SearchConfig, depth: int):
-    """All viable sorted coprime prefixes of the given depth, lexicographic."""
-    probe = _Search(replace(cfg, mode="count", parallel_width=1))
-    done = []
-
-    def rec(prefix, s, prod, primes):
-        if len(prefix) == depth:
-            done.append(prefix)
-            return
-        for v, s1, prod1, primes1 in probe._children(prefix, s, prod, primes):
-            rec(prefix + (v,), s1, prod1, primes1)
-
-    rec(*_initial_state(cfg))
-    return done
+        search.count(root)
+        return search.counts, [], search.nodes
+    return search.counts, [t.orders for t, _ in search.materialize(root)], search.nodes
 
 
 def enumerate_tuples(cfg: SearchConfig) -> EnumResult:
@@ -495,52 +478,35 @@ def enumerate_tuples(cfg: SearchConfig) -> EnumResult:
 
     Counting is exact and closed-form in the last coordinate; materialize
     mode classifies every emitted tuple and cross-checks the label against
-    the interval that produced it.  Output order and all counts are
-    independent of parallel_width; work splits over disjoint depth-2
+    the interval that produced it.  Output order, counts and nodes_visited
+    are independent of parallel_width; work splits over disjoint depth-2
     prefix subtrees when parallel_width > 1 (ignored when a node_cap or a
     prefix_filter is set, to keep cap semantics and task planning exact).
     """
-    started = time.perf_counter()
-    use_pool = (
-        cfg.parallel_width > 1
-        and cfg.node_cap is None
-        and cfg.prefix_filter is None
-    )
-    if not use_pool:
-        search = _Search(cfg)
-        state = _initial_state(cfg)
-        if cfg.mode == "count":
-            search.run_count(*state)
-            tuples = None
-        else:
-            tuples = tuple(search.iter_materialize(*state))
-        return EnumResult(
-            tuples=tuples,
-            counts=dict(search.counts),
-            nodes_visited=search.nodes,
-            elapsed_s=time.perf_counter() - started,
-        )
-
-    split_depth = min(2, cfg.n + 1)
-    tasks = _partition_prefixes(cfg, split_depth)
-    counts = {c: 0 for c in cfg.classes}
-    nodes = 0
-    merged = [] if cfg.mode == "materialize" else None
-    subcfgs = [replace(cfg, prefix_filter=t, parallel_width=1) for t in tasks]
-    with ProcessPoolExecutor(max_workers=cfg.parallel_width) as pool:
-        for task_counts, orders_list, task_nodes in pool.map(_run_partition, subcfgs):
-            nodes += task_nodes
-            for label, value in task_counts.items():
-                counts[label] += value
-            if merged is not None:
-                for orders in orders_list:
-                    t = RamTuple(cfg.n, orders)
-                    merged.append((t, classify(t)))
+    search = _Search(cfg)
+    tuples = None
+    if cfg.parallel_width > 1 and cfg.node_cap is None and cfg.prefix_filter is None:
+        roots = list(search.prefixes(2))
+        width = pool_workers(cfg.parallel_width, len(roots), os.cpu_count())
+        merged = []
+        with ProcessPoolExecutor(max_workers=width) as pool:
+            tasks = [(cfg, root) for root in roots]
+            for task_counts, orders_list, task_nodes in pool.map(_run_task, tasks):
+                search.nodes += task_nodes
+                for label, value in task_counts.items():
+                    search.counts[label] += value
+                merged += orders_list
+        if cfg.mode == "materialize":
+            tuples = tuple((t, classify(t)) for t in (RamTuple(cfg.n, o) for o in merged))
+    elif cfg.mode == "count":
+        search.count()
+    else:
+        tuples = tuple(search.materialize())
     return EnumResult(
-        tuples=tuple(merged) if merged is not None else None,
-        counts=counts,
-        nodes_visited=nodes,
-        elapsed_s=time.perf_counter() - started,
+        tuples=tuples,
+        counts=search.counts,
+        nodes_visited=search.nodes,
+        elapsed_s=time.perf_counter() - search.started,
     )
 
 

@@ -251,7 +251,7 @@ def snc_ke_check(data: SncFanoData) -> KeReport:
     report whose delta rows show which side broke (beta is then None).
     When 0 < delta < 1 the report records the criterion in both equivalent
     forms, max_order - 1 < beta and max_order * (1 - delta) < 1, and
-    asserts they agree.
+    raises AssertionError if they disagree.
     """
     delta = delta_pn(data)
     c = snc_threshold(data.orders)
@@ -266,7 +266,8 @@ def snc_ke_check(data: SncFanoData) -> KeReport:
             m_max = max(data.orders)
             theorem_form = Fraction(m_max - 1) < beta
             example_form = m_max * (1 - delta) < 1
-            assert theorem_form == example_form, (data, delta)
+            if theorem_form != example_form:
+                raise AssertionError(f"criterion forms disagree for {data}, delta={delta}")
             conditions.append(
                 ("max-order-minus-one-below-beta", Fraction(m_max - 1), beta, theorem_form)
             )

@@ -113,9 +113,30 @@ class TestEnumerate:
         }
 
     def test_node_cap_exits_two(self, run_cli):
-        code, _, err = run_cli("count", "--dim", "3", "--max-nodes", "50")
+        code, _, err = run_cli("count", "--dim", "3", "--max-nodes", "20")
         assert code == 2
         assert "node" in err.lower()
+
+    def test_unit_orders_need_max_order(self, run_cli):
+        code, _, err = run_cli("count", "--dim", "2", "--allow-unit-orders")
+        assert code == 1
+        assert "max_order" in err
+
+    def test_jobs_do_not_change_the_record(self, run_cli):
+        records = []
+        for jobs in ("1", "2"):
+            code, out, _ = run_cli("count", "--dim", "3", "--jobs", jobs)
+            assert code == 0
+            (rec,) = json_records(out)
+            assert rec["input"].pop("jobs") == int(jobs)
+            rec.pop("elapsed_s")
+            records.append(rec)
+        assert records[0] == records[1]
+
+    def test_stream_echoes_the_serial_run(self, run_cli):
+        code, out, _ = run_cli("enumerate", "--dim", "2", "--jobs", "4")
+        assert code == 0
+        assert json_records(out)[-1]["input"]["jobs"] == 1
 
     def test_jobs_env_default(self, run_cli, monkeypatch):
         monkeypatch.setenv("ORBKE_JOBS", "2")

@@ -3,7 +3,9 @@ branch-and-bound enumerator, cross-checked against the brute-force oracle."""
 
 from __future__ import annotations
 
+import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -22,6 +24,7 @@ from orbke import (
     sylvester_family,
     sylvester_seq,
 )
+from orbke.enumeration import pool_workers
 from orbke.errors import InputError, NodeBudgetExceeded, SearchSpaceTooLarge
 
 from conftest import coprime_orders
@@ -129,9 +132,6 @@ class TestAdmissibleLastInterval:
     def test_prefix_235(self):
         iv = admissible_last_interval((2, 3, 5), 2)
         assert iv.floor == 5
-        assert iv.fano == (5, None)
-        assert iv.old == (5, 15)
-        assert iv.new == (5, 60)
         assert iv.by_class["OldKE"] == (5, 15)
         assert iv.by_class["NewOnlyKE"] == (15, 60)
         assert iv.by_class["NoCriterion"] == (60, None)
@@ -140,7 +140,6 @@ class TestAdmissibleLastInterval:
     def test_prefix_237(self):
         # Reciprocal sum below 1: Fano bounded, old bound free on that range.
         iv = admissible_last_interval((2, 3, 7), 2)
-        assert iv.fano == (7, 42)
         assert iv.by_class["OldKE"] == (7, 42)
         assert iv.by_class["NewOnlyKE"] is None
         assert iv.by_class["NotFano"] == (42, None)
@@ -161,6 +160,8 @@ class TestAdmissibleLastInterval:
             admissible_last_interval((2, 3, 4), 2)
         with pytest.raises(InputError):
             admissible_last_interval((2, 3), 2)
+        with pytest.raises(InputError):
+            admissible_last_interval((1,), 0)
 
     @given(prefix=coprime_orders(4, min_order=2), probe=st.integers(0, 200))
     @settings(max_examples=300, deadline=None)
@@ -303,10 +304,11 @@ class TestEnumerateTuples:
 
     def test_node_cap_carries_partial(self):
         with pytest.raises(NodeBudgetExceeded) as exc:
-            enumerate_tuples(SearchConfig(n=3, mode="count", node_cap=50))
+            enumerate_tuples(SearchConfig(n=3, mode="count", node_cap=20))
         partial = exc.value.partial
-        assert partial.nodes_visited >= 50
+        assert partial.nodes_visited >= 20
         assert set(partial.counts) == {"NewOnlyKE"}
+        assert partial.elapsed_s > 0
 
     def test_counts_include_zero_classes(self):
         res = enumerate_tuples(
@@ -336,11 +338,83 @@ class TestSearchConfigValidation:
             dict(n=2, prefix_filter=(2, 4)),
             dict(n=2, prefix_filter=(2, 3, 5, 7)),
             dict(n=2, prefix_filter=(1, 3)),
+            dict(n=2, min_order=1),
         ],
     )
     def test_rejects_bad_configs(self, kwargs):
         with pytest.raises(InputError):
             SearchConfig(**kwargs)
+
+
+class TestPoolWorkers:
+    def test_never_more_than_cpus_or_tasks(self):
+        assert pool_workers(100_000, 6, 2) == 2
+        assert pool_workers(100_000, 10**6, 8) == 8
+        assert pool_workers(4, 3, 64) == 3
+        assert pool_workers(2, 6, 64) == 2
+
+    def test_at_least_one(self):
+        assert pool_workers(4, 0, 8) == 1
+        assert pool_workers(4, 6, None) == 1
+
+
+def _hot_prefixes(n):
+    """(prefix, S) for the sorted coprime (n+1)-prefixes that can carry NewOnlyKE.
+
+    Fraction arithmetic only, as in acceptance criterion [02]; shares no
+    code with the interval solver.  NewOnlyKE needs S > 1.  An entry m with
+    k prefix slots left (its own included) and partial sum s before it can
+    push S above 1 only if s + k/m > 1, since later entries are >= m; and
+    once s >= 1, S - 1 >= s + 1/m - 1 and the last order is >= m, so the
+    new bound needs m*(s - 1) + 1 < n.  Both tests fail for every larger m
+    once they fail.
+    """
+    out = []
+
+    def rec(prefix, s):
+        k = n + 1 - len(prefix)
+        if k == 0:
+            if s > 1:
+                out.append((prefix, s))
+            return
+        for m in itertools.count(prefix[-1] + 1 if prefix else 2):
+            if s + Fraction(k, m) <= 1 or (s >= 1 and m * (s - 1) + 1 >= n):
+                break
+            if math.gcd(m, math.prod(prefix)) == 1:
+                rec(prefix + (m,), s + Fraction(1, m))
+
+    rec((), Fraction(0))
+    return out
+
+
+def _recount_new(n, prefix):
+    """NewOnlyKE tuples after prefix, by classifying coprime last orders upward.
+
+    With S > 1 the verdict runs OldKE, NewOnlyKE, NoCriterion as m grows
+    (both bounds are monotone in m), so the first NoCriterion ends the scan.
+    """
+    prod = math.prod(prefix)
+    total = 0
+    for m in itertools.count(prefix[-1]):
+        if math.gcd(m, prod) != 1:
+            continue
+        label = classify(make_tuple(n, prefix + (m,))).classification
+        if label == "NoCriterion":
+            return total
+        total += label == "NewOnlyKE"
+
+
+class TestIndependentRecount:
+    def test_dim3_total(self):
+        assert sum(_recount_new(3, p) for p, _ in _hot_prefixes(3)) == 2484
+
+    def test_dim4_sampled_prefixes(self):
+        # The scan of a prefix runs up to n/(S-1); prefixes past 20000 are
+        # left out of the draw to bound the test's run time.
+        eligible = [p for p, s in _hot_prefixes(4) if 4 / (s - 1) <= 20000]
+        for prefix in random.Random(20260814).sample(eligible, 10):
+            res = enumerate_tuples(SearchConfig(n=4, mode="count", prefix_filter=prefix))
+            assert res.counts == {"NewOnlyKE": _recount_new(4, prefix)}, prefix
 
 
 class TestCountNew:
