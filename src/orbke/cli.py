@@ -35,7 +35,6 @@ from .enumeration import (
 )
 from .errors import (
     InputError,
-    NodeBudgetExceeded,
     ResourceLimitExceeded,
     ThresholdOutsideGrid,
 )
@@ -51,6 +50,7 @@ from .lct import (
     snc_ke_check,
 )
 from .oracle import (
+    MAX_GRID_POINTS,
     OracleConfig,
     estimate_bp_threshold,
     estimate_monomial_threshold,
@@ -446,12 +446,10 @@ def _parse_grid(text: str):
         raise InputError(f"grid bounds must be rationals, got {text!r}")
     if step <= 0 or hi <= lo:
         raise InputError("grid needs lo < hi and positive step")
-    grid = []
-    v = lo
-    while v <= hi:
-        grid.append(v)
-        v += step
-    return tuple(grid)
+    count = (hi - lo) // step + 1
+    if count > MAX_GRID_POINTS:
+        raise InputError(f"grid has {count} points, more than the cap {MAX_GRID_POINTS}")
+    return tuple(lo + k * step for k in range(count))
 
 
 def _default_grid(analytic: Fraction):
@@ -645,9 +643,6 @@ def main(argv=None) -> int:
             stream = out
         emit = Emitter(args.format, stream)
         return args.func(args, emit)
-    except NodeBudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ResourceLimitExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

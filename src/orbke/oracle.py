@@ -24,12 +24,23 @@ interpolation, and the known h/2 offset of the cut level is subtracted.
 If every grid point lands on one side of the cut the grid missed the
 threshold and ThresholdOutsideGrid reports the direction.
 
-Sampling is importance-weighted toward the divisor (uniform-area/log-radius
-mixtures), since uniform sampling under-resolves the singular locus.  All
-randomness flows from counter-based Philox streams keyed by (seed, shell),
-so estimates are bit-identical for a given config no matter how the
-(lambda, shell) work is scheduled.  Results are test instruments only; no
-exact code path consumes them.
+Both integrands run through one pipeline, _estimate.  An integrand is a
+sampler plus its coefficient K: for each cutoff shell the sampler draws
+samples_per_shell points and returns the arrays (log f, log w, mask), where
+f is |f| at each point, w its importance weight (domain measure over
+sampling density) and mask marks the points inside the cutoff domain.  The
+pipeline turns each shell into log I(eps, lambda) = log mean(|f|^(-2 lambda)
+* w * mask) for every lambda, fits one slope per lambda and extracts the
+threshold.  Sampling is importance-weighted toward the divisor
+(uniform-area/log-radius mixtures), since uniform sampling under-resolves
+the singular locus.
+
+All randomness flows from counter-based Philox streams keyed by (seed,
+shell), so estimates are bit-identical for a given config no matter how the
+(lambda, shell) work is scheduled.  Before anything is sampled, the array
+cells per shell and the integrand evaluations of a run are checked against
+MAX_CELLS and MAX_EVALUATIONS.  Results are test instruments only; no exact
+code path consumes them.
 """
 
 from __future__ import annotations
@@ -42,24 +53,33 @@ from numbers import Rational
 import numpy as np
 
 from .errors import InputError, ThresholdOutsideGrid
-from .exactmath import Rat
 
 _MIN_SHELLS = 5
 _MIN_SAMPLES = 1000
+_SEED_LIMIT = 2 ** 63
+# Work caps, checked before anything is sampled: array cells per shell
+# (samples x integrand width) and integrand evaluations (samples x shells x
+# probe points).  The defaults use 1.6e5 cells (bp n=4) and 6.1e6
+# evaluations.
+MAX_CELLS = 4_000_000
+MAX_EVALUATIONS = 10 ** 9
+# No config with more probe points passes the evaluation cap.
+MAX_GRID_POINTS = MAX_EVALUATIONS // (_MIN_SAMPLES * _MIN_SHELLS)
 
 
 @dataclass(frozen=True)
 class OracleConfig:
     """Monte-Carlo protocol parameters.
 
-    cutoffs must decrease strictly within (0, 1]; a geometric ladder makes
+    cutoffs must decrease strictly within (0, 1); a geometric ladder makes
     the log-log fit evenly weighted.  The default ladder is deep (1e-8 down
     to 1e-16) on purpose: one grid step below the threshold the cutoff
     integral converges like eps^q with q ~ 0.1, so shallow ladders leave a
     transient slope that spills past the cut and drags the estimate low.
     lambda_grid holds the rationals to probe, sorted increasing; the
     threshold finder assumes near-uniform spacing.  tolerance is the
-    default relative error for verify_threshold.
+    default relative error for verify_threshold.  seed keys the Philox
+    streams and must lie in [0, 2**63).
     """
 
     samples_per_shell: int = 40_000
@@ -74,8 +94,8 @@ class OracleConfig:
         cuts = tuple(float(e) for e in self.cutoffs)
         if len(cuts) < _MIN_SHELLS:
             raise InputError(f"need at least {_MIN_SHELLS} cutoff shells, got {len(cuts)}")
-        if any(not 0 < e <= 1 for e in cuts):
-            raise InputError("cutoffs must lie in (0, 1]")
+        if any(not 0 < e < 1 for e in cuts):
+            raise InputError("cutoffs must lie in (0, 1)")
         if any(cuts[i] <= cuts[i + 1] for i in range(len(cuts) - 1)):
             raise InputError("cutoffs must be strictly decreasing")
         grid = tuple(Fraction(x) for x in self.lambda_grid)
@@ -85,8 +105,9 @@ class OracleConfig:
             raise InputError("lambda_grid must be strictly increasing")
         if grid[0] <= 0:
             raise InputError("lambda_grid must be positive")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
-            raise InputError("seed must be a nonnegative integer")
+        if (not isinstance(self.seed, int) or isinstance(self.seed, bool)
+                or not 0 <= self.seed < _SEED_LIMIT):
+            raise InputError("seed must be an integer in [0, 2**63)")
         if not self.tolerance > 0:
             raise InputError("tolerance must be positive")
         object.__setattr__(self, "cutoffs", cuts)
@@ -112,6 +133,22 @@ class ExponentEstimate:
             raise AssertionError("threshold estimate escaped the probed grid")
 
 
+def _check_work(cfg: OracleConfig, width: int) -> None:
+    """Reject a run whose arrays or evaluation count exceed the work caps."""
+    cells = cfg.samples_per_shell * width
+    if cells > MAX_CELLS:
+        raise InputError(
+            f"samples_per_shell x integrand width = {cells} array cells exceeds "
+            f"the cap {MAX_CELLS}"
+        )
+    evals = cfg.samples_per_shell * len(cfg.cutoffs) * len(cfg.lambda_grid)
+    if evals > MAX_EVALUATIONS:
+        raise InputError(
+            f"samples_per_shell x cutoffs x lambda_grid = {evals} evaluations "
+            f"exceeds the cap {MAX_EVALUATIONS}"
+        )
+
+
 def _shell_rng(seed: int, shell: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[seed, shell]))
 
@@ -130,16 +167,11 @@ def _slope_fit(log_eps, log_i):
     return slope, se
 
 
-def _log_mean_exp(arg, mask=None):
-    """log(mean(exp(arg) * mask)), stabilized; -inf when nothing survives."""
-    if mask is not None:
-        if not mask.any():
-            return -math.inf
-        arg = arg[mask]
-        top = float(arg.max())
-        return top + math.log(float(np.exp(arg - top).sum()) / mask.size)
+def _log_mean_exp(arg, mask):
+    """log(mean(exp(arg) * mask)), stabilized; mask must select something."""
+    arg = arg[mask]
     top = float(arg.max())
-    return top + math.log(float(np.exp(arg - top).mean()))
+    return top + math.log(float(np.exp(arg - top).sum()) / mask.size)
 
 
 def _extract_threshold(grid, slopes, ses, k_coeff) -> ExponentEstimate:
@@ -173,6 +205,33 @@ def _extract_threshold(grid, slopes, ses, k_coeff) -> ExponentEstimate:
     )
 
 
+def _estimate(sample, k_coeff: float, cfg: OracleConfig) -> ExponentEstimate:
+    """Shared pipeline: sample each shell, integrate every lambda, fit, extract.
+
+    sample(rng, eps) returns (log_f, log_w, mask) for one shell's draws:
+    the log of |f|, the log importance weight (domain measure over sampling
+    density), and which draws lie in the cutoff domain.  Entries outside
+    the mask are ignored but must be finite.
+    """
+    lam_f = [float(l) for l in cfg.lambda_grid]
+    log_eps = np.empty(len(cfg.cutoffs))
+    log_i = np.empty((len(lam_f), len(cfg.cutoffs)))
+    for shell, eps in enumerate(cfg.cutoffs):
+        log_eps[shell] = math.log(eps)
+        log_f, log_w, mask = sample(_shell_rng(cfg.seed, shell), eps)
+        if not mask.any():
+            raise InputError(
+                f"no admissible samples at cutoff {eps}: the cutoff neighborhood "
+                "covers the sampled domain or samples_per_shell is too small"
+            )
+        for j, lam in enumerate(lam_f):
+            log_i[j, shell] = _log_mean_exp(-2.0 * lam * log_f + log_w, mask)
+    fits = [_slope_fit(log_eps, row) for row in log_i]
+    return _extract_threshold(
+        cfg.lambda_grid, [sl for sl, _ in fits], [se for _, se in fits], k_coeff
+    )
+
+
 # ---------------------------------------------------------------------------
 # Monomial integrand on a polydisc
 
@@ -195,38 +254,35 @@ def estimate_monomial_threshold(exponents, cfg: OracleConfig) -> ExponentEstimat
     for a in exps:
         if not isinstance(a, int) or isinstance(a, bool) or a < 1:
             raise InputError(f"exponents must be positive integers, got {a!r}")
+    _check_work(cfg, len(exps))
     a_max = max(exps)
-    k_coeff = 2.0 * a_max * exps.count(a_max)
     a_vec = np.array(exps, dtype=float)
 
-    log_eps = [math.log(e) for e in cfg.cutoffs]
-    lam_f = np.array([float(l) for l in cfg.lambda_grid])
-    log_i = np.empty((len(cfg.lambda_grid), len(cfg.cutoffs)))
-    for shell, eps in enumerate(cfg.cutoffs):
-        rng = _shell_rng(cfg.seed, shell)
+    def sample(rng, eps):
         n, k = cfg.samples_per_shell, len(exps)
         pick_log = rng.random((n, k)) < 0.5
         u = rng.random((n, k))
         r_area = np.sqrt(eps * eps + u * (1 - eps * eps))
         r_log = np.exp(u * math.log(eps))
         r = np.where(pick_log, r_log, r_area)
-        log_r = np.log(r)
         dens = 0.5 * (2 * r / (1 - eps * eps)) + 0.5 / (r * math.log(1 / eps))
         # Angular part integrates to 2*pi*r per coordinate.
         log_w = (np.log(2 * math.pi * r) - np.log(dens)).sum(axis=1)
-        s_a = log_r @ a_vec
-        for j, lam in enumerate(lam_f):
-            log_i[j, shell] = _log_mean_exp(-2.0 * lam * s_a + log_w)
-    slopes, ses = [], []
-    for j in range(len(lam_f)):
-        sl, se = _slope_fit(log_eps, log_i[j])
-        slopes.append(sl)
-        ses.append(se)
-    return _extract_threshold(cfg.lambda_grid, slopes, ses, k_coeff)
+        return np.log(r) @ a_vec, log_w, np.ones(n, dtype=bool)
+
+    return _estimate(sample, 2.0 * a_max * exps.count(a_max), cfg)
 
 
 # ---------------------------------------------------------------------------
 # Binomial u^n + v^n on the unit ball of C^2
+
+
+def _direction_times_radius(rng, size, radius):
+    """Points of C^2 with uniform direction on S^3 and length radius(uniform)."""
+    g = rng.standard_normal((size, 4))
+    g /= np.linalg.norm(g, axis=1, keepdims=True)
+    xy = g * radius(rng.random(size))[:, None]
+    return xy[:, 0] + 1j * xy[:, 1], xy[:, 2] + 1j * xy[:, 3]
 
 
 def estimate_bp_threshold(n: int, cfg: OracleConfig) -> ExponentEstimate:
@@ -246,41 +302,28 @@ def estimate_bp_threshold(n: int, cfg: OracleConfig) -> ExponentEstimate:
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 2:
         raise InputError(f"n must be an integer >= 2, got {n!r}")
-    k_coeff = 2.0 * n
+    _check_work(cfg, n)
     zetas = np.array([np.exp(1j * math.pi * (2 * j + 1) / n) for j in range(n)])
     # Unit direction along line j is (zeta_j, 1)/sqrt(2); unit normal is
     # (1, -conj(zeta_j))/sqrt(2).  In those coordinates dist(x, L_j) = |w|.
+    inv_sqrt2 = 1 / math.sqrt(2)
     w_ball, w_origin, w_tube = 0.4, 0.3, 0.3
     vol_ball = math.pi ** 2 / 2
     area_s3 = 2 * math.pi ** 2
 
-    log_eps = [math.log(e) for e in cfg.cutoffs]
-    lam_f = [float(l) for l in cfg.lambda_grid]
-    log_i = np.empty((len(cfg.lambda_grid), len(cfg.cutoffs)))
-    for shell, eps in enumerate(cfg.cutoffs):
-        rng = _shell_rng(cfg.seed, shell)
+    def sample(rng, eps):
         n_s = cfg.samples_per_shell
         log_inv_eps = math.log(1 / eps)
         comp = rng.choice(3, size=n_s, p=[w_ball, w_origin, w_tube])
-        pts = np.empty((n_s, 2), dtype=complex)
-
-        idx = np.flatnonzero(comp == 0)
-        if idx.size:
-            g = rng.standard_normal((idx.size, 4))
-            g /= np.linalg.norm(g, axis=1, keepdims=True)
-            rad = rng.random(idx.size) ** 0.25
-            xy = g * rad[:, None]
-            pts[idx, 0] = xy[:, 0] + 1j * xy[:, 1]
-            pts[idx, 1] = xy[:, 2] + 1j * xy[:, 3]
-
-        idx = np.flatnonzero(comp == 1)
-        if idx.size:
-            g = rng.standard_normal((idx.size, 4))
-            g /= np.linalg.norm(g, axis=1, keepdims=True)
-            rad = np.exp(rng.random(idx.size) * math.log(eps))
-            xy = g * rad[:, None]
-            pts[idx, 0] = xy[:, 0] + 1j * xy[:, 1]
-            pts[idx, 1] = xy[:, 2] + 1j * xy[:, 3]
+        u = np.empty(n_s, dtype=complex)
+        v = np.empty(n_s, dtype=complex)
+        for c_id, radius in (
+            (0, lambda t: t ** 0.25),
+            (1, lambda t: np.exp(t * math.log(eps))),
+        ):
+            idx = np.flatnonzero(comp == c_id)
+            if idx.size:
+                u[idx], v[idx] = _direction_times_radius(rng, idx.size, radius)
 
         tube_idx = np.flatnonzero(comp == 2)
         tube_line = tube_rad = None
@@ -293,14 +336,11 @@ def estimate_bp_threshold(n: int, cfg: OracleConfig) -> ExponentEstimate:
             s_ang = rng.random(tube_idx.size) * 2 * math.pi
             w = tube_rad * np.exp(1j * s_ang)
             z = zetas[tube_line]
-            inv_sqrt2 = 1 / math.sqrt(2)
-            pts[tube_idx, 0] = (c * z + w) * inv_sqrt2
-            pts[tube_idx, 1] = (c - w * np.conj(z)) * inv_sqrt2
+            u[tube_idx] = (c * z + w) * inv_sqrt2
+            v[tube_idx] = (c - w * np.conj(z)) * inv_sqrt2
 
-        u, v = pts[:, 0], pts[:, 1]
         norm2 = (u * np.conj(u) + v * np.conj(v)).real
         # Transverse coordinates to every line at once: w_j = <x, normal_j>.
-        inv_sqrt2 = 1 / math.sqrt(2)
         w_all = (u[:, None] - v[:, None] * zetas[None, :]) * inv_sqrt2
         w_abs = np.abs(w_all)
         if tube_idx.size:
@@ -335,19 +375,10 @@ def estimate_bp_threshold(n: int, cfg: OracleConfig) -> ExponentEstimate:
             log_f = np.where(
                 mask, np.log(w_abs).sum(axis=1) + n * math.log(math.sqrt(2)), 0.0
             )
-            log_q = np.where(mask, np.log(dens), 0.0)
-        if not mask.any():
-            raise InputError(
-                f"no admissible samples at cutoff {eps}; increase samples_per_shell"
-            )
-        for j, lam in enumerate(lam_f):
-            log_i[j, shell] = _log_mean_exp(-2.0 * lam * log_f - log_q, mask)
-    slopes, ses = [], []
-    for j in range(len(lam_f)):
-        sl, se = _slope_fit(log_eps, log_i[j])
-        slopes.append(sl)
-        ses.append(se)
-    return _extract_threshold(cfg.lambda_grid, slopes, ses, k_coeff)
+            log_w = np.where(mask, -np.log(dens), 0.0)
+        return log_f, log_w, mask
+
+    return _estimate(sample, 2.0 * n, cfg)
 
 
 def verify_threshold(analytic, est: ExponentEstimate, tol: float) -> bool:

@@ -323,6 +323,26 @@ class TestOracleCommands:
         assert code == 1
         assert "below" in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("--seed", str(2**64)), "seed"),
+            (("--seed", str(2**63)), "seed"),
+            (("--cutoffs", "1,0.5,0.25,0.125,0.0625"), "(0, 1)"),
+            (("--grid", "1:1000000000:1"), "grid has 1000000000 points"),
+            (("--samples", "4000001"), "array cells"),
+            (("--samples", "1000000", "--grid", "1:201:1",
+              "--cutoffs", "0.5,0.25,0.125,0.0625,0.03125"), "evaluations"),
+            (("--n", "4001", "--samples", "1000"), "array cells"),
+        ],
+    )
+    def test_rejected_before_sampling(self, run_cli, argv, message):
+        target = ("bp",) if "--n" in argv else ("monomial", "--exponents", "1")
+        code, out, err = run_cli("oracle", *target, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and message in err
+
     def test_custom_cutoffs(self, run_cli):
         code, out, _ = run_cli(
             "oracle", "monomial", "--exponents", "1",

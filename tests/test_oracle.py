@@ -19,6 +19,7 @@ from orbke import (
     verify_threshold,
 )
 from orbke.errors import InputError, ThresholdOutsideGrid
+from orbke.oracle import MAX_CELLS, MAX_EVALUATIONS, _check_work
 
 # Shallower ladder + fewer samples: ~10x faster, still adequate for the
 # coarse checks below (acceptance runs use the defaults).
@@ -44,11 +45,13 @@ class TestOracleConfigValidation:
             dict(cutoffs=(0.5, 0.25)),
             dict(cutoffs=(0.5, 0.25, 0.5, 0.1, 0.05)),
             dict(cutoffs=(2.0, 1.0, 0.5, 0.25, 0.1)),
+            dict(cutoffs=(1.0, 0.5, 0.25, 0.125, 0.0625)),
             dict(lambda_grid=(1, 2)),
             dict(lambda_grid=(2, 1, 3)),
             dict(lambda_grid=(0, 1, 2)),
             dict(seed=-1),
             dict(seed=1.5),
+            dict(seed=2**63),
             dict(tolerance=0),
         ],
     )
@@ -57,6 +60,59 @@ class TestOracleConfigValidation:
         base.update(kwargs)
         with pytest.raises(InputError):
             OracleConfig(**base)
+
+
+class TestWorkCaps:
+    # Every config here is one unit over a cap; the estimators must refuse
+    # it before sampling, so none of these tests allocates a large array.
+    CUTS = (0.5, 0.25, 0.125, 0.0625, 0.03125)
+
+    def test_monomial_cells_cap(self):
+        cfg = OracleConfig(
+            samples_per_shell=MAX_CELLS // 2 + 1, cutoffs=self.CUTS,
+            lambda_grid=grid_around(Fraction(1, 2)),
+        )
+        with pytest.raises(InputError, match="array cells"):
+            estimate_monomial_threshold((1, 2), cfg)
+
+    def test_bp_cells_cap_before_roots(self):
+        cfg = OracleConfig(samples_per_shell=1000, cutoffs=self.CUTS, lambda_grid=(1, 2, 3))
+        with pytest.raises(InputError, match="array cells"):
+            estimate_bp_threshold(MAX_CELLS // 1000 + 1, cfg)
+
+    def test_evaluations_cap(self):
+        samples = 1_000_000
+        points = MAX_EVALUATIONS // (samples * len(self.CUTS)) + 1
+        cfg = OracleConfig(
+            samples_per_shell=samples, cutoffs=self.CUTS,
+            lambda_grid=tuple(range(1, points + 1)),
+        )
+        with pytest.raises(InputError, match="evaluations"):
+            estimate_monomial_threshold((1,), cfg)
+
+    def test_caps_are_inclusive(self):
+        samples = MAX_CELLS // 4
+        points = MAX_EVALUATIONS // (samples * len(self.CUTS))
+        cfg = OracleConfig(
+            samples_per_shell=samples, cutoffs=self.CUTS,
+            lambda_grid=tuple(range(1, points + 1)),
+        )
+        assert samples * 4 == MAX_CELLS
+        assert samples * len(self.CUTS) * points == MAX_EVALUATIONS
+        _check_work(cfg, 4)
+
+
+class TestNoAdmissibleSamples:
+    def test_bp_cutoffs_above_the_inradius(self):
+        # For n = 2 the two lines have orthogonal normals, so the squared
+        # distances to them sum to |x|^2 <= 1 and no point of the ball is
+        # farther than 1/sqrt(2) from both: every draw is cut away.
+        cfg = OracleConfig(
+            samples_per_shell=1000, cutoffs=(0.9, 0.8, 0.75, 0.72, 0.71),
+            lambda_grid=grid_around(1),
+        )
+        with pytest.raises(InputError, match="no admissible samples at cutoff 0.9"):
+            estimate_bp_threshold(2, cfg)
 
 
 class TestDeterminism:
