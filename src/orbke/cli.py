@@ -7,7 +7,9 @@ the verdict, and carries caveats for hypotheses that were assumed rather
 than verified.  Rationals serialize as exact "p/q" strings, never floats,
 so certificates can be re-checked independently; re-running a command on
 a certificate's echoed input reproduces the record bit-for-bit except for
-the timing field.
+the timing field.  Handlers build only the body of their record; `main`
+stamps every record with the package `version` and with `elapsed_s`, the
+time the handler took, and writes it.
 
 Exit codes separate computation from verdict: 0 means a verdict was
 computed (pass or fail alike, read the payload), 1 means the input was
@@ -27,7 +29,6 @@ from fractions import Fraction
 from . import __version__
 from .enumeration import (
     SearchConfig,
-    admissible_last_interval,
     enumerate_tuples,
     iter_tuples,
     sylvester_family,
@@ -166,11 +167,10 @@ def _fano_inequalities(report) -> list:
     ]
 
 
-def _ke_record(command: str, input_echo: dict, report, started: float) -> dict:
+def _ke_record(command: str, input_echo: dict, report) -> dict:
     caveats = [_ASSUMPTION_NOTES.get(a, a) for a in report.assumptions]
     return {
         "command": command,
-        "version": __version__,
         "input": input_echo,
         "derived": {
             "delta": _rat(report.delta),
@@ -181,23 +181,23 @@ def _ke_record(command: str, input_echo: dict, report, started: float) -> dict:
         "inequalities": [_ineq(*row) for row in report.conditions],
         "verdict": "passes" if report.passes else "fails",
         "caveats": caveats,
-        "elapsed_s": time.perf_counter() - started,
     }
 
 
 # ---------------------------------------------------------------------------
 # Subcommand handlers
+#
+# Each handler returns its record body, "command" first; main stamps the
+# envelope ("version" after "command", "elapsed_s" after "caveats").
 
 
-def _cmd_check(args, emit: Emitter) -> int:
-    started = time.perf_counter()
+def _cmd_check(args, emit: Emitter) -> dict:
     min_order = 1 if args.allow_unit_orders else 2
     t = make_tuple(args.dim, args.orders, min_order=min_order)
     report = classify(t)
     link = link_weights(t)
-    emit.write({
+    return {
         "command": "check",
-        "version": __version__,
         "input": {"dim": t.n, "orders": list(t.orders), "min_order": min_order},
         "derived": {
             "c1": _rat(report.c1),
@@ -209,9 +209,7 @@ def _cmd_check(args, emit: Emitter) -> int:
         "inequalities": _fano_inequalities(report),
         "verdict": report.classification,
         "caveats": [CONTACT_NOTE],
-        "elapsed_s": time.perf_counter() - started,
-    })
-    return 0
+    }
 
 
 _CLASS_CHOICES = {
@@ -227,20 +225,18 @@ def _jobs(args) -> int:
     env = os.environ.get(JOBS_ENV, "").strip()
     if env:
         try:
-            return max(1, int(env))
+            return int(env)
         except ValueError:
             raise InputError(f"{JOBS_ENV} must be an integer, got {env!r}")
     return 1
 
 
-def _cmd_enumerate(args, emit: Emitter) -> int:
-    started = time.perf_counter()
+def _cmd_enumerate(args, emit: Emitter) -> dict:
     classes = _CLASS_CHOICES[args.klass]
-    count_only = args.count_only or args.alias_count
     cfg = SearchConfig(
         n=args.dim,
         min_order=1 if args.allow_unit_orders else 2,
-        mode="count" if count_only else "materialize",
+        mode="count" if args.count_only else "materialize",
         classes=classes,
         max_order=args.max_order,
         parallel_width=_jobs(args),
@@ -249,14 +245,14 @@ def _cmd_enumerate(args, emit: Emitter) -> int:
     input_echo = {
         "dim": args.dim,
         "class": args.klass,
-        "count_only": count_only,
+        "count_only": args.count_only,
         "max_order": args.max_order,
         "min_order": cfg.min_order,
         # The stream is serial: iter_tuples has no pool.
-        "jobs": cfg.parallel_width if count_only else 1,
+        "jobs": cfg.parallel_width if args.count_only else 1,
         "max_nodes": args.max_nodes,
     }
-    if count_only:
+    if args.count_only:
         result = enumerate_tuples(cfg)
         counts = result.counts
         nodes = result.nodes_visited
@@ -274,55 +270,39 @@ def _cmd_enumerate(args, emit: Emitter) -> int:
                 "new_ok": report.new_ok,
             })
     summary = {
-        "command": "count" if args.alias_count else "enumerate",
-        "version": __version__,
+        "command": args.subcommand,
         "input": input_echo,
         "counts": counts,
         "verdict": "complete",
         "caveats": [CONTACT_NOTE],
-        "elapsed_s": time.perf_counter() - started,
     }
     if nodes is not None:
         summary["nodes_visited"] = nodes
-    emit.write(summary)
-    return 0
+    return summary
 
 
-def _cmd_family(args, emit: Emitter) -> int:
-    started = time.perf_counter()
+def _cmd_family(args, emit: Emitter) -> dict:
     fam = sylvester_family(args.dim)
-    intervals = admissible_last_interval(fam.prefix, args.dim)
     lo, hi = fam.last_interval
     admissible = count_coprime_in_range(lo + 1, hi - 1, fam.forbidden_primes)
-    counts = {"admissible": admissible}
-    for label in ("NewOnlyKE", "OldKE"):
-        window = intervals.by_class[label]
-        if window is None:
-            counts[label] = 0
-            continue
-        w_lo, w_hi = window
-        w_lo = max(w_lo, lo + 1)
-        w_hi = hi if w_hi is None else min(w_hi, hi)
-        counts[label] = count_coprime_in_range(w_lo, w_hi - 1, fam.forbidden_primes)
-    emit.write({
+    result = enumerate_tuples(SearchConfig(
+        n=args.dim, mode="count", classes=("NewOnlyKE", "OldKE"), prefix_filter=fam.prefix,
+    ))
+    return {
         "command": "family",
-        "version": __version__,
         "input": {"dim": args.dim},
         "family": {
             "prefix": list(fam.prefix),
             "last_interval_open": list(fam.last_interval),
             "forbidden_primes": list(fam.forbidden_primes),
         },
-        "counts": counts,
+        "counts": {"admissible": admissible, **result.counts},
         "verdict": "derived",
         "caveats": [FAMILY_NOTE, CONTACT_NOTE],
-        "elapsed_s": time.perf_counter() - started,
-    })
-    return 0
+    }
 
 
-def _cmd_sylvester(args, emit: Emitter) -> int:
-    started = time.perf_counter()
+def _cmd_sylvester(args, emit: Emitter) -> dict:
     seq = sylvester_seq(args.k)
     rows = []
     prod = 1
@@ -335,17 +315,14 @@ def _cmd_sylvester(args, emit: Emitter) -> int:
             f"reciprocal-sum-identity-{i}", partial + Fraction(1, prod), 1,
             partial + Fraction(1, prod) == 1,
         ))
-    emit.write({
+    return {
         "command": "sylvester",
-        "version": __version__,
         "input": {"k": args.k},
         "sequence": seq,
         "inequalities": rows,
         "verdict": "verified" if all(r["holds"] for r in rows) else "failed",
         "caveats": [],
-        "elapsed_s": time.perf_counter() - started,
-    })
-    return 0
+    }
 
 
 def _parse_divisor(text: str):
@@ -358,33 +335,24 @@ def _parse_divisor(text: str):
         raise InputError(f"divisor must hold integers d:m, got {text!r}")
 
 
-def _cmd_lct_snc(args, emit: Emitter) -> int:
-    started = time.perf_counter()
+def _cmd_lct_snc(args, emit: Emitter) -> dict:
     entries = tuple(_parse_divisor(d) for d in args.divisor or ())
     report = snc_ke_check(SncFanoData(args.dim, entries))
-    emit.write(_ke_record(
-        "lct-snc",
-        {"dim": args.dim, "divisors": [list(e) for e in entries]},
-        report,
-        started,
-    ))
-    return 0
+    return _ke_record(
+        "lct-snc", {"dim": args.dim, "divisors": [list(e) for e in entries]}, report,
+    )
 
 
-def _cmd_lct_monomial(args, emit: Emitter) -> int:
-    started = time.perf_counter()
+def _cmd_lct_monomial(args, emit: Emitter) -> dict:
     threshold = monomial_lct(args.exponents)
-    emit.write({
+    return {
         "command": "lct-monomial",
-        "version": __version__,
         "input": {"exponents": list(args.exponents)},
         "derived": {"threshold": _rat(threshold)},
         "inequalities": [],
         "verdict": _rat(threshold),
         "caveats": [],
-        "elapsed_s": time.perf_counter() - started,
-    })
-    return 0
+    }
 
 
 def _parse_singularities(text: str):
@@ -403,17 +371,10 @@ def _parse_singularities(text: str):
     return tuple(labels)
 
 
-def _cmd_dp2(args, emit: Emitter) -> int:
-    started = time.perf_counter()
+def _cmd_dp2(args, emit: Emitter) -> dict:
     sings = _parse_singularities(args.sing)
     report = dp2_check(DelPezzo2(sings))
-    emit.write(_ke_record(
-        "delpezzo-deg2",
-        {"singularities": [f"A{k}" for k in sings]},
-        report,
-        started,
-    ))
-    return 0
+    return _ke_record("delpezzo-deg2", {"singularities": [f"A{k}" for k in sings]}, report)
 
 
 def _parse_lambdas(text: str):
@@ -423,17 +384,10 @@ def _parse_lambdas(text: str):
         raise InputError(f"pencil parameters must be rationals, got {text!r}")
 
 
-def _cmd_dp4(args, emit: Emitter) -> int:
-    started = time.perf_counter()
+def _cmd_dp4(args, emit: Emitter) -> dict:
     lambdas = _parse_lambdas(args.lambdas)
     report = dp4_check(DelPezzo4(lambdas))
-    emit.write(_ke_record(
-        "delpezzo-deg4",
-        {"lambdas": [_rat(l) for l in lambdas]},
-        report,
-        started,
-    ))
-    return 0
+    return _ke_record("delpezzo-deg4", {"lambdas": [_rat(l) for l in lambdas]}, report)
 
 
 def _parse_grid(text: str):
@@ -473,7 +427,7 @@ def _oracle_config(args, analytic: Fraction) -> OracleConfig:
     return OracleConfig(**kwargs)
 
 
-def _oracle_record(command, input_echo, cfg, est, analytic, started) -> dict:
+def _oracle_record(command, input_echo, cfg, est, analytic) -> dict:
     ok = verify_threshold(analytic, est, cfg.tolerance)
     input_echo.update({
         "seed": cfg.seed,
@@ -484,7 +438,6 @@ def _oracle_record(command, input_echo, cfg, est, analytic, started) -> dict:
     })
     return {
         "command": command,
-        "version": __version__,
         "input": input_echo,
         "estimate": {
             "threshold": est.threshold_estimate,
@@ -495,32 +448,25 @@ def _oracle_record(command, input_echo, cfg, est, analytic, started) -> dict:
         "inequalities": [],
         "verdict": "within-tolerance" if ok else "outside-tolerance",
         "caveats": ["stochastic: estimates are Monte-Carlo instruments, not certificates"],
-        "elapsed_s": time.perf_counter() - started,
     }
 
 
-def _cmd_oracle_monomial(args, emit: Emitter) -> int:
-    started = time.perf_counter()
+def _cmd_oracle_monomial(args, emit: Emitter) -> dict:
     analytic = monomial_lct(args.exponents)
     cfg = _oracle_config(args, analytic)
     est = estimate_monomial_threshold(args.exponents, cfg)
-    emit.write(_oracle_record(
-        "oracle-monomial", {"exponents": list(args.exponents)}, cfg, est, analytic, started,
-    ))
-    return 0
+    return _oracle_record(
+        "oracle-monomial", {"exponents": list(args.exponents)}, cfg, est, analytic,
+    )
 
 
-def _cmd_oracle_bp(args, emit: Emitter) -> int:
-    started = time.perf_counter()
+def _cmd_oracle_bp(args, emit: Emitter) -> dict:
     if args.n < 2:
         raise InputError(f"--n must be >= 2, got {args.n}")
     analytic = Fraction(2, args.n)
     cfg = _oracle_config(args, analytic)
     est = estimate_bp_threshold(args.n, cfg)
-    emit.write(_oracle_record(
-        "oracle-bp", {"n": args.n}, cfg, est, analytic, started,
-    ))
-    return 0
+    return _oracle_record("oracle-bp", {"n": args.n}, cfg, est, analytic)
 
 
 # ---------------------------------------------------------------------------
@@ -533,10 +479,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="output encoding (default json, one record per line)")
     common.add_argument("--out", metavar="FILE", default=None,
                         help="write records to FILE instead of stdout")
-    common.add_argument("--seed", type=int, default=None,
-                        help="random seed (oracle commands)")
-    common.add_argument("--max-nodes", type=int, default=None, dest="max_nodes",
-                        help="search node budget; exceeding it exits with code 2")
 
     parser = argparse.ArgumentParser(
         prog="orbke",
@@ -544,7 +486,6 @@ def _build_parser() -> argparse.ArgumentParser:
                     "boundary-divisor orbifolds, with enumeration and "
                     "stochastic threshold verification.",
     )
-    parser.add_argument("--version", action="version", version=f"orbke {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("check", parents=[common],
@@ -555,23 +496,26 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="permit orders equal to 1 (trivial divisors)")
     p.set_defaults(func=_cmd_check)
 
-    for name, is_alias in (("enumerate", False), ("count", True)):
+    for name in ("enumerate", "count"):
         p = sub.add_parser(
             name, parents=[common],
-            help="count admissible tuples by classification" if is_alias
+            help="count admissible tuples by classification" if name == "count"
             else "enumerate admissible tuples in canonical order",
         )
         p.add_argument("--dim", type=int, required=True)
         p.add_argument("--class", dest="klass", choices=sorted(_CLASS_CHOICES),
                        default="new-only")
-        p.add_argument("--count-only", action="store_true",
-                       help="closed-form counting instead of materializing")
+        if name == "enumerate":
+            p.add_argument("--count-only", action="store_true",
+                           help="closed-form counting instead of materializing")
         p.add_argument("--max-order", type=int, default=None,
                        help="cap on every order (required for infinite classes)")
         p.add_argument("--jobs", type=int, default=None,
                        help=f"worker processes for counting (default ${JOBS_ENV} or 1)")
+        p.add_argument("--max-nodes", type=int, default=None, dest="max_nodes",
+                       help="search node budget; exceeding it exits with code 2")
         p.add_argument("--allow-unit-orders", action="store_true")
-        p.set_defaults(func=_cmd_enumerate, alias_count=is_alias)
+        p.set_defaults(func=_cmd_enumerate, count_only=name == "count")
 
     p = sub.add_parser("family", parents=[common],
                        help="the doubly-exponential family and its admissible counts")
@@ -617,6 +561,7 @@ def _build_parser() -> argparse.ArgumentParser:
         else:
             p.add_argument("--n", type=int, required=True)
             p.set_defaults(func=_cmd_oracle_bp)
+        p.add_argument("--seed", type=int, default=None, help="random seed")
         p.add_argument("--tol", type=float, default=None,
                        help="relative tolerance for the verdict (default 0.1)")
         p.add_argument("--samples", type=int, default=None,
@@ -630,6 +575,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = _build_parser()
+    parser.add_argument("--version", action="version", version=f"orbke {__version__}")
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -642,7 +588,16 @@ def main(argv=None) -> int:
             out = open(args.out, "w")
             stream = out
         emit = Emitter(args.format, stream)
-        return args.func(args, emit)
+        started = time.perf_counter()
+        body = args.func(args, emit)
+        elapsed = time.perf_counter() - started
+        record = {"command": body.pop("command"), "version": __version__}
+        for key, value in body.items():
+            record[key] = value
+            if key == "caveats":
+                record["elapsed_s"] = elapsed
+        emit.write(record)
+        return 0
     except ResourceLimitExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

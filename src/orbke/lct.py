@@ -36,8 +36,10 @@ from .exactmath import Rat
 class Unbounded:
     """Singleton sentinel for an infinite integrability threshold.
 
-    Compares above every rational; 1/INF is treated as exact zero where a
-    reciprocal is recorded.  repr/str is "inf" for serialization.
+    Callers test for it with `is INF`; it equals only itself and has no
+    ordering, so comparing it with a rational raises TypeError rather than
+    silently ranking it.  1/INF is treated as exact zero where a reciprocal
+    is recorded.  repr/str is "inf" for serialization.
     """
 
     _instance = None
@@ -57,18 +59,6 @@ class Unbounded:
 
     def __hash__(self):
         return hash("orbke-inf")
-
-    def __gt__(self, other):
-        return other is not self
-
-    def __ge__(self, other):
-        return True
-
-    def __lt__(self, other):
-        return False
-
-    def __le__(self, other):
-        return other is self
 
 
 INF = Unbounded()

@@ -108,8 +108,8 @@ class OracleConfig:
         if (not isinstance(self.seed, int) or isinstance(self.seed, bool)
                 or not 0 <= self.seed < _SEED_LIMIT):
             raise InputError("seed must be an integer in [0, 2**63)")
-        if not self.tolerance > 0:
-            raise InputError("tolerance must be positive")
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+            raise InputError("tolerance must be positive and finite")
         object.__setattr__(self, "cutoffs", cuts)
         object.__setattr__(self, "lambda_grid", grid)
 
@@ -388,6 +388,6 @@ def verify_threshold(analytic, est: ExponentEstimate, tol: float) -> bool:
     analytic = Fraction(analytic)
     if analytic <= 0:
         raise InputError("analytic threshold must be positive")
-    if not tol > 0:
-        raise InputError("tolerance must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise InputError("tolerance must be positive and finite")
     return abs(est.threshold_estimate - float(analytic)) / float(analytic) <= tol

@@ -145,6 +145,14 @@ class TestEnumerate:
         (rec,) = json_records(out)
         assert rec["counts"] == {"NewOnlyKE": 12}
 
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_jobs_env_below_one_exits_one(self, run_cli, monkeypatch, value):
+        monkeypatch.setenv("ORBKE_JOBS", value)
+        code, out, err = run_cli("count", "--dim", "2")
+        assert code == 1
+        assert out == ""
+        assert "parallel_width" in err
+
     def test_old_class(self, run_cli):
         code, out, _ = run_cli("count", "--dim", "2", "--class", "old")
         assert code == 0
@@ -334,6 +342,7 @@ class TestOracleCommands:
             (("--samples", "1000000", "--grid", "1:201:1",
               "--cutoffs", "0.5,0.25,0.125,0.0625,0.03125"), "evaluations"),
             (("--n", "4001", "--samples", "1000"), "array cells"),
+            (("--tol", "inf"), "tolerance"),
         ],
     )
     def test_rejected_before_sampling(self, run_cli, argv, message):
@@ -398,6 +407,46 @@ class TestFormats:
         assert rec["verdict"] == "NewOnlyKE"
 
 
+ENVELOPE_CASES = {
+    "check": ("check", "--dim", "2", "2", "3", "5", "17"),
+    "enumerate": ("enumerate", "--dim", "2"),
+    "count": ("count", "--dim", "2"),
+    "family": ("family", "--dim", "2"),
+    "sylvester": ("sylvester", "--k", "4"),
+    "lct-snc": ("lct", "snc", "--dim", "2", "--divisor", "4:2"),
+    "lct-monomial": ("lct", "monomial", "1", "2"),
+    "delpezzo-deg2": ("delpezzo", "deg2", "--sing", "A1,A2"),
+    "delpezzo-deg4": ("delpezzo", "deg4", "--lambda", "1,1,2"),
+    "oracle-monomial": ("oracle", "monomial", "--exponents", "2", "--seed", "1",
+                        "--samples", "2000"),
+    "oracle-bp": ("oracle", "bp", "--n", "3", "--samples", "2000"),
+}
+
+
+def _last_record_keys(out, fmt):
+    """Top-level keys of the last record, in the order they were written."""
+    if fmt == "json":
+        return list(json_records(out)[-1])
+    if fmt == "csv":
+        flat = [row for row in csv.reader(io.StringIO(out)) if row[0] == "command"][-1]
+    else:
+        block = out.strip().split("\n\n")[-1]
+        flat = [line.split(" = ", 1)[0] for line in block.splitlines()]
+    return list(dict.fromkeys(key.split(".")[0] for key in flat))
+
+
+class TestEnvelope:
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+    @pytest.mark.parametrize("name", list(ENVELOPE_CASES))
+    def test_record_envelope(self, run_cli, name, fmt):
+        code, out, _ = run_cli(*ENVELOPE_CASES[name], "--format", fmt)
+        assert code == 0
+        keys = _last_record_keys(out, fmt)
+        assert keys[:3] == ["command", "version", "input"]
+        tail = keys[keys.index("caveats"):]
+        assert tail == ["caveats", "elapsed_s"] + (["nodes_visited"] if name == "count" else [])
+
+
 class TestRoundTrip:
     def test_check_roundtrip_identical_modulo_timing(self, run_cli):
         _, out1, _ = run_cli("check", "--dim", "2", "2", "3", "5", "17")
@@ -413,6 +462,20 @@ class TestExitPolicy:
     def test_usage_error_exits_one(self, run_cli):
         assert run_cli("check")[0] == 1
         assert run_cli("frobnicate")[0] == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("check", "--dim", "2", "2", "3", "5", "17", "--seed", "1"),
+            ("lct", "monomial", "2", "--max-nodes", "0"),
+            ("count", "--dim", "2", "--count-only"),
+        ],
+    )
+    def test_flag_outside_its_commands_exits_one(self, run_cli, argv):
+        code, out, err = run_cli(*argv)
+        assert code == 1
+        assert out == ""
+        assert "unrecognized arguments" in err
 
     def test_version_exits_zero(self, run_cli):
         code, out, _ = run_cli("--version")

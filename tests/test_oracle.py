@@ -53,6 +53,7 @@ class TestOracleConfigValidation:
             dict(seed=1.5),
             dict(seed=2**63),
             dict(tolerance=0),
+            dict(tolerance=float("inf")),
         ],
     )
     def test_rejects_bad_configs(self, kwargs):
@@ -221,3 +222,6 @@ class TestVerifyThreshold:
     def test_rejects_bad_tolerance(self):
         with pytest.raises(InputError):
             verify_threshold(1, self._fake(1.0), 0)
+        # An infinite tolerance would pass every estimate.
+        with pytest.raises(InputError):
+            verify_threshold(1, self._fake(1.0), float("inf"))

@@ -48,3 +48,21 @@ def test_oracle_randomness_comes_from_shell_streams():
             assert not any(a.name.split(".")[-1] == "random" for a in node.names)
         elif isinstance(node, ast.ImportFrom):
             assert (node.module or "").split(".")[-1] != "random"
+
+
+def test_cli_envelope_is_stamped_only_in_main():
+    # main stamps "version" and "elapsed_s" on every record; a handler that
+    # read the version or the clock itself would be growing its own envelope.
+    tree = ast.parse((SRC / "cli.py").read_text())
+    used = [
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id == "__version__")
+        or (isinstance(node, ast.Attribute) and node.attr == "perf_counter")
+    ]
+    main = next(
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "main"
+    )
+    inside = range(main.lineno, main.end_lineno + 1)
+    assert used and all(line in inside for line in used)
