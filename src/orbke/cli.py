@@ -155,6 +155,27 @@ class Emitter:
         self.out.write("\n")
 
 
+class _OutFile:
+    """The `--out` file, opened for writing at the first write.
+
+    A run rejected before it writes a record leaves an existing file
+    untouched.
+    """
+
+    def __init__(self, path: str):
+        self.path = path
+        self.file = None
+
+    def write(self, text: str):
+        if self.file is None:
+            self.file = open(self.path, "w")
+        return self.file.write(text)
+
+    def close(self):
+        if self.file is not None:
+            self.file.close()
+
+
 # ---------------------------------------------------------------------------
 # Record builders
 
@@ -581,13 +602,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors; fold that into the invalid-input code.
         return 0 if exc.code in (0, None) else 1
-    out = None
+    out = _OutFile(args.out) if args.out else None
     try:
-        stream = sys.stdout
-        if args.out:
-            out = open(args.out, "w")
-            stream = out
-        emit = Emitter(args.format, stream)
+        emit = Emitter(args.format, out or sys.stdout)
         started = time.perf_counter()
         body = args.func(args, emit)
         elapsed = time.perf_counter() - started

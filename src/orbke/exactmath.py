@@ -7,7 +7,14 @@ in criteria evaluation.
 Factorization is trial division up to a fixed bound followed by Brent's
 cycle-finding rho with deterministic parameter seeding, which covers the
 intended range (inputs up to ~1e14) in well under a second.  This is not a
-general-purpose factoring library.
+general-purpose factoring library.  When trial division reaches a p with
+p*p above the cofactor, the cofactor is 1 or prime and no primality test
+runs; Miller-Rabin and rho see only cofactors left when the bound runs out.
+
+Coprime counting is inclusion-exclusion over the squarefree products d of
+the given primes, pruned: a d with no multiple in the range adds zero, as
+does every multiple of d, so the walk visits only products up to the top
+of the range.  Ranges reaching below 1 are reflected onto positive ones.
 """
 
 from __future__ import annotations
@@ -110,8 +117,11 @@ def _brent_rho(n: int) -> int:
 def factorize(n: int) -> FactoredInt:
     """Complete prime factorization of n >= 1; n = 1 has no factors.
 
-    Deterministic: trial division to a fixed bound, then Miller-Rabin plus
-    Brent rho with a fixed parameter sweep on any remaining cofactor.
+    Deterministic.  Trial division stops at the first p with p*p > n: the
+    cofactor then has no prime factor below p and is below p*p, so it is 1
+    or a prime and is recorded without a primality test.  Only when the
+    trial bound runs out first does the cofactor go to Miller-Rabin and
+    Brent rho with a fixed parameter sweep.
     """
     if not isinstance(n, int) or isinstance(n, bool):
         raise InputError(f"factorize expects an integer, got {type(n).__name__}")
@@ -121,11 +131,14 @@ def factorize(n: int) -> FactoredInt:
     counts: dict[int, int] = {}
     for p in range(2, _TRIAL_BOUND):
         if p * p > n:
+            if n > 1:
+                counts[n] = 1
             break
         while n % p == 0:
             counts[p] = counts.get(p, 0) + 1
             n //= p
-    if n > 1:
+    else:
+        # The bound ran out with p*p <= n, so n > 1 may still be composite.
         stack = [n]
         while stack:
             m = stack.pop()
@@ -138,35 +151,61 @@ def factorize(n: int) -> FactoredInt:
     return FactoredInt(value, tuple(sorted(counts.items())))
 
 
+def _count_positive(lo: int, hi: int, primes: tuple[int, ...]) -> int:
+    """Count of k in [lo, hi], 1 <= lo, coprime to the ascending `primes`.
+
+    Inclusion-exclusion over the squarefree products d of the primes, each
+    adding (-1)^(number of primes) * (hi//d - (lo-1)//d), the multiples of d
+    in range.  Products are built level by level (one more prime each) in
+    ascending prime order.  A d with no multiple in range adds zero, and so
+    does every multiple of d, so d is not extended; in particular the first
+    d*p > hi ends the extensions of d.
+    """
+    if lo > hi:
+        return 0
+    below = lo - 1
+    total = hi - below
+    level = [(1, 0)]  # (product, index of the first prime it may take next)
+    sign = -1
+    while level:
+        extended = []
+        for d, start in level:
+            for i in range(start, len(primes)):
+                e = d * primes[i]
+                if e > hi:
+                    break
+                term = hi // e - below // e
+                if term:
+                    total += sign * term
+                    extended.append((e, i + 1))
+        level = extended
+        sign = -sign
+    return total
+
+
 def count_coprime_in_range(lo: int, hi: int, primes) -> int:
     """Exact count of k in the closed interval [lo, hi] coprime to all `primes`.
 
-    Inclusion-exclusion over subsets of the (distinct) primes; an empty range
-    (lo > hi) counts 0.  Primality of the entries is the caller's contract;
-    distinctness is checked.
+    An empty range (lo > hi) counts 0.  Primality of the entries is the
+    caller's contract; distinctness is checked; their order is free.  The
+    range splits into its positive part, its negative part reflected (-k
+    is coprime exactly when k is) and 0, which is coprime only to the empty
+    set of primes.  Both positive ranges go through the pruned
+    inclusion-exclusion of `_count_positive`, whose work is bounded by the
+    squarefree products of the primes up to hi, not by all 2^k subsets.
     """
     primes = tuple(primes)
     if len(set(primes)) != len(primes):
         raise InputError(f"primes must be distinct, got {primes}")
     if any(p < 2 for p in primes):
         raise InputError(f"primes must be >= 2, got {primes}")
-    if lo > hi:
-        return 0
-    total = 0
-    for mask in range(1 << len(primes)):
-        d = 1
-        bits = 0
-        m = mask
-        i = 0
-        while m:
-            if m & 1:
-                d *= primes[i]
-                bits += 1
-            m >>= 1
-            i += 1
-        term = hi // d - (lo - 1) // d
-        total += -term if bits & 1 else term
-    return total
+    ascending = tuple(sorted(primes))
+    zero = int(not primes and lo <= 0 <= hi)
+    return (
+        _count_positive(max(lo, 1), hi, ascending)
+        + _count_positive(max(-hi, 1), -lo, ascending)
+        + zero
+    )
 
 
 def coprime_in_range(lo: int, hi: int, modulus: int):

@@ -406,6 +406,20 @@ class TestFormats:
         (rec,) = json_records(target.read_text())
         assert rec["verdict"] == "NewOnlyKE"
 
+    def test_rejected_run_leaves_out_file_untouched(self, run_cli, tmp_path):
+        target = tmp_path / "cert.jsonl"
+        code, _, _ = run_cli("check", "--dim", "2", "2", "3", "5", "17", "--out", str(target))
+        assert code == 0
+        written = target.read_bytes()
+        assert written
+        code, out, err = run_cli("check", "--dim", "2", "2", "3", "4", "5", "--out", str(target))
+        assert code == 1
+        assert out == "" and err.startswith("error:")
+        assert target.read_bytes() == written
+        code, _, _ = run_cli("count", "--dim", "4", "--max-nodes", "5", "--out", str(target))
+        assert code == 2
+        assert target.read_bytes() == written
+
 
 ENVELOPE_CASES = {
     "check": ("check", "--dim", "2", "2", "3", "5", "17"),

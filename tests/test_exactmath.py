@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,39 @@ from hypothesis import strategies as st
 
 from orbke import count_coprime_in_range, factorize, harmonic_sum
 from orbke.errors import InputError
-from orbke.exactmath import FactoredInt, coprime_in_range, is_probable_prime
+from orbke.exactmath import (
+    _TRIAL_BOUND,
+    FactoredInt,
+    coprime_in_range,
+    is_probable_prime,
+)
+
+
+def _trial_division(n):
+    """Reference factorization: divide by every d while d*d <= n."""
+    factors = []
+    d = 2
+    while d * d <= n:
+        e = 0
+        while n % d == 0:
+            n //= d
+            e += 1
+        if e:
+            factors.append((d, e))
+        d += 1
+    if n > 1:
+        factors.append((n, 1))
+    return tuple(factors)
+
+
+def _first_primes(count):
+    primes = []
+    k = 2
+    while len(primes) < count:
+        if all(k % p for p in primes):
+            primes.append(k)
+        k += 1
+    return primes
 
 
 class TestFactorize:
@@ -45,6 +78,28 @@ class TestFactorize:
     def test_rejects_nonpositive_and_nonint(self, bad):
         with pytest.raises(InputError):
             factorize(bad)
+
+    def test_matches_trial_division_below_200000(self):
+        for n in range(1, 200_000):
+            assert factorize(n).factors == _trial_division(n), n
+
+    @pytest.mark.parametrize(
+        "n",
+        [
+            9973 * 10007,  # split by trial division, cofactor just past the bound
+            10007**2,  # the bound runs out: a square of a prime above it
+            9_999_991,  # a prime below the bound squared
+            1_000_000_000_039,  # a 13-digit prime
+            10_009 * 10_037,  # two primes above the bound
+            2 * 9973 * 10007,
+            _TRIAL_BOUND**2 - 1,
+            _TRIAL_BOUND**2 + 1,
+        ],
+    )
+    def test_cofactors_at_the_trial_bound(self, n):
+        f = factorize(n)
+        assert f.factors == _trial_division(n)
+        assert all(is_probable_prime(p) for p in f.primes)
 
     def test_factored_int_checks_product(self):
         with pytest.raises(ValueError):
@@ -102,6 +157,40 @@ class TestCountCoprimeInRange:
         modulus = math.prod(primes) if primes else 1
         brute = sum(1 for k in range(lo, hi + 1) if math.gcd(k, modulus) == 1)
         assert count_coprime_in_range(lo, hi, tuple(primes)) == brute
+
+    def test_seeded_ranges_match_brute_force_scan(self):
+        rng = random.Random(20261018)
+        pool = _first_primes(10)
+        cases = [(lo, lo + w) for lo in (-40, -7, -1, 0, 1, 2) for w in (0, 1, 10, 60)]
+        cases += [(-60, -1), (-60, -59), (-5, 5), (0, 0), (1, 1), (0, 97), (1, 97)]
+        for _ in range(300):
+            lo = rng.randint(-3000, 3000)
+            cases.append((lo, lo + rng.randint(-3, 3000)))
+        for lo, hi in cases:
+            for size in range(11):
+                primes = rng.sample(pool, size)  # unsorted on purpose
+                if rng.random() < 0.3:
+                    primes.append(rng.choice((3001, 6007, 104_729)))  # mostly above hi
+                modulus = math.prod(primes)
+                brute = sum(1 for k in range(lo, hi + 1) if math.gcd(k, modulus) == 1)
+                assert count_coprime_in_range(lo, hi, primes) == brute, (lo, hi, primes)
+
+    def test_forty_primes_to_a_million(self):
+        # The full subset sum would have 2^40 terms.
+        primes = _first_primes(40)
+        hi = 10**6
+        sieve = bytearray([1]) * (hi + 1)
+        sieve[0] = 0
+        for p in primes:
+            sieve[p::p] = bytes(len(range(p, hi + 1, p)))
+        assert count_coprime_in_range(1, hi, primes) == sum(sieve)
+        assert count_coprime_in_range(-hi, -1, primes[::-1]) == sum(sieve)
+        assert count_coprime_in_range(-hi, hi, primes) == 2 * sum(sieve)
+
+    def test_zero_is_coprime_only_to_no_primes(self):
+        assert count_coprime_in_range(0, 0, ()) == 1
+        assert count_coprime_in_range(0, 0, (2,)) == 0
+        assert count_coprime_in_range(-1, 1, (7,)) == 2
 
     def test_generator_agrees_with_count(self):
         vals = list(coprime_in_range(6, 59, 30))
