@@ -159,10 +159,20 @@ class _OutFile:
     """The `--out` file, opened for writing at the first write.
 
     A run rejected before it writes a record leaves an existing file
-    untouched.
+    untouched.  A path that cannot be written is rejected up front, before
+    the run: an existing file is opened for appending and closed, so its
+    bytes stay, and a new one is created and removed again.
     """
 
     def __init__(self, path: str):
+        try:
+            if os.path.exists(path):
+                open(path, "a").close()
+            else:
+                open(path, "x").close()
+                os.remove(path)
+        except OSError as exc:
+            raise InputError(f"cannot write --out {path}: {exc.strerror or exc}") from None
         self.path = path
         self.file = None
 
@@ -602,8 +612,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors; fold that into the invalid-input code.
         return 0 if exc.code in (0, None) else 1
-    out = _OutFile(args.out) if args.out else None
+    out = None
     try:
+        out = _OutFile(args.out) if args.out else None
         emit = Emitter(args.format, out or sys.stdout)
         started = time.perf_counter()
         body = args.func(args, emit)

@@ -4,10 +4,17 @@ The search runs depth-first over sorted pairwise-coprime prefixes
 (m0 <= ... <= mn), resolving the final coordinate in closed form.  A prefix
 is carried as (N, P) with P = prod(prefix) and reciprocal sum S = N/P.  Each
 bound is linear in 1/m, so it is one integer inequality a*m < b, solved by
-ceiling or floor division: each classification occupies an explicit integer
-interval of the last coordinate, and counting reduces to inclusion-exclusion
-coprime counts over those intervals.  The same inequalities bound the
-candidates for every earlier entry.
+ceiling or floor division: the classifications split the last coordinate
+at no more than two integer cut points (`_cuts`), and counting reduces to
+inclusion-exclusion coprime counts over the intervals between them.  The
+same inequalities bound the candidates for every earlier entry.
+
+Count mode hands every prefix of n orders (N, P, primes R) to one kernel,
+`_Search._count_leaves`, that owns the loop over the next order v: one
+node per v, each v's primes from a segmented sieve, and each class
+interval of the last coordinate counted by one inclusion-exclusion walk
+over the primes of v and those of R outside a coprime-count table built
+once for R's smallest primes.  Interior prefixes factorize their orders.
 
 Key facts the pruning relies on (all for sorted tuples, exact arithmetic;
 S is the reciprocal sum of the n+1 prefix entries, m the last coordinate):
@@ -40,7 +47,13 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .errors import InputError, NodeBudgetExceeded, SearchSpaceTooLarge
-from .exactmath import count_coprime_in_range, coprime_in_range, factorize
+from .exactmath import (
+    _count_positive,
+    coprime_factorizations,
+    coprime_in_range,
+    coprime_table,
+    factorize,
+)
 from .orbifold import CLASSIFICATIONS, RamTuple, classify, make_tuple
 
 # Classes whose members form a finite set without any order cap.
@@ -151,13 +164,6 @@ def _meet(x, y):
     return _window(max(x[0], y[0]), min(his, default=None))
 
 
-def _past(w):
-    """The integers >= 1 outside a window that starts at 1."""
-    if w is None:
-        return (1, None)
-    return None if w[1] is None else (w[1], None)
-
-
 def _solve(a: int, b: int):
     """Window of the integers v >= 1 with a*v < b, by ceiling or floor division."""
     if a > 0:
@@ -167,23 +173,27 @@ def _solve(a: int, b: int):
     return (1, None) if b > 0 else None
 
 
-def _last_windows(N: int, P: int, n: int, floor: int) -> dict:
-    """Per-class windows of the last coordinate m >= floor after a prefix N/P."""
-    if N == P:
-        # gcd(N, P) = 1 for pairwise-coprime orders (N = sum P/m_i is P/m_j
-        # modulo each m_j), so N = P forces P = 1: every order is 1 and then
-        # N counts them.  A prefix of n + 1 >= 2 orders never sums to 1.
-        raise AssertionError(f"prefix sum N/P = {N}/{P} is 1")
-    fano = _solve(P - N, P)  # m*(P-N) < P
-    old = _solve(n * (N - P), P)  # n*m*(N-P) < P
-    new = _solve(N - P, n * P)  # m*(N-P) < n*P
-    raw = {
-        "NotFano": _past(fano),
-        "OldKE": _meet(fano, old),
-        "NewOnlyKE": _meet(fano, _meet(new, _past(old))),
-        "NoCriterion": _meet(fano, _past(new)),
-    }
-    return {label: _meet(w, (floor, None)) for label, w in raw.items()}
+def _cuts(N: int, P: int, n: int):
+    """Cut points (a, b, tail) of the last coordinate m >= 1 after a prefix N/P.
+
+    The classes occupy consecutive integer ranges: OldKE [1, a), NewOnlyKE
+    [a, b) and `tail` [b, infinity); the fourth class is empty.  With
+    D = N - P, a sum above 1 (D > 0) keeps every m Fano, the old bound
+    n*m*D < P holds below a = ceil(P/(n*D)), the new bound m*D < n*P below
+    b = ceil(n*P/D) >= a, and the tail is NoCriterion.  A sum below 1
+    keeps both bounds for every m and Fano below a = b = ceil(P/-D); the
+    tail is NotFano.
+    """
+    D = N - P
+    if D > 0:
+        return -(-P // (n * D)), -(-n * P // D), "NoCriterion"
+    if D < 0:
+        cut = -(-P // -D)
+        return cut, cut, "NotFano"
+    # gcd(N, P) = 1 for pairwise-coprime orders (N = sum P/m_i is P/m_j
+    # modulo each m_j), so N = P forces P = 1: every order is 1 and then
+    # N counts them.  A prefix of n + 1 >= 2 orders never sums to 1.
+    raise AssertionError(f"prefix sum N/P = {N}/{P} is 1")
 
 
 @dataclass(frozen=True)
@@ -225,7 +235,13 @@ def admissible_last_interval(prefix, n: int) -> LastIntervals:
     if any(math.gcd(prefix[i], prod // prefix[i]) != 1 for i in range(len(prefix))):
         raise InputError("prefix must be pairwise coprime")
     floor = prefix[-1]
-    by_class = _last_windows(sum(prod // m for m in prefix), prod, n, floor)
+    a, b, tail = _cuts(sum(prod // m for m in prefix), prod, n)
+    windows = {
+        "OldKE": _window(floor, a),
+        "NewOnlyKE": _window(max(a, floor), b),
+        tail: (max(b, floor), None),
+    }
+    by_class = {label: windows.get(label) for label in CLASSIFICATIONS}
     return LastIntervals(prefix=prefix, n=n, floor=floor, by_class=by_class)
 
 
@@ -342,8 +358,8 @@ class _Search:
                 f"node cap {cap} exceeded (progress: {dict(self.counts)})", partial
             )
 
-    def _candidates(self, prefix, N, P):
-        """Next entries v, ascending, that can still lead to a requested class.
+    def _next_window(self, prefix, N, P):
+        """Window (lo, hi) of the next entries v that can still lead to a requested class.
 
         With k prefix slots open (v's included) and every later entry >= v,
         a Fano tuple needs v*(P-N) < (k+1)*P and a prefix sum above 1 needs
@@ -353,6 +369,7 @@ class _Search:
         Each class is reachable on one window of v.  The windows overlap
         (all but OldKE's start at 1; OldKE's lies within NoCriterion's and
         starts below the end of NewOnlyKE's), so their union is one window.
+        A pinned entry narrows it to that entry; None means no candidate.
         """
         n = self.n
         k = self.prefix_slots - len(prefix)
@@ -365,7 +382,7 @@ class _Search:
         }
         spans = [reach[c] for c in self.cfg.classes if reach[c] is not None]
         if not spans:
-            return ()
+            return None
         his = [hi for _, hi in spans]
         window = (min(lo for lo, _ in spans), None if None in his else max(his))
         if not prefix:
@@ -376,16 +393,22 @@ class _Search:
             start = prefix[-1] + 1
         window = _meet(window, (start, self.cap))
         if window is None:
-            return ()
-        lo, hi = window
-        if hi is None:
+            return None
+        if window[1] is None:
             raise AssertionError(
                 f"unbounded candidates after {prefix} escaped config validation"
             )  # pragma: no cover
         pinned = self.cfg.prefix_filter or ()
         if len(prefix) < len(pinned):
-            return (pinned[len(prefix)],) if lo <= pinned[len(prefix)] < hi else ()
-        return (v for v in range(lo, hi) if math.gcd(v, P) == 1)
+            return _meet(window, (pinned[len(prefix)], pinned[len(prefix)] + 1))
+        return window
+
+    def _candidates(self, prefix, N, P):
+        """Next entries v, ascending: the window's v coprime to P."""
+        window = self._next_window(prefix, N, P)
+        if window is None:
+            return ()
+        return (v for v in range(*window) if math.gcd(v, P) == 1)
 
     def prefixes(self, depth: int, root=_ROOT):
         """Yield the state of every viable prefix of length depth below root.
@@ -410,33 +433,59 @@ class _Search:
             else:
                 stack.append((child, iter(self._candidates(*child[:3]))))
 
-    def _leaf_windows(self, N, P, floor):
-        """Requested (label, lo, hi_inclusive) windows of the last coordinate, ascending."""
+    def _windows(self, N, P, floor):
+        """Requested (label, lo, hi) windows of the last coordinate, ascending.
+
+        Each is the class's range from `_cuts` clipped to [floor, cap),
+        half-open and nonempty.
+        """
+        a, b, tail = _cuts(N, P, self.n)
+        cap = self.cap
         windows = []
-        for label, window in _last_windows(N, P, self.n, floor).items():
+        for label, lo, hi in (("OldKE", floor, a), ("NewOnlyKE", a, b), (tail, b, cap)):
             if label not in self.cfg.classes:
                 continue
-            window = _meet(window, (1, self.cap))
-            if window is None:
-                continue
-            lo, hi = window
             if hi is None:
                 raise AssertionError(
                     f"unbounded window for {label} escaped config validation"
                 )  # pragma: no cover
-            windows.append((label, lo, hi - 1))
-        windows.sort(key=lambda w: w[1])
+            lo = max(lo, floor)
+            if cap is not None and hi > cap:
+                hi = cap
+            if lo < hi:
+                windows.append((label, lo, hi))
         return windows
 
+    def _count_leaves(self, prefix, N, P, primes):
+        """Count every tuple below one depth-n prefix: the kernel of count mode.
+
+        It owns the loop over the next order v, one node per v, in the
+        order `prefixes` would create them.  The prefix's primes are split
+        once into a coprime-count table and the rest; each v takes its
+        primes from a segmented sieve, and each requested window of the
+        last coordinate is one inclusion-exclusion walk over the rest and
+        primes(v), on top of the table.
+        """
+        window = self._next_window(prefix, N, P)
+        if window is None:
+            return
+        primes = tuple(sorted(primes))
+        phi, rest = coprime_table(primes)
+        counts = self.counts
+        for v, v_primes in coprime_factorizations(*window, primes):
+            self._bump()
+            leaf_primes = sorted(rest + tuple(v_primes))
+            for label, lo, hi in self._windows(N * v + P, P * v, v):
+                counts[label] += _count_positive(lo, hi - 1, leaf_primes, phi)
+
     def count(self, root=_ROOT):
-        for prefix, N, P, primes in self.prefixes(self.prefix_slots, root):
-            for label, lo, hi in self._leaf_windows(N, P, prefix[-1]):
-                self.counts[label] += count_coprime_in_range(lo, hi, primes)
+        for state in self.prefixes(self.n, root):
+            self._count_leaves(*state)
 
     def materialize(self, root=_ROOT):
         for prefix, N, P, _ in self.prefixes(self.prefix_slots, root):
-            for label, lo, hi in self._leaf_windows(N, P, prefix[-1]):
-                for m in coprime_in_range(lo, hi, P):
+            for label, lo, hi in self._windows(N, P, prefix[-1]):
+                for m in coprime_in_range(lo, hi - 1, P):
                     t = RamTuple(self.n, prefix + (m,))
                     report = classify(t)
                     if report.classification != label:
@@ -486,7 +535,8 @@ def enumerate_tuples(cfg: SearchConfig) -> EnumResult:
     search = _Search(cfg)
     tuples = None
     if cfg.parallel_width > 1 and cfg.node_cap is None and cfg.prefix_filter is None:
-        roots = list(search.prefixes(2))
+        # Count workers start at depth <= n, where the leaf kernel takes over.
+        roots = list(search.prefixes(min(2, cfg.n)))
         width = pool_workers(cfg.parallel_width, len(roots), os.cpu_count())
         merged = []
         with ProcessPoolExecutor(max_workers=width) as pool:

@@ -15,6 +15,14 @@ Coprime counting is inclusion-exclusion over the squarefree products d of
 the given primes, pruned: a d with no multiple in the range adds zero, as
 does every multiple of d, so the walk visits only products up to the top
 of the range.  Ranges reaching below 1 are reflected onto positive ones.
+The walk counts on top of a table of the integers coprime to a small
+modulus q (Legendre's phi(x, a) with the small-prime table of
+Meissel-Lehmer), so its products run only over the primes outside q;
+`count_coprime_in_range` uses the empty table q = 1, and the search
+tabulates the smallest primes of a prefix once for all of its leaves.
+
+`coprime_factorizations` gives the distinct primes of every integer in a
+window by a segmented sieve (Bays-Hudson), for the search's leaf orders.
 """
 
 from __future__ import annotations
@@ -22,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, compress
 
 from .errors import InputError
 
@@ -29,6 +38,13 @@ Rat = Fraction
 
 # Trial division handles everything below this bound squared.
 _TRIAL_BOUND = 10_000
+
+# Largest modulus of a coprime-count table (see coprime_table).
+TABLE_CAP = 4096
+
+# Sizes of the first and of the largest block of coprime_factorizations.
+_BLOCK_FIRST = 256
+_BLOCK_CAP = 8192
 
 # Deterministic Miller-Rabin witness set, exact for n < 3.3e24.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -151,20 +167,51 @@ def factorize(n: int) -> FactoredInt:
     return FactoredInt(value, tuple(sorted(counts.items())))
 
 
-def _count_positive(lo: int, hi: int, primes: tuple[int, ...]) -> int:
-    """Count of k in [lo, hi], 1 <= lo, coprime to the ascending `primes`.
+def coprime_table(primes: tuple[int, ...]):
+    """(phi, rest): a coprime-count table for the smallest of the ascending `primes`.
 
-    Inclusion-exclusion over the squarefree products d of the primes, each
-    adding (-1)^(number of primes) * (hi//d - (lo-1)//d), the multiples of d
-    in range.  Products are built level by level (one more prime each) in
-    ascending prime order.  A d with no multiple in range adds zero, and so
-    does every multiple of d, so d is not extended; in particular the first
-    d*p > hi ends the extensions of d.
+    q is the product of the longest run of the smallest primes with
+    q <= TABLE_CAP, and phi[r] = #{1 <= k <= r : gcd(k, q) = 1} for
+    0 <= r <= q, so phi has q + 1 entries and phi[q] is Euler's phi(q).
+    rest holds the primes left out of q, ascending.  With no prime small
+    enough, q = 1 and phi is the empty table (0, 1).
+    """
+    q = 1
+    k = 0
+    while k < len(primes) and q * primes[k] <= TABLE_CAP:
+        q *= primes[k]
+        k += 1
+    marks = bytearray([1]) * (q + 1)
+    marks[0] = 0
+    for p in primes[:k]:
+        marks[p::p] = bytes(q // p)
+    return tuple(accumulate(marks)), primes[k:]
+
+
+_NO_TABLE = (0, 1)
+
+
+def _count_positive(lo: int, hi: int, primes: tuple[int, ...] | list[int], phi=_NO_TABLE) -> int:
+    """Count of k in [lo, hi], 1 <= lo, coprime to the ascending `primes` and to q.
+
+    phi is a table from `coprime_table` for a modulus q coprime to every
+    prime in `primes`, so the count of k <= x coprime to q is
+    phi_q(x) = (x // q) * phi[q] + phi[x % q].  Inclusion-exclusion over
+    the squarefree products d of the primes adds (-1)^(number of primes)
+    * (phi_q(hi//d) - phi_q((lo-1)//d)): the multiples k = d*j in range
+    with j coprime to q, which are coprime to q as d is.  The empty table
+    gives phi_q(x) = x, plain inclusion-exclusion.  Products are built
+    level by level (one more prime each) in ascending prime order.  A d
+    whose term is zero leaves no such k in range, and so does every
+    multiple of d, so d is not extended; in particular the first d*p > hi
+    ends the extensions of d.
     """
     if lo > hi:
         return 0
+    q = len(phi) - 1
+    per = phi[q]
     below = lo - 1
-    total = hi - below
+    total = (hi // q - below // q) * per + phi[hi % q] - phi[below % q]
     level = [(1, 0)]  # (product, index of the first prime it may take next)
     sign = -1
     while level:
@@ -174,7 +221,9 @@ def _count_positive(lo: int, hi: int, primes: tuple[int, ...]) -> int:
                 e = d * primes[i]
                 if e > hi:
                     break
-                term = hi // e - below // e
+                x = hi // e
+                y = below // e
+                term = (x // q - y // q) * per + phi[x % q] - phi[y % q]
                 if term:
                     total += sign * term
                     extended.append((e, i + 1))
@@ -191,8 +240,9 @@ def count_coprime_in_range(lo: int, hi: int, primes) -> int:
     range splits into its positive part, its negative part reflected (-k
     is coprime exactly when k is) and 0, which is coprime only to the empty
     set of primes.  Both positive ranges go through the pruned
-    inclusion-exclusion of `_count_positive`, whose work is bounded by the
-    squarefree products of the primes up to hi, not by all 2^k subsets.
+    inclusion-exclusion of `_count_positive` with the empty table, whose
+    work is bounded by the squarefree products of the primes up to hi, not
+    by all 2^k subsets.
     """
     primes = tuple(primes)
     if len(set(primes)) != len(primes):
@@ -206,6 +256,58 @@ def count_coprime_in_range(lo: int, hi: int, primes) -> int:
         + _count_positive(max(-hi, 1), -lo, ascending)
         + zero
     )
+
+
+def _primes_upto(top: int) -> list[int]:
+    """All primes p <= top, by the sieve of Eratosthenes."""
+    marks = bytearray([1]) * (top + 1)
+    marks[:2] = b"\0\0"
+    for p in range(2, math.isqrt(top) + 1):
+        if marks[p]:
+            marks[p * p::p] = bytes(len(range(p * p, top + 1, p)))
+    return list(compress(range(top + 1), marks))
+
+
+def coprime_factorizations(lo: int, hi: int, skip: tuple[int, ...] = ()):
+    """Yield (v, primes of v) for the v in [lo, hi), lo >= 1, coprime to `skip`.
+
+    The v come ascending, and the primes of v are its distinct primes,
+    ascending: the same as `factorize(v).primes`.  A segmented sieve:
+    each block [start, end) first drops the multiples of the `skip`
+    primes, then is sieved by the other primes p <= isqrt(end - 1), and
+    dividing out every power of them leaves each entry a cofactor of 1 or
+    a prime above isqrt(end - 1).  Blocks start at _BLOCK_FIRST entries
+    and double up to _BLOCK_CAP, so a short window costs a short sieve
+    and a long one a bounded amount of memory.
+    """
+    sieving = [p for p in _primes_upto(math.isqrt(max(hi - 1, 1))) if p not in skip]
+    start = lo
+    size = _BLOCK_FIRST
+    while start < hi:
+        end = min(start + size, hi)
+        width = end - start
+        keep = bytearray([1]) * width
+        for p in skip:
+            keep[-start % p::p] = bytes(len(range(-start % p, width, p)))
+        factors = [[] for _ in range(width)]
+        rest = list(range(start, end))
+        top = math.isqrt(end - 1)
+        for p in sieving:
+            if p > top:
+                break
+            for j in range(-start % p, width, p):
+                factors[j].append(p)
+            power = p
+            while power < end:
+                for j in range(-start % power, width, power):
+                    rest[j] //= p
+                power *= p
+        for j in compress(range(width), keep):
+            if rest[j] > 1:
+                factors[j].append(rest[j])
+        yield from zip(compress(range(start, end), keep), compress(factors, keep))
+        start = end
+        size = min(2 * size, _BLOCK_CAP)
 
 
 def coprime_in_range(lo: int, hi: int, modulus: int):

@@ -420,6 +420,23 @@ class TestFormats:
         assert code == 2
         assert target.read_bytes() == written
 
+    @pytest.mark.parametrize("name", ["missing-dir/x.jsonl", "."])
+    def test_unwritable_out_path_exits_one(self, run_cli, tmp_path, monkeypatch, name):
+        # A missing directory, or a directory as the file: rejected with an
+        # error line, not a traceback after the whole computation.
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli("count", "--dim", "4", "--out", name)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: cannot write --out")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_rejected_run_creates_no_out_file(self, run_cli, tmp_path):
+        target = tmp_path / "cert.jsonl"
+        code, _, err = run_cli("check", "--dim", "2", "2", "3", "4", "5", "--out", str(target))
+        assert code == 1 and err.startswith("error: gcd")
+        assert not target.exists()
+
 
 ENVELOPE_CASES = {
     "check": ("check", "--dim", "2", "2", "3", "5", "17"),

@@ -3,6 +3,7 @@ branch-and-bound enumerator, cross-checked against the brute-force oracle."""
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import random
@@ -24,12 +25,14 @@ from orbke import (
     sylvester_family,
     sylvester_seq,
 )
-from orbke.enumeration import pool_workers
+from orbke.enumeration import _Search, pool_workers
 from orbke.errors import InputError, NodeBudgetExceeded, SearchSpaceTooLarge
+from orbke.exactmath import count_coprime_in_range, factorize
 
 from conftest import coprime_orders
 
 GOLDEN_LAST = (17, 19, 23, 29, 31, 37, 41, 43, 47, 49, 53, 59)
+ALL_CLASSES = ("NotFano", "OldKE", "NewOnlyKE", "NoCriterion")
 
 
 class TestSylvesterSeq:
@@ -310,6 +313,27 @@ class TestEnumerateTuples:
         assert set(partial.counts) == {"NewOnlyKE"}
         assert partial.elapsed_s > 0
 
+    @pytest.mark.parametrize(
+        "kwargs, counts",
+        [
+            (dict(n=5, node_cap=1000), {"NewOnlyKE": 1897}),
+            (dict(n=4, node_cap=500), {"NewOnlyKE": 12883}),
+            (dict(n=4, node_cap=2000), {"NewOnlyKE": 435779}),
+            (
+                dict(n=4, node_cap=300, classes=ALL_CLASSES, max_order=60),
+                {"NotFano": 0, "OldKE": 96, "NewOnlyKE": 556, "NoCriterion": 523},
+            ),
+        ],
+    )
+    def test_node_cap_partials_are_pinned(self, kwargs, counts):
+        # The partial at a cap depends on the order in which leaves are
+        # counted, one node each; these values were recorded before the
+        # leaf kernel replaced the per-leaf walk.
+        with pytest.raises(NodeBudgetExceeded) as exc:
+            enumerate_tuples(SearchConfig(mode="count", **kwargs))
+        assert exc.value.partial.counts == counts
+        assert exc.value.partial.nodes_visited == kwargs["node_cap"] + 1
+
     def test_counts_include_zero_classes(self):
         res = enumerate_tuples(
             SearchConfig(n=1, classes=("OldKE", "NewOnlyKE"), mode="count")
@@ -358,8 +382,8 @@ class TestPoolWorkers:
         assert pool_workers(4, 6, None) == 1
 
 
-def _hot_prefixes(n):
-    """(prefix, S) for the sorted coprime (n+1)-prefixes that can carry NewOnlyKE.
+def _hot_prefixes(n, root=()):
+    """(prefix, S) for the sorted coprime (n+1)-prefixes below root that can carry NewOnlyKE.
 
     Fraction arithmetic only, as in acceptance criterion [02]; shares no
     code with the interval solver.  NewOnlyKE needs S > 1.  An entry m with
@@ -383,7 +407,7 @@ def _hot_prefixes(n):
             if math.gcd(m, math.prod(prefix)) == 1:
                 rec(prefix + (m,), s + Fraction(1, m))
 
-    rec((), Fraction(0))
+    rec(root, sum(Fraction(1, m) for m in root))
     return out
 
 
@@ -415,6 +439,116 @@ class TestIndependentRecount:
         for prefix in random.Random(20260814).sample(eligible, 10):
             res = enumerate_tuples(SearchConfig(n=4, mode="count", prefix_filter=prefix))
             assert res.counts == {"NewOnlyKE": _recount_new(4, prefix)}, prefix
+
+    @pytest.mark.parametrize("root", [(2, 3, 7, 23), (2, 3, 7, 25)])
+    def test_dim5_leaf_prefixes(self, root):
+        # Every leaf prefix below root is rescanned (each scan ends below
+        # 20000, which bounds the run time): their sum against the count of
+        # the whole subtree, and seeded ones against a count pinned to them.
+        hot = _hot_prefixes(5, root)
+        assert all(5 / (s - 1) <= 20000 for _, s in hot)
+        recounts = {p: _recount_new(5, p) for p, _ in hot}
+        res = enumerate_tuples(SearchConfig(n=5, mode="count", prefix_filter=root))
+        assert res.counts == {"NewOnlyKE": sum(recounts.values())}
+        for prefix in random.Random(20261018).sample(sorted(recounts), 10):
+            res = enumerate_tuples(SearchConfig(n=5, mode="count", prefix_filter=prefix))
+            assert res.counts == {"NewOnlyKE": recounts[prefix]}, prefix
+
+
+_RANK = {"OldKE": 0, "NewOnlyKE": 1, "NoCriterion": 2, "NotFano": 3}
+
+
+def _label(n, N, P, m):
+    """Class of last order m after a prefix N/P, from the three inequalities."""
+    if not m * (P - N) < P:
+        return "NotFano"
+    if n * m * (N - P) < P:
+        return "OldKE"
+    if m * (N - P) < n * P:
+        return "NewOnlyKE"
+    return "NoCriterion"
+
+
+def _reference_windows(n, N, P, floor, cap):
+    """(label, lo, hi) class windows of m in [floor, cap), by bisection.
+
+    Along m the class only moves forward through OldKE, NewOnlyKE and then
+    NoCriterion (sum above 1) or NotFano (sum below 1), so each window
+    edge is the first m of a higher rank.  Without a cap the bounded
+    classes end below (n + 1) * P + 2.
+    """
+    ms = range(floor, (n + 1) * P + 2 if cap is None else cap)
+    edges = [bisect.bisect_left(ms, k, key=lambda m: _RANK[_label(n, N, P, m)])
+             for k in range(5)]
+    edges[4] = len(ms)
+    return [(label, floor + edges[k], floor + edges[k + 1]) for label, k in _RANK.items()]
+
+
+def _reference_leaves(search, state):
+    """(counts, nodes) below one depth-n state, leaf by leaf.
+
+    Each next order v is factorized, its leaf's class windows are found
+    by bisection on the inequalities and counted by count_coprime_in_range
+    over all of the leaf's primes: no table, sieve or cut points.
+    """
+    prefix, N, P, primes = state
+    counts = dict.fromkeys(search.cfg.classes, 0)
+    nodes = 0
+    for v in search._candidates(prefix, N, P):
+        nodes += 1
+        leaf_primes = set(primes) | set(factorize(v).primes)
+        for label, lo, hi in _reference_windows(search.n, N * v + P, P * v, v, search.cap):
+            if label in counts:
+                counts[label] += count_coprime_in_range(lo, hi - 1, leaf_primes)
+    return counts, nodes
+
+
+def _kernel_leaves(cfg, state):
+    search = _Search(cfg)
+    search._count_leaves(*state)
+    return search.counts, search.nodes
+
+
+def _state(prefix):
+    P = math.prod(prefix)
+    primes = tuple(p for m in prefix for p in factorize(m).primes)
+    return prefix, sum(P // m for m in prefix), P, primes
+
+
+class TestLeafKernel:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(n=1, min_order=1, classes=ALL_CLASSES, max_order=40),
+            dict(n=2, classes=ALL_CLASSES, max_order=120),
+            dict(n=2, min_order=1, classes=ALL_CLASSES, max_order=30),
+            dict(n=3, classes=("OldKE", "NewOnlyKE")),
+            dict(n=3, classes=ALL_CLASSES, max_order=60),
+            dict(n=3, min_order=1, classes=("NewOnlyKE", "NoCriterion"), max_order=60),
+            dict(n=4, classes=("OldKE", "NewOnlyKE")),
+        ],
+    )
+    def test_matches_per_leaf_counts(self, kwargs):
+        # The first prefixes carry every bounded class; the seeded draw
+        # reaches the sparse tail of the walk.
+        cfg = SearchConfig(mode="count", **kwargs)
+        states = list(_Search(cfg).prefixes(cfg.n))
+        rng = random.Random(20261018)
+        for state in states[:4] + rng.sample(states[4:], min(4, len(states) - 4)):
+            assert _kernel_leaves(cfg, state) == _reference_leaves(_Search(cfg), state), state[0]
+
+    @pytest.mark.parametrize(
+        "prefix, max_order",
+        # 2 * 1009 > TABLE_CAP leaves 1009 and 1013 outside the table; in
+        # the second prefix no prime fits, so the table is empty.
+        [((2, 1009, 1013), 1400), ((1009, 1013, 4099), 4300)],
+    )
+    def test_primes_past_the_table_cap(self, prefix, max_order):
+        cfg = SearchConfig(n=3, mode="count", classes=ALL_CLASSES, max_order=max_order)
+        state = _state(prefix)
+        counts, nodes = _kernel_leaves(cfg, state)
+        assert nodes > 0 and counts["NotFano"] > 0
+        assert (counts, nodes) == _reference_leaves(_Search(cfg), state)
 
 
 class TestCountNew:

@@ -13,9 +13,14 @@ from hypothesis import strategies as st
 from orbke import count_coprime_in_range, factorize, harmonic_sum
 from orbke.errors import InputError
 from orbke.exactmath import (
+    _BLOCK_CAP,
+    _BLOCK_FIRST,
     _TRIAL_BOUND,
+    TABLE_CAP,
     FactoredInt,
+    coprime_factorizations,
     coprime_in_range,
+    coprime_table,
     is_probable_prime,
 )
 
@@ -197,6 +202,51 @@ class TestCountCoprimeInRange:
         assert vals == sorted(vals)
         assert len(vals) == 15
         assert vals[0] == 7 and vals[-1] == 59
+
+
+class TestCoprimeTable:
+    @pytest.mark.parametrize(
+        "primes",
+        [(), (2,), (2, 3, 7), (2, 3, 5, 7, 11), (2, 3, 5, 7, 19, 43), (5, 4099), (4099,)],
+    )
+    def test_matches_gcd_scan(self, primes):
+        phi, rest = coprime_table(primes)
+        q = len(phi) - 1
+        assert q <= TABLE_CAP
+        assert q * math.prod(rest) == math.prod(primes)
+        assert rest == primes[len(primes) - len(rest):]
+        running = [0]
+        for k in range(1, q + 1):
+            running.append(running[-1] + (math.gcd(k, q) == 1))
+        assert list(phi) == running
+
+
+class TestCoprimeFactorizations:
+    def test_seeded_windows_match_factorize(self):
+        # Windows cross the growing block edges (256, 768, 1792, ... past
+        # the start), and every window holds primes and 2*prime entries,
+        # whose largest prime lies above the square root of its block's end.
+        rng = random.Random(20261018)
+        edge = _BLOCK_FIRST
+        windows = [(1, 20_000), (edge - 3, edge + 5), (3 * edge - 2, 3 * edge + 2),
+                   (10**6 - 300, 10**6 + _BLOCK_CAP + 300), (10**9 - 50, 10**9 + 150),
+                   (1009 * 1013, 1009 * 1013 + 1)]
+        for _ in range(6):
+            lo = rng.randrange(1, 10**7)
+            windows.append((lo, lo + rng.randrange(1, 2 * _BLOCK_FIRST)))
+        skips = [(), (2, 3, 7), (2, 3, 5, 7, 19, 43), (3, 10007), (1009, 1013)]
+        for lo, hi in windows:
+            skip = rng.choice(skips)
+            got = list(coprime_factorizations(lo, hi, skip))
+            want = [
+                (v, factorize(v).primes)
+                for v in range(lo, hi)
+                if all(v % p for p in skip)
+            ]
+            assert [(v, tuple(ps)) for v, ps in got] == want, (lo, hi, skip)
+
+    def test_empty_window(self):
+        assert list(coprime_factorizations(5, 5)) == []
 
 
 class TestHarmonicSum:

@@ -66,3 +66,23 @@ def test_cli_envelope_is_stamped_only_in_main():
     )
     inside = range(main.lineno, main.end_lineno + 1)
     assert used and all(line in inside for line in used)
+
+
+def test_exact_modules_have_no_floats():
+    # Counts and verdicts are exact: the search and its arithmetic use no
+    # true division, float literal, float() call or numpy.
+    for name in ("enumeration.py", "exactmath.py"):
+        tree = ast.parse((SRC / name).read_text())
+        found = []
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+                found.append(("/", node.lineno))
+            elif isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+                found.append(("float literal", node.lineno))
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float":
+                found.append(("float()", node.lineno))
+            elif isinstance(node, ast.Import) and any(a.name.split(".")[0] == "numpy" for a in node.names):
+                found.append(("numpy", node.lineno))
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy":
+                found.append(("numpy", node.lineno))
+        assert found == [], name
