@@ -9,12 +9,14 @@ at no more than two integer cut points (`_cuts`), and counting reduces to
 inclusion-exclusion coprime counts over the intervals between them.  The
 same inequalities bound the candidates for every earlier entry.
 
-Count mode hands every prefix of n orders (N, P, primes R) to one kernel,
-`_Search._count_leaves`, that owns the loop over the next order v: one
-node per v, each v's primes from a segmented sieve, and each class
-interval of the last coordinate counted by one inclusion-exclusion walk
-over the primes of v and those of R outside a coprime-count table built
-once for R's smallest primes.  Interior prefixes factorize their orders.
+The walk `_Search.prefixes` stops at the prefixes of n orders (N, P,
+primes R), and one leaf loop, `_Search._leaves`, takes the next order v
+from there: one node per v, each v with its primes from a segmented sieve.
+Count mode counts each class interval of the last coordinate by one
+inclusion-exclusion walk over the primes of v and those of R outside a
+coprime-count table built once per prefix for R's smallest primes;
+materialize mode lists and classifies the coprime last coordinates of
+each interval.  Interior prefixes factorize their orders.
 
 Key facts the pruning relies on (all for sorted tuples, exact arithmetic;
 S is the reciprocal sum of the n+1 prefix entries, m the last coordinate):
@@ -260,7 +262,9 @@ class SearchConfig:
     prefix_filter pins the leading orders (sorted, coprime).  node_cap
     bounds the number of search nodes; hitting it raises
     NodeBudgetExceeded carrying the partial result, and forces serial
-    execution so the partial result is deterministic.
+    execution so the partial result is deterministic.  parallel_width > 1
+    splits count mode over worker processes, one per prefix subtree at
+    depth min(2, n); materialize mode always runs serially.
     """
 
     n: int
@@ -338,7 +342,6 @@ class _Search:
     def __init__(self, cfg: SearchConfig):
         self.cfg = cfg
         self.n = cfg.n
-        self.prefix_slots = cfg.n + 1
         self.cap = None if cfg.max_order is None else cfg.max_order + 1
         self.counts = {c: 0 for c in cfg.classes}
         self.nodes = 0
@@ -372,7 +375,7 @@ class _Search:
         A pinned entry narrows it to that entry; None means no candidate.
         """
         n = self.n
-        k = self.prefix_slots - len(prefix)
+        k = n + 1 - len(prefix)
         fano = _solve(P - N, (k + 1) * P)
         reach = {
             "NotFano": (1, None),
@@ -456,45 +459,46 @@ class _Search:
                 windows.append((label, lo, hi))
         return windows
 
-    def _count_leaves(self, prefix, N, P, primes):
-        """Count every tuple below one depth-n prefix: the kernel of count mode.
+    def _leaves(self, prefix, N, P, primes):
+        """Yield (v, N*v + P, P*v, primes of v) for each next order v of a depth-n prefix.
 
-        It owns the loop over the next order v, one node per v, in the
-        order `prefixes` would create them.  The prefix's primes are split
-        once into a coprime-count table and the rest; each v takes its
-        primes from a segmented sieve, and each requested window of the
-        last coordinate is one inclusion-exclusion walk over the rest and
-        primes(v), on top of the table.
+        The one loop over the last free order, for count and materialize:
+        one node per v, each v with its primes from a segmented sieve.
         """
         window = self._next_window(prefix, N, P)
         if window is None:
             return
-        primes = tuple(sorted(primes))
-        phi, rest = coprime_table(primes)
-        counts = self.counts
         for v, v_primes in coprime_factorizations(*window, primes):
             self._bump()
-            leaf_primes = sorted(rest + tuple(v_primes))
-            for label, lo, hi in self._windows(N * v + P, P * v, v):
-                counts[label] += _count_positive(lo, hi - 1, leaf_primes, phi)
+            yield v, N * v + P, P * v, v_primes
 
     def count(self, root=_ROOT):
-        for state in self.prefixes(self.n, root):
-            self._count_leaves(*state)
+        """Count every tuple below root, closed-form in the last coordinate.
 
-    def materialize(self, root=_ROOT):
-        for prefix, N, P, _ in self.prefixes(self.prefix_slots, root):
-            for label, lo, hi in self._windows(N, P, prefix[-1]):
-                for m in coprime_in_range(lo, hi - 1, P):
-                    t = RamTuple(self.n, prefix + (m,))
-                    report = classify(t)
-                    if report.classification != label:
-                        raise AssertionError(
-                            f"{t.orders} solved into {label} but classifies as "
-                            f"{report.classification}"
-                        )
-                    self.counts[label] += 1
-                    yield t, report
+        Each leaf window is one inclusion-exclusion walk over primes(v) and
+        the prefix's primes outside a coprime-count table built per prefix.
+        """
+        counts = self.counts
+        for prefix, N, P, primes in self.prefixes(self.n, root):
+            primes = tuple(sorted(primes))
+            phi, rest = coprime_table(primes)
+            for v, leaf_N, leaf_P, v_primes in self._leaves(prefix, N, P, primes):
+                leaf_primes = sorted(rest + tuple(v_primes))
+                for label, lo, hi in self._windows(leaf_N, leaf_P, v):
+                    counts[label] += _count_positive(lo, hi - 1, leaf_primes, phi)
+
+    def materialize(self):
+        for prefix, N, P, primes in self.prefixes(self.n):
+            for v, leaf_N, leaf_P, _ in self._leaves(prefix, N, P, primes):
+                for label, lo, hi in self._windows(leaf_N, leaf_P, v):
+                    for m in coprime_in_range(lo, hi - 1, leaf_P):
+                        t = RamTuple(self.n, prefix + (v, m))
+                        report = classify(t)
+                        if report.classification != label:
+                            raise AssertionError(f"{t.orders} solved into {label} but "
+                                                 f"classifies as {report.classification}")
+                        self.counts[label] += 1
+                        yield t, report
 
 
 def iter_tuples(cfg: SearchConfig):
@@ -513,13 +517,11 @@ def pool_workers(jobs: int, tasks: int, cpus: int | None) -> int:
 
 
 def _run_task(task):
-    """Worker entry: search the subtree below one planned prefix state."""
+    """Worker entry: count the subtree below one planned prefix state."""
     cfg, root = task
     search = _Search(cfg)
-    if cfg.mode == "count":
-        search.count(root)
-        return search.counts, [], search.nodes
-    return search.counts, [t.orders for t, _ in search.materialize(root)], search.nodes
+    search.count(root)
+    return search.counts, search.nodes
 
 
 def enumerate_tuples(cfg: SearchConfig) -> EnumResult:
@@ -528,30 +530,26 @@ def enumerate_tuples(cfg: SearchConfig) -> EnumResult:
     Counting is exact and closed-form in the last coordinate; materialize
     mode classifies every emitted tuple and cross-checks the label against
     the interval that produced it.  Output order, counts and nodes_visited
-    are independent of parallel_width; work splits over disjoint depth-2
-    prefix subtrees when parallel_width > 1 (ignored when a node_cap or a
-    prefix_filter is set, to keep cap semantics and task planning exact).
+    are independent of parallel_width.  Materialize mode runs serially;
+    count mode splits over disjoint prefix subtrees at depth min(2, n) when
+    parallel_width > 1 (not with a node_cap or a prefix_filter, to keep cap
+    semantics and task planning exact).
     """
     search = _Search(cfg)
     tuples = None
-    if cfg.parallel_width > 1 and cfg.node_cap is None and cfg.prefix_filter is None:
-        # Count workers start at depth <= n, where the leaf kernel takes over.
+    if cfg.mode == "materialize":
+        tuples = tuple(search.materialize())
+    elif cfg.parallel_width > 1 and cfg.node_cap is None and cfg.prefix_filter is None:
+        # Count workers start at depth <= n, where the leaf loop takes over.
         roots = list(search.prefixes(min(2, cfg.n)))
         width = pool_workers(cfg.parallel_width, len(roots), os.cpu_count())
-        merged = []
         with ProcessPoolExecutor(max_workers=width) as pool:
-            tasks = [(cfg, root) for root in roots]
-            for task_counts, orders_list, task_nodes in pool.map(_run_task, tasks):
+            for task_counts, task_nodes in pool.map(_run_task, [(cfg, r) for r in roots]):
                 search.nodes += task_nodes
                 for label, value in task_counts.items():
                     search.counts[label] += value
-                merged += orders_list
-        if cfg.mode == "materialize":
-            tuples = tuple((t, classify(t)) for t in (RamTuple(cfg.n, o) for o in merged))
-    elif cfg.mode == "count":
-        search.count()
     else:
-        tuples = tuple(search.materialize())
+        search.count()
     return EnumResult(
         tuples=tuples,
         counts=search.counts,

@@ -14,9 +14,13 @@ each tuple into exactly one of four verdicts:
 
 All comparisons are exact; equality on a bound classifies as the weaker
 verdict.  The associated odd-dimensional link data M = prod(mi),
-wi = M/mi is carried alongside: for pairwise coprime exponents the link of
-sum z_i^{m_i} = 0 is homeomorphic to the sphere S^{2n+1}, which is what
-makes these counts sphere-metric counts.  The verdict counts orbifold
+wi = M/mi is carried alongside.  For pairwise coprime exponents every
+vertex of the Brieskorn graph is isolated, so the link of
+sum z_i^{m_i} = 0 is a homology sphere for every n, and by Brieskorn's
+criterion it is homeomorphic to the sphere S^{2n+1} for n >= 2, which is
+what makes these counts sphere-metric counts there.  For n = 1 the link
+is a homology 3-sphere that need not be S^3: (2, 3, 5) gives the
+Poincare homology sphere.  The verdict counts orbifold
 structures; the metric correspondence can fail in the presence of a
 holomorphic contact structure, which this package does not attempt to
 detect (reports carry the caveat).

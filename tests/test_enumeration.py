@@ -25,6 +25,7 @@ from orbke import (
     sylvester_family,
     sylvester_seq,
 )
+from orbke import enumeration
 from orbke.enumeration import _Search, pool_workers
 from orbke.errors import InputError, NodeBudgetExceeded, SearchSpaceTooLarge
 from orbke.exactmath import count_coprime_in_range, factorize
@@ -33,6 +34,17 @@ from conftest import coprime_orders
 
 GOLDEN_LAST = (17, 19, 23, 29, 31, 37, 41, 43, 47, 49, 53, 59)
 ALL_CLASSES = ("NotFano", "OldKE", "NewOnlyKE", "NoCriterion")
+
+# (kwargs, partial counts) of the search at a node cap of kwargs["node_cap"].
+_PINNED_PARTIALS = (
+    (dict(n=5, node_cap=1000), {"NewOnlyKE": 1897}),
+    (dict(n=4, node_cap=500), {"NewOnlyKE": 12883}),
+    (dict(n=4, node_cap=2000), {"NewOnlyKE": 435779}),
+    (
+        dict(n=4, node_cap=300, classes=ALL_CLASSES, max_order=60),
+        {"NotFano": 0, "OldKE": 96, "NewOnlyKE": 556, "NoCriterion": 523},
+    ),
+)
 
 
 class TestSylvesterSeq:
@@ -236,15 +248,32 @@ class TestEnumerateTuples:
         assert "NewOnlyKE" not in got
         assert res.counts == {"OldKE": 1, "NewOnlyKE": 0}
 
-    def test_count_equals_materialize(self):
-        cfg = SearchConfig(n=2, classes=("OldKE", "NewOnlyKE"))
-        mat = enumerate_tuples(cfg)
-        cnt = enumerate_tuples(SearchConfig(n=2, classes=("OldKE", "NewOnlyKE"), mode="count"))
-        sizes = {}
-        for t, report in mat.tuples:
-            sizes[report.classification] = sizes.get(report.classification, 0) + 1
-        for label, k in cnt.counts.items():
-            assert sizes.get(label, 0) == k
+    @pytest.mark.parametrize(
+        "kwargs, nodes",
+        [
+            (dict(n=2, classes=("OldKE", "NewOnlyKE")), 8),
+            (dict(n=3, classes=("OldKE", "NewOnlyKE")), 65),
+            (dict(n=3, classes=ALL_CLASSES, max_order=60), 60603),
+            (dict(n=2, min_order=1, classes=ALL_CLASSES, max_order=30), 1623),
+            (dict(n=4, max_order=182), 725),
+        ],
+        ids=["dim2", "dim3", "dim3-all", "dim2-units", "dim4-max182"],
+    )
+    def test_count_equals_materialize(self, kwargs, nodes, monkeypatch):
+        # Both modes share the prefix walk and the leaf loop: the same
+        # nodes, and factorize only for interior orders, never for leaves.
+        runs = {}
+        for mode in ("count", "materialize"):
+            calls = []
+            monkeypatch.setattr(enumeration, "factorize", lambda m: calls.append(m) or factorize(m))
+            runs[mode] = enumerate_tuples(SearchConfig(mode=mode, **kwargs)), len(calls)
+        (cnt, cnt_calls), (mat, mat_calls) = runs["count"], runs["materialize"]
+        sizes = dict.fromkeys(cnt.counts, 0)
+        for _, report in mat.tuples:
+            sizes[report.classification] += 1
+        assert sizes == mat.counts == cnt.counts
+        assert mat.nodes_visited == cnt.nodes_visited == nodes
+        assert mat_calls == cnt_calls
 
     def test_matches_oracle_all_classes_dim2(self):
         cfg = SearchConfig(
@@ -282,13 +311,18 @@ class TestEnumerateTuples:
         res = enumerate_tuples(cfg)
         assert streamed == [(t.orders, r.classification) for t, r in res.tuples]
 
-    def test_parallel_equals_serial_materialize(self):
-        serial = enumerate_tuples(SearchConfig(n=2, classes=("OldKE", "NewOnlyKE")))
-        par = enumerate_tuples(
-            SearchConfig(n=2, classes=("OldKE", "NewOnlyKE"), parallel_width=4)
-        )
-        assert [t.orders for t, _ in par.tuples] == [t.orders for t, _ in serial.tuples]
-        assert par.counts == serial.counts
+    def test_materialize_starts_no_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("materialize mode started a process pool")
+
+        monkeypatch.setattr(enumeration, "ProcessPoolExecutor", no_pool)
+        for cls in ("OldKE", "NewOnlyKE"):
+            serial = enumerate_tuples(SearchConfig(n=3, classes=(cls,)))
+            wide = enumerate_tuples(SearchConfig(n=3, classes=(cls,), parallel_width=4))
+            assert [(t.orders, r.classification) for t, r in wide.tuples] == [
+                (t.orders, r.classification) for t, r in serial.tuples
+            ]
+            assert (wide.counts, wide.nodes_visited) == (serial.counts, serial.nodes_visited)
 
     def test_parallel_equals_serial_count_dim3(self):
         serial = enumerate_tuples(SearchConfig(n=3, mode="count"))
@@ -314,23 +348,23 @@ class TestEnumerateTuples:
         assert partial.elapsed_s > 0
 
     @pytest.mark.parametrize(
-        "kwargs, counts",
+        "mode, kwargs, counts",
         [
-            (dict(n=5, node_cap=1000), {"NewOnlyKE": 1897}),
-            (dict(n=4, node_cap=500), {"NewOnlyKE": 12883}),
-            (dict(n=4, node_cap=2000), {"NewOnlyKE": 435779}),
-            (
-                dict(n=4, node_cap=300, classes=ALL_CLASSES, max_order=60),
-                {"NotFano": 0, "OldKE": 96, "NewOnlyKE": 556, "NoCriterion": 523},
-            ),
+            pytest.param(mode, kwargs, counts, id=f"kwargs{i}-counts{i}{suffix}")
+            for mode, suffix in (("count", ""), ("materialize", "-materialize"))
+            for i, (kwargs, counts) in enumerate(_PINNED_PARTIALS)
+            # Materialize classifies every tuple: the 435,779 below the
+            # third cap take ~20 s, so that cap runs in count mode only.
+            if mode == "count" or sum(counts.values()) < 100_000
         ],
     )
-    def test_node_cap_partials_are_pinned(self, kwargs, counts):
+    def test_node_cap_partials_are_pinned(self, mode, kwargs, counts):
         # The partial at a cap depends on the order in which leaves are
-        # counted, one node each; these values were recorded before the
-        # leaf kernel replaced the per-leaf walk.
+        # visited, one node each, and is the same in both modes; these
+        # values were recorded before the leaf kernel replaced the per-leaf
+        # walk, and those of materialize before it shared the leaf loop.
         with pytest.raises(NodeBudgetExceeded) as exc:
-            enumerate_tuples(SearchConfig(mode="count", **kwargs))
+            enumerate_tuples(SearchConfig(mode=mode, **kwargs))
         assert exc.value.partial.counts == counts
         assert exc.value.partial.nodes_visited == kwargs["node_cap"] + 1
 
@@ -505,7 +539,7 @@ def _reference_leaves(search, state):
 
 def _kernel_leaves(cfg, state):
     search = _Search(cfg)
-    search._count_leaves(*state)
+    search.count(state)
     return search.counts, search.nodes
 
 
