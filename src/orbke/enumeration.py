@@ -9,14 +9,15 @@ at no more than two integer cut points (`_cuts`), and counting reduces to
 inclusion-exclusion coprime counts over the intervals between them.  The
 same inequalities bound the candidates for every earlier entry.
 
-The walk `_Search.prefixes` stops at the prefixes of n orders (N, P,
-primes R), and one leaf loop, `_Search._leaves`, takes the next order v
-from there: one node per v, each v with its primes from a segmented sieve.
-Count mode counts each class interval of the last coordinate by one
+One child step, `_Search._children`, takes the next order v after a
+prefix (N, P, primes R) at every depth: one node per v, each v with its
+primes from a segmented sieve.  The walk `_Search.prefixes` recurses over
+it.  Count mode stops the walk at the prefixes of n orders and counts
+each class interval of the last coordinate, for each child v, by one
 inclusion-exclusion walk over the primes of v and those of R outside a
 coprime-count table built once per prefix for R's smallest primes;
-materialize mode lists and classifies the coprime last coordinates of
-each interval.  Interior prefixes factorize their orders.
+materialize mode walks to the prefixes of n + 1 orders and lists and
+classifies the coprime last coordinates of each interval.
 
 Key facts the pruning relies on (all for sorted tuples, exact arithmetic;
 S is the reciprocal sum of the n+1 prefix entries, m the last coordinate):
@@ -406,35 +407,33 @@ class _Search:
             return _meet(window, (pinned[len(prefix)], pinned[len(prefix)] + 1))
         return window
 
-    def _candidates(self, prefix, N, P):
-        """Next entries v, ascending: the window's v coprime to P."""
+    def _children(self, state):
+        """Yield (v, N*v + P, P*v, primes of v) for each next order v after state.
+
+        The one step to the next order at every depth, for count and
+        materialize: one node per v, each v with its primes from a
+        segmented sieve that skips the multiples of the state's primes.
+        """
+        prefix, N, P, primes = state
         window = self._next_window(prefix, N, P)
         if window is None:
-            return ()
-        return (v for v in range(*window) if math.gcd(v, P) == 1)
-
-    def prefixes(self, depth: int, root=_ROOT):
-        """Yield the state of every viable prefix of length depth below root.
-
-        Lexicographic order.  Each prefix created below root is one node;
-        root itself was counted by whoever created it.
-        """
-        if len(root[0]) == depth:
-            yield root
             return
-        stack = [(root, iter(self._candidates(*root[:3])))]
-        while stack:
-            (prefix, N, P, primes), todo = stack[-1]
-            v = next(todo, None)
-            if v is None:
-                stack.pop()
-                continue
+        for v, v_primes in coprime_factorizations(*window, primes):
             self._bump()
-            child = (prefix + (v,), N * v + P, P * v, primes + factorize(v).primes)
-            if len(child[0]) == depth:
-                yield child
-            else:
-                stack.append((child, iter(self._candidates(*child[:3]))))
+            yield v, N * v + P, P * v, v_primes
+
+    def prefixes(self, depth: int, state=_ROOT):
+        """Yield the state of every viable prefix of length depth below state.
+
+        Lexicographic order.  Each prefix created below state is one node;
+        state itself was counted by whoever created it.
+        """
+        if len(state[0]) == depth:
+            yield state
+            return
+        prefix, _, _, primes = state
+        for v, N, P, v_primes in self._children(state):
+            yield from self.prefixes(depth, (prefix + (v,), N, P, primes + tuple(v_primes)))
 
     def _windows(self, N, P, floor):
         """Requested (label, lo, hi) windows of the last coordinate, ascending.
@@ -459,19 +458,6 @@ class _Search:
                 windows.append((label, lo, hi))
         return windows
 
-    def _leaves(self, prefix, N, P, primes):
-        """Yield (v, N*v + P, P*v, primes of v) for each next order v of a depth-n prefix.
-
-        The one loop over the last free order, for count and materialize:
-        one node per v, each v with its primes from a segmented sieve.
-        """
-        window = self._next_window(prefix, N, P)
-        if window is None:
-            return
-        for v, v_primes in coprime_factorizations(*window, primes):
-            self._bump()
-            yield v, N * v + P, P * v, v_primes
-
     def count(self, root=_ROOT):
         """Count every tuple below root, closed-form in the last coordinate.
 
@@ -482,23 +468,22 @@ class _Search:
         for prefix, N, P, primes in self.prefixes(self.n, root):
             primes = tuple(sorted(primes))
             phi, rest = coprime_table(primes)
-            for v, leaf_N, leaf_P, v_primes in self._leaves(prefix, N, P, primes):
+            for v, leaf_N, leaf_P, v_primes in self._children((prefix, N, P, primes)):
                 leaf_primes = sorted(rest + tuple(v_primes))
                 for label, lo, hi in self._windows(leaf_N, leaf_P, v):
                     counts[label] += _count_positive(lo, hi - 1, leaf_primes, phi)
 
     def materialize(self):
-        for prefix, N, P, primes in self.prefixes(self.n):
-            for v, leaf_N, leaf_P, _ in self._leaves(prefix, N, P, primes):
-                for label, lo, hi in self._windows(leaf_N, leaf_P, v):
-                    for m in coprime_in_range(lo, hi - 1, leaf_P):
-                        t = RamTuple(self.n, prefix + (v, m))
-                        report = classify(t)
-                        if report.classification != label:
-                            raise AssertionError(f"{t.orders} solved into {label} but "
-                                                 f"classifies as {report.classification}")
-                        self.counts[label] += 1
-                        yield t, report
+        for prefix, N, P, _ in self.prefixes(self.n + 1):
+            for label, lo, hi in self._windows(N, P, prefix[-1]):
+                for m in coprime_in_range(lo, hi - 1, P):
+                    t = RamTuple(self.n, prefix + (m,))
+                    report = classify(t)
+                    if report.classification != label:
+                        raise AssertionError(f"{t.orders} solved into {label} but "
+                                             f"classifies as {report.classification}")
+                    self.counts[label] += 1
+                    yield t, report
 
 
 def iter_tuples(cfg: SearchConfig):

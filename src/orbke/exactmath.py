@@ -22,7 +22,8 @@ Meissel-Lehmer), so its products run only over the primes outside q;
 tabulates the smallest primes of a prefix once for all of its leaves.
 
 `coprime_factorizations` gives the distinct primes of every integer in a
-window by a segmented sieve (Bays-Hudson), for the search's leaf orders.
+window by a segmented sieve (Bays-Hudson), for the search's orders at
+every depth.
 """
 
 from __future__ import annotations
@@ -278,9 +279,13 @@ def coprime_factorizations(lo: int, hi: int, skip: tuple[int, ...] = ()):
     dividing out every power of them leaves each entry a cofactor of 1 or
     a prime above isqrt(end - 1).  Blocks start at _BLOCK_FIRST entries
     and double up to _BLOCK_CAP, so a short window costs a short sieve
-    and a long one a bounded amount of memory.
+    and a long one a bounded amount of memory.  The sieving primes grow
+    with the blocks: when isqrt(end - 1) passes their limit, the limit
+    becomes the larger of that root and twice the old limit, so the
+    primes held are bounded by the orders reached, not by hi.
     """
-    sieving = [p for p in _primes_upto(math.isqrt(max(hi - 1, 1))) if p not in skip]
+    sieving = []
+    limit = 0
     start = lo
     size = _BLOCK_FIRST
     while start < hi:
@@ -292,6 +297,9 @@ def coprime_factorizations(lo: int, hi: int, skip: tuple[int, ...] = ()):
         factors = [[] for _ in range(width)]
         rest = list(range(start, end))
         top = math.isqrt(end - 1)
+        if top > limit:
+            limit = max(top, 2 * limit)
+            sieving = [p for p in _primes_upto(limit) if p not in skip]
         for p in sieving:
             if p > top:
                 break

@@ -46,12 +46,16 @@ class RamTuple:
     orders: tuple[int, ...]
 
     def __post_init__(self):
+        if self.n < 1:
+            raise InputError(f"dimension must be >= 1, got {self.n}")
         if len(self.orders) != self.n + 2:
             raise WrongLength(
                 f"dimension {self.n} needs {self.n + 2} orders, got {len(self.orders)}"
             )
         if any(self.orders[i] > self.orders[i + 1] for i in range(len(self.orders) - 1)):
             raise InputError("orders must be sorted; use make_tuple to canonicalize")
+        if self.orders[0] < 1:
+            raise OrderBelowMinimum(f"order {self.orders[0]} is below 1")
 
 
 @dataclass(frozen=True)
@@ -131,16 +135,19 @@ def classify(t: RamTuple) -> FanoReport:
     """Evaluate both existence bounds exactly and attach the verdict.
 
     min over i of 1/mi is 1/(largest order), so both right-hand sides use
-    the last entry of the sorted tuple.
+    the last entry of the sorted tuple.  With P = prod(mi) the first Chern
+    class is D/P for the integer D = sum(P/mi) - P, so each comparison is
+    one integer inequality: c1 > 0 iff D > 0, c1 < (n+1)/(n*m_max) iff
+    n*m_max*D < (n+1)*P, and c1 < (n+1)/m_max iff m_max*D < (n+1)*P.
     """
     n = t.n
     m_max = t.orders[-1]
-    c1 = first_chern(t)
-    old_rhs = Fraction(n + 1, n * m_max)
-    new_rhs = Fraction(n + 1, m_max)
-    fano = c1 > 0
-    old_ok = c1 < old_rhs
-    new_ok = c1 < new_rhs
+    P = math.prod(t.orders)
+    D = sum(P // m for m in t.orders) - P
+    c1 = Fraction(D, P)
+    fano = D > 0
+    old_ok = n * m_max * D < (n + 1) * P
+    new_ok = m_max * D < (n + 1) * P
     if not fano:
         label = "NotFano"
     elif old_ok:
@@ -153,8 +160,8 @@ def classify(t: RamTuple) -> FanoReport:
         c1=c1,
         fano=fano,
         old_lhs=c1,
-        old_rhs=old_rhs,
-        new_rhs=new_rhs,
+        old_rhs=Fraction(n + 1, n * m_max),
+        new_rhs=Fraction(n + 1, m_max),
         old_ok=old_ok,
         new_ok=new_ok,
         classification=label,

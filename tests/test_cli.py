@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import csv
 import io
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import orbke
 from orbke import __version__
 
 from conftest import json_records
@@ -514,10 +517,14 @@ class TestExitPolicy:
         assert __version__ in out
 
     def test_module_entry_point(self):
+        # The child imports the package under test, installed or not.
+        src = str(Path(orbke.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "orbke.cli", "--version"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert __version__ in proc.stdout

@@ -260,20 +260,19 @@ class TestEnumerateTuples:
         ids=["dim2", "dim3", "dim3-all", "dim2-units", "dim4-max182"],
     )
     def test_count_equals_materialize(self, kwargs, nodes, monkeypatch):
-        # Both modes share the prefix walk and the leaf loop: the same
-        # nodes, and factorize only for interior orders, never for leaves.
-        runs = {}
-        for mode in ("count", "materialize"):
-            calls = []
-            monkeypatch.setattr(enumeration, "factorize", lambda m: calls.append(m) or factorize(m))
-            runs[mode] = enumerate_tuples(SearchConfig(mode=mode, **kwargs)), len(calls)
-        (cnt, cnt_calls), (mat, mat_calls) = runs["count"], runs["materialize"]
+        # Both modes share one child step at every depth: the same nodes,
+        # and every order's primes come from the sieve, never factorize.
+        def no_factorize(m):
+            raise AssertionError(f"factorize({m}) called by the search")
+
+        monkeypatch.setattr(enumeration, "factorize", no_factorize)
+        cnt = enumerate_tuples(SearchConfig(mode="count", **kwargs))
+        mat = enumerate_tuples(SearchConfig(mode="materialize", **kwargs))
         sizes = dict.fromkeys(cnt.counts, 0)
         for _, report in mat.tuples:
             sizes[report.classification] += 1
         assert sizes == mat.counts == cnt.counts
         assert mat.nodes_visited == cnt.nodes_visited == nodes
-        assert mat_calls == cnt_calls
 
     def test_matches_oracle_all_classes_dim2(self):
         cfg = SearchConfig(
@@ -521,14 +520,18 @@ def _reference_windows(n, N, P, floor, cap):
 def _reference_leaves(search, state):
     """(counts, nodes) below one depth-n state, leaf by leaf.
 
-    Each next order v is factorized, its leaf's class windows are found
-    by bisection on the inequalities and counted by count_coprime_in_range
-    over all of the leaf's primes: no table, sieve or cut points.
+    Each next order v in the window coprime to P is factorized, its
+    leaf's class windows are found by bisection on the inequalities and
+    counted by count_coprime_in_range over all of the leaf's primes: no
+    table, sieve or cut points.
     """
     prefix, N, P, primes = state
     counts = dict.fromkeys(search.cfg.classes, 0)
     nodes = 0
-    for v in search._candidates(prefix, N, P):
+    window = search._next_window(prefix, N, P)
+    for v in range(*window) if window else ():
+        if math.gcd(v, P) != 1:
+            continue
         nodes += 1
         leaf_primes = set(primes) | set(factorize(v).primes)
         for label, lo, hi in _reference_windows(search.n, N * v + P, P * v, v, search.cap):

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbke import count_coprime_in_range, factorize, harmonic_sum
+from orbke import exactmath
 from orbke.errors import InputError
 from orbke.exactmath import (
     _BLOCK_CAP,
@@ -247,6 +248,15 @@ class TestCoprimeFactorizations:
 
     def test_empty_window(self):
         assert list(coprime_factorizations(5, 5)) == []
+
+    def test_sieving_primes_grow_with_the_blocks(self, monkeypatch):
+        # The first block of a window reaching 10**14 ends below 300, so
+        # it needs no sieving prime above 17, whatever the window's end.
+        tops = []
+        primes_upto = exactmath._primes_upto
+        monkeypatch.setattr(exactmath, "_primes_upto", lambda top: tops.append(top) or primes_upto(top))
+        assert next(coprime_factorizations(3, 10**14, (2,))) == (3, [3])
+        assert tops and max(tops) <= 100
 
 
 class TestHarmonicSum:

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbke import classify, first_chern, is_pairwise_coprime, link_weights, make_tuple
-from orbke.errors import OrderBelowMinimum, PairwiseCoprimeViolation, WrongLength
+from orbke.errors import InputError, OrderBelowMinimum, PairwiseCoprimeViolation, WrongLength
+from orbke.orbifold import RamTuple
 
 from conftest import assert_pairwise_coprime, coprime_orders
 
@@ -40,6 +41,19 @@ class TestMakeTuple:
     def test_repeated_non_unit_orders_rejected(self):
         with pytest.raises(PairwiseCoprimeViolation):
             make_tuple(1, [2, 2, 3])
+
+
+class TestRamTuple:
+    @pytest.mark.parametrize(
+        "n, orders",
+        [(0, (2, 3)), (-1, (2,)), (-2, ()), (2, (0, 2, 3, 5)), (1, (-3, 2, 5))],
+    )
+    def test_rejects_dimension_or_order_below_one(self, n, orders):
+        with pytest.raises(InputError):
+            RamTuple(n, orders)
+
+    def test_unit_orders_construct(self):
+        assert RamTuple(1, (1, 1, 1)).orders == (1, 1, 1)
 
 
 class TestFirstChern:
@@ -165,3 +179,13 @@ class TestProperties:
     @settings(max_examples=300, deadline=None)
     def test_first_chern_formula(self, t):
         assert first_chern(t) == sum(Fraction(1, m) for m in t.orders) - 1
+
+    @given(t=_tuples())
+    @settings(max_examples=300, deadline=None)
+    def test_classify_matches_fraction_definition(self, t):
+        n, m_max = t.n, t.orders[-1]
+        c1 = sum(Fraction(1, m) for m in t.orders) - 1
+        old_rhs, new_rhs = Fraction(n + 1, n * m_max), Fraction(n + 1, m_max)
+        r = classify(t)
+        assert (r.c1, r.old_lhs, r.old_rhs, r.new_rhs) == (c1, c1, old_rhs, new_rhs)
+        assert (r.fano, r.old_ok, r.new_ok) == (c1 > 0, c1 < old_rhs, c1 < new_rhs)
