@@ -38,6 +38,7 @@ from .errors import (
     InputError,
     ResourceLimitExceeded,
     ThresholdOutsideGrid,
+    check_int,
 )
 from .exactmath import count_coprime_in_range
 from .lct import (
@@ -492,9 +493,7 @@ def _cmd_oracle_monomial(args, emit: Emitter) -> dict:
 
 
 def _cmd_oracle_bp(args, emit: Emitter) -> dict:
-    if args.n < 2:
-        raise InputError(f"--n must be >= 2, got {args.n}")
-    analytic = Fraction(2, args.n)
+    analytic = Fraction(2, check_int(args.n, "--n", 2))
     cfg = _oracle_config(args, analytic)
     est = estimate_bp_threshold(args.n, cfg)
     return _oracle_record("oracle-bp", {"n": args.n}, cfg, est, analytic)

@@ -49,7 +49,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .errors import InputError, NodeBudgetExceeded, SearchSpaceTooLarge
+from .errors import InputError, NodeBudgetExceeded, SearchSpaceTooLarge, check_int
 from .exactmath import (
     _count_positive,
     coprime_factorizations,
@@ -57,7 +57,7 @@ from .exactmath import (
     coprime_table,
     factorize,
 )
-from .orbifold import CLASSIFICATIONS, RamTuple, classify, make_tuple
+from .orbifold import CLASSIFICATIONS, RamTuple, check_orders, classify, make_tuple
 
 # Classes whose members form a finite set without any order cap.
 _BOUNDED_CLASSES = frozenset({"OldKE", "NewOnlyKE"})
@@ -76,8 +76,7 @@ def sylvester_seq(k: int) -> list[int]:
     computed and must agree.  Capped at k <= 8: value 8 already has 27
     digits and nothing downstream needs more.
     """
-    if not 1 <= k <= 8:
-        raise InputError(f"k must be in 1..8, got {k}")
+    k = check_int(k, "k", 1, 8)
     seq = [2]
     prod = 2
     for _ in range(k - 1):
@@ -117,12 +116,7 @@ def sylvester_family(n: int) -> SylvesterFamily:
     factors of c8-2 ~ 1.1e26, past the factorization range this package
     supports.
     """
-    if n < 2:
-        raise InputError(f"family needs n >= 2, got {n}")
-    if n > 6:
-        raise InputError(
-            f"family capped at n <= 6 (n={n} needs factoring a 27-digit value)"
-        )
+    n = check_int(n, "family dimension", 2, 6)
     seq = sylvester_seq(n + 1)
     c_top = seq[n]
     prefix = tuple(seq[:n]) + (c_top - 2,)
@@ -223,20 +217,11 @@ def admissible_last_interval(prefix, n: int) -> LastIntervals:
     max(prefix) (sorted enumeration; coprimality later removes equality
     except for repeated unit orders).
     """
-    prefix = tuple(int(m) for m in prefix)
-    if n < 1:
-        raise InputError(f"dimension must be >= 1, got {n}")
-    if not prefix:
-        raise InputError("prefix must be nonempty")
+    n = check_int(n, "dimension", 1)
+    prefix = check_orders(prefix, 1)
     if len(prefix) != n + 1:
         raise InputError(f"dimension {n} needs a prefix of {n + 1} orders, got {len(prefix)}")
-    if any(m < 1 for m in prefix):
-        raise InputError("orders must be >= 1")
-    if any(prefix[i] > prefix[i + 1] for i in range(len(prefix) - 1)):
-        raise InputError("prefix must be sorted nondecreasing")
     prod = math.prod(prefix)
-    if any(math.gcd(prefix[i], prod // prefix[i]) != 1 for i in range(len(prefix))):
-        raise InputError("prefix must be pairwise coprime")
     floor = prefix[-1]
     a, b, tail = _cuts(sum(prod // m for m in prefix), prod, n)
     windows = {
@@ -278,10 +263,9 @@ class SearchConfig:
     node_cap: int | None = None
 
     def __post_init__(self):
-        if self.n < 1:
-            raise InputError(f"dimension must be >= 1, got {self.n}")
-        if self.min_order not in (1, 2):
-            raise InputError(f"min_order must be 1 or 2, got {self.min_order}")
+        setattr_ = object.__setattr__
+        setattr_(self, "n", check_int(self.n, "dimension", 1))
+        setattr_(self, "min_order", check_int(self.min_order, "min_order", 1, 2))
         if self.mode not in ("materialize", "count"):
             raise InputError(f"mode must be materialize or count, got {self.mode!r}")
         bad = [c for c in self.classes if c not in CLASSIFICATIONS]
@@ -296,24 +280,16 @@ class SearchConfig:
             raise InputError(
                 "unit orders leave the search unbounded; set max_order to bound it"
             )
-        if self.max_order is not None and self.max_order < self.min_order:
-            raise InputError("max_order below min_order")
-        if self.parallel_width < 1:
-            raise InputError("parallel_width must be >= 1")
-        if self.node_cap is not None and self.node_cap < 1:
-            raise InputError("node_cap must be >= 1")
+        if self.max_order is not None:
+            setattr_(self, "max_order", check_int(self.max_order, "max_order", self.min_order))
+        setattr_(self, "parallel_width", check_int(self.parallel_width, "parallel_width", 1))
+        if self.node_cap is not None:
+            setattr_(self, "node_cap", check_int(self.node_cap, "node_cap", 1))
         if self.prefix_filter is not None:
-            pf = tuple(int(m) for m in self.prefix_filter)
+            pf = tuple(self.prefix_filter)
             if len(pf) > self.n + 1:
                 raise InputError("prefix_filter longer than the searchable prefix")
-            if any(m < self.min_order for m in pf):
-                raise InputError("prefix_filter entry below min_order")
-            if any(pf[i] > pf[i + 1] for i in range(len(pf) - 1)):
-                raise InputError("prefix_filter must be sorted nondecreasing")
-            prod = math.prod(pf) if pf else 1
-            if any(math.gcd(m, prod // m) != 1 for m in pf):
-                raise InputError("prefix_filter must be pairwise coprime")
-            object.__setattr__(self, "prefix_filter", pf)
+            setattr_(self, "prefix_filter", check_orders(pf, self.min_order))
 
 
 @dataclass(frozen=True)
@@ -545,8 +521,7 @@ def enumerate_tuples(cfg: SearchConfig) -> EnumResult:
 
 def count_new(n: int) -> int:
     """Exact number of canonical NewOnlyKE tuples in dimension n (n <= 5)."""
-    if not 1 <= n <= 5:
-        raise InputError(f"count_new supports 1 <= n <= 5, got {n}")
+    n = check_int(n, "count_new dimension", 1, 5)
     result = enumerate_tuples(SearchConfig(n=n, mode="count", classes=("NewOnlyKE",)))
     return result.counts["NewOnlyKE"]
 
@@ -558,10 +533,9 @@ def brute_force_oracle(n: int, max_order: int, min_order: int = 2):
     min_order).  Returns a list of (orders, classification) pairs in
     lexicographic order.  Guarded to max_order**(n+2) <= 1e8 raw candidates.
     """
-    if n < 1:
-        raise InputError(f"dimension must be >= 1, got {n}")
-    if max_order < min_order:
-        raise InputError("max_order below min_order")
+    n = check_int(n, "dimension", 1)
+    min_order = check_int(min_order, "min_order", 1, 2)
+    max_order = check_int(max_order, "max_order", min_order)
     if max_order ** (n + 2) > _BRUTE_FORCE_GUARD:
         raise SearchSpaceTooLarge(
             f"{max_order}^{n + 2} raw candidates exceed the {_BRUTE_FORCE_GUARD:.0e} guard"

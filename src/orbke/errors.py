@@ -1,11 +1,19 @@
-"""Error taxonomy shared across modules.
+"""Error taxonomy shared across modules, and the input validators.
 
 Two families matter to callers (and to the CLI exit-code policy):
 InputError for rejected input, ResourceLimitExceeded for aborted work.
 Everything else is a plain bug and should surface as-is.
+
+Each kind of input has one validator, called by every public entry point:
+`check_int` for an integer in a range, `check_rational` for an exact
+rational, and `orbifold.check_orders` for a sequence of ramification
+orders.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+from numbers import Integral, Rational
 
 
 class OrbkeError(Exception):
@@ -62,3 +70,21 @@ class NodeBudgetExceeded(ResourceLimitExceeded):
 
 class SearchSpaceTooLarge(ResourceLimitExceeded):
     """Brute-force scan would exceed the raw-candidate guard."""
+
+
+def check_int(value, what: str, lo=None, hi=None, error=InputError) -> int:
+    """Plain int of an Integral but bool (else InputError) in [lo, hi] (else `error`)."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise InputError(f"{what} must be an integer, got {value!r}")
+    value = int(value)
+    if lo is not None and value < lo or hi is not None and value > hi:
+        bounds = f">= {lo}" if hi is None else f"<= {hi}" if lo is None else f"in {lo}..{hi}"
+        raise error(f"{what} must be {bounds}, got {value}")
+    return value
+
+
+def check_rational(value, what: str) -> Fraction:
+    """value as a Fraction: any Rational but bool, else InputError."""
+    if isinstance(value, bool) or not isinstance(value, Rational):
+        raise InputError(f"{what} must be rational, got {value!r}")
+    return Fraction(value)

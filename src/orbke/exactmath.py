@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, compress
 
-from .errors import InputError
+from .errors import InputError, check_int
 
 Rat = Fraction
 
@@ -140,10 +140,7 @@ def factorize(n: int) -> FactoredInt:
     trial bound runs out first does the cofactor go to Miller-Rabin and
     Brent rho with a fixed parameter sweep.
     """
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise InputError(f"factorize expects an integer, got {type(n).__name__}")
-    if n < 1:
-        raise InputError(f"factorize expects n >= 1, got {n}")
+    n = check_int(n, "factorize input", 1)
     value = n
     counts: dict[int, int] = {}
     for p in range(2, _TRIAL_BOUND):
@@ -245,11 +242,10 @@ def count_coprime_in_range(lo: int, hi: int, primes) -> int:
     work is bounded by the squarefree products of the primes up to hi, not
     by all 2^k subsets.
     """
-    primes = tuple(primes)
+    lo, hi = check_int(lo, "lo"), check_int(hi, "hi")
+    primes = tuple(check_int(p, "prime", 2) for p in primes)
     if len(set(primes)) != len(primes):
         raise InputError(f"primes must be distinct, got {primes}")
-    if any(p < 2 for p in primes):
-        raise InputError(f"primes must be >= 2, got {primes}")
     ascending = tuple(sorted(primes))
     zero = int(not primes and lo <= 0 <= hi)
     return (
@@ -329,7 +325,5 @@ def harmonic_sum(orders) -> Rat:
     """Exact sum of reciprocals of the given positive integers."""
     total = Fraction(0)
     for m in orders:
-        if m < 1:
-            raise InputError(f"orders must be >= 1, got {m}")
-        total += Fraction(1, m)
+        total += Fraction(1, check_int(m, "order", 1))
     return total

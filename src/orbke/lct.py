@@ -27,9 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Rational
 
-from .errors import InputError, InvalidQuadricPencil, NotFanoOrbifold
+from .errors import InputError, InvalidQuadricPencil, NotFanoOrbifold, check_int, check_rational
 from .exactmath import Rat
 
 
@@ -70,12 +69,6 @@ INF = Unbounded()
 METHODS = ("identity-cover", "quotient-cover", "disjoint-ramification", "quotient-of-quadric")
 
 
-def _as_rat(x, what: str) -> Rat:
-    if isinstance(x, bool) or not isinstance(x, Rational):
-        raise InputError(f"{what} must be rational, got {x!r}")
-    return Fraction(x)
-
-
 @dataclass(frozen=True)
 class SncFanoData:
     """Boundary data on projective n-space: divisors of degree d with order m.
@@ -90,17 +83,10 @@ class SncFanoData:
     entries: tuple
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
-            raise InputError(f"dimension must be a positive integer, got {self.n!r}")
-        canon = []
-        for pair in self.entries:
-            d, m = pair
-            if not isinstance(d, int) or isinstance(d, bool) or d < 1:
-                raise InputError(f"degree must be a positive integer, got {d!r}")
-            if not isinstance(m, int) or isinstance(m, bool) or m < 2:
-                raise InputError(f"order must be an integer >= 2, got {m!r}")
-            canon.append((d, m))
-        object.__setattr__(self, "entries", tuple(canon))
+        object.__setattr__(self, "n", check_int(self.n, "dimension", 1))
+        object.__setattr__(self, "entries", tuple(
+            (check_int(d, "degree", 1), check_int(m, "order", 2)) for d, m in self.entries
+        ))
 
     @property
     def orders(self) -> tuple:
@@ -143,12 +129,9 @@ class DelPezzo2:
     singularities: tuple
 
     def __post_init__(self):
-        canon = []
-        for k in self.singularities:
-            if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-                raise InputError(f"singularity label must be A_k with integer k >= 1, got {k!r}")
-            canon.append(k)
-        object.__setattr__(self, "singularities", tuple(canon))
+        object.__setattr__(self, "singularities", tuple(
+            check_int(k, "singularity label k of A_k", 1) for k in self.singularities
+        ))
 
 
 @dataclass(frozen=True)
@@ -162,13 +145,10 @@ class DelPezzo4:
         vals = tuple(self.lambdas)
         if len(vals) != 3:
             raise InputError(f"exactly 3 pencil parameters required, got {len(vals)}")
-        canon = []
-        for lam in vals:
-            lam = _as_rat(lam, "pencil parameter")
-            if lam == 0:
-                raise InvalidQuadricPencil("zero pencil parameter degenerates the quadric")
-            canon.append(lam)
-        object.__setattr__(self, "lambdas", tuple(canon))
+        vals = tuple(check_rational(lam, "pencil parameter") for lam in vals)
+        if 0 in vals:
+            raise InvalidQuadricPencil("zero pencil parameter degenerates the quadric")
+        object.__setattr__(self, "lambdas", vals)
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +163,7 @@ def delta_pn(data: SncFanoData) -> Rat:
 
 def beta_of_delta(delta) -> Rat:
     """beta = delta / (1 - delta), requiring 0 < delta < 1."""
-    delta = _as_rat(delta, "delta")
+    delta = check_rational(delta, "delta")
     if not 0 < delta < 1:
         raise NotFanoOrbifold(
             f"beta needs 0 < delta < 1 (got {delta}): boundary empty or not Fano"
@@ -193,34 +173,28 @@ def beta_of_delta(delta) -> Rat:
 
 def snc_threshold(orders):
     """min over orders m of 1/(m-1); INF for an empty list (no ramification)."""
-    orders = tuple(orders)
+    orders = tuple(check_int(m, "order", 2) for m in orders)
     if not orders:
         return INF
-    for m in orders:
-        if not isinstance(m, int) or isinstance(m, bool) or m < 2:
-            raise InputError(f"orders must be integers >= 2, got {m!r}")
     return Fraction(1, max(orders) - 1)
 
 
 def monomial_lct(exponents) -> Rat:
     """Integrability threshold of |prod z_j^(a_j)|^(-2 lambda): min_j 1/a_j."""
-    exponents = tuple(exponents)
+    exponents = tuple(check_int(a, "exponent", 1) for a in exponents)
     if not exponents:
         raise InputError("exponent list must be nonempty")
-    for a in exponents:
-        if not isinstance(a, int) or isinstance(a, bool) or a < 1:
-            raise InputError(f"exponents must be positive integers, got {a!r}")
     return Fraction(1, max(exponents))
 
 
 def ke_criterion(c, beta) -> bool:
     """The sufficient KE test: strict 1/c < beta (always true for c = INF)."""
-    beta = _as_rat(beta, "beta")
+    beta = check_rational(beta, "beta")
     if beta <= 0:
         raise InputError(f"beta must be positive, got {beta}")
     if c is INF:
         return True
-    c = _as_rat(c, "threshold c")
+    c = check_rational(c, "threshold c")
     if c <= 0:
         raise InputError(f"threshold must be positive, got {c}")
     return 1 / c < beta

@@ -47,12 +47,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from numbers import Rational
+from numbers import Real
 
 import numpy as np
 
-from .errors import InputError, ThresholdOutsideGrid
+from .errors import InputError, ThresholdOutsideGrid, check_int, check_rational
 
 _MIN_SHELLS = 5
 _MIN_SAMPLES = 1000
@@ -89,8 +88,8 @@ class OracleConfig:
     tolerance: float = 0.1
 
     def __post_init__(self):
-        if not isinstance(self.samples_per_shell, int) or self.samples_per_shell < _MIN_SAMPLES:
-            raise InputError(f"samples_per_shell must be an integer >= {_MIN_SAMPLES}")
+        object.__setattr__(self, "samples_per_shell",
+                           check_int(self.samples_per_shell, "samples_per_shell", _MIN_SAMPLES))
         cuts = tuple(float(e) for e in self.cutoffs)
         if len(cuts) < _MIN_SHELLS:
             raise InputError(f"need at least {_MIN_SHELLS} cutoff shells, got {len(cuts)}")
@@ -98,20 +97,24 @@ class OracleConfig:
             raise InputError("cutoffs must lie in (0, 1)")
         if any(cuts[i] <= cuts[i + 1] for i in range(len(cuts) - 1)):
             raise InputError("cutoffs must be strictly decreasing")
-        grid = tuple(Fraction(x) for x in self.lambda_grid)
+        grid = tuple(check_rational(x, "lambda_grid point") for x in self.lambda_grid)
         if len(grid) < 3:
             raise InputError("lambda_grid needs at least 3 probe points")
         if any(grid[i] >= grid[i + 1] for i in range(len(grid) - 1)):
             raise InputError("lambda_grid must be strictly increasing")
         if grid[0] <= 0:
             raise InputError("lambda_grid must be positive")
-        if (not isinstance(self.seed, int) or isinstance(self.seed, bool)
-                or not 0 <= self.seed < _SEED_LIMIT):
-            raise InputError("seed must be an integer in [0, 2**63)")
-        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
-            raise InputError("tolerance must be positive and finite")
+        object.__setattr__(self, "seed", check_int(self.seed, "seed", 0, _SEED_LIMIT - 1))
+        object.__setattr__(self, "tolerance", _check_tolerance(self.tolerance))
         object.__setattr__(self, "cutoffs", cuts)
         object.__setattr__(self, "lambda_grid", grid)
+
+
+def _check_tolerance(tol) -> float:
+    """tol as a float: a real number but bool, finite and positive."""
+    if isinstance(tol, bool) or not isinstance(tol, Real) or not (math.isfinite(tol) and tol > 0):
+        raise InputError(f"tolerance must be a positive finite real, got {tol!r}")
+    return float(tol)
 
 
 @dataclass(frozen=True)
@@ -248,12 +251,9 @@ def estimate_monomial_threshold(exponents, cfg: OracleConfig) -> ExponentEstimat
     coordinate attaining a_max contributes 2 - 2*lambda*a_max to the decay
     exponent past the threshold.
     """
-    exps = tuple(exponents)
+    exps = tuple(check_int(a, "exponent", 1) for a in exponents)
     if not exps:
         raise InputError("exponent list must be nonempty")
-    for a in exps:
-        if not isinstance(a, int) or isinstance(a, bool) or a < 1:
-            raise InputError(f"exponents must be positive integers, got {a!r}")
     _check_work(cfg, len(exps))
     a_max = max(exps)
     a_vec = np.array(exps, dtype=float)
@@ -300,8 +300,7 @@ def estimate_bp_threshold(n: int, cfg: OracleConfig) -> ExponentEstimate:
     radius).  The importance weight is the reciprocal of the full mixture
     density, evaluated exactly for every sample.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 2:
-        raise InputError(f"n must be an integer >= 2, got {n!r}")
+    n = check_int(n, "n", 2)
     _check_work(cfg, n)
     zetas = np.array([np.exp(1j * math.pi * (2 * j + 1) / n) for j in range(n)])
     # Unit direction along line j is (zeta_j, 1)/sqrt(2); unit normal is
@@ -383,11 +382,8 @@ def estimate_bp_threshold(n: int, cfg: OracleConfig) -> ExponentEstimate:
 
 def verify_threshold(analytic, est: ExponentEstimate, tol: float) -> bool:
     """Relative agreement test: |estimate - analytic| / analytic <= tol."""
-    if isinstance(analytic, bool) or not isinstance(analytic, Rational):
-        raise InputError(f"analytic threshold must be rational, got {analytic!r}")
-    analytic = Fraction(analytic)
+    analytic = check_rational(analytic, "analytic threshold")
     if analytic <= 0:
         raise InputError("analytic threshold must be positive")
-    if not (math.isfinite(tol) and tol > 0):
-        raise InputError("tolerance must be positive and finite")
+    tol = _check_tolerance(tol)
     return abs(est.threshold_estimate - float(analytic)) / float(analytic) <= tol

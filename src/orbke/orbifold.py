@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import OrderBelowMinimum, PairwiseCoprimeViolation, WrongLength, InputError
+from .errors import InputError, OrderBelowMinimum, PairwiseCoprimeViolation, WrongLength, check_int
 from .exactmath import Rat, harmonic_sum
 
 CLASSIFICATIONS = ("NotFano", "OldKE", "NewOnlyKE", "NoCriterion")
@@ -40,7 +40,12 @@ CLASSIFICATIONS = ("NotFano", "OldKE", "NewOnlyKE", "NoCriterion")
 
 @dataclass(frozen=True)
 class RamTuple:
-    """Sorted ramification indices of an n-dimensional arrangement orbifold."""
+    """Sorted ramification indices of an n-dimensional arrangement orbifold.
+
+    Construction checks structure only (dimension, length, sorted, first
+    order >= 1): the search builds one per tuple from coprime orders, and
+    outside input goes through `make_tuple` and `check_orders`.
+    """
 
     n: int
     orders: tuple[int, ...]
@@ -88,19 +93,28 @@ def is_pairwise_coprime(orders) -> bool:
     """True iff gcd(mi, mj) = 1 for every pair i != j."""
     prod = 1
     for m in orders:
-        if math.gcd(m, prod) != 1:
+        if math.gcd(check_int(m, "order"), prod) != 1:
             return False
         prod *= m
     return True
 
 
-def _first_coprime_violation(orders):
-    for i in range(len(orders)):
-        for j in range(i + 1, len(orders)):
-            g = math.gcd(orders[i], orders[j])
-            if g != 1:
-                return orders[i], orders[j], g
-    return None
+def check_orders(orders, min_order: int) -> tuple[int, ...]:
+    """orders as plain ints >= min_order, checked nondecreasing and pairwise coprime.
+
+    One gcd scan against the product of the earlier orders finds the first
+    order sharing a prime, and PairwiseCoprimeViolation names that pair.
+    """
+    orders = tuple(check_int(m, "order", min_order, error=OrderBelowMinimum) for m in orders)
+    prod = 1
+    for i, m in enumerate(orders):
+        if i and m < orders[i - 1]:
+            raise InputError(f"orders must be sorted nondecreasing, got {orders}")
+        if math.gcd(m, prod) != 1:
+            a = next(a for a in orders[:i] if math.gcd(a, m) != 1)
+            raise PairwiseCoprimeViolation(f"gcd({a},{m})={math.gcd(a, m)}")
+        prod *= m
+    return orders
 
 
 def make_tuple(n: int, orders, min_order: int = 2) -> RamTuple:
@@ -110,20 +124,12 @@ def make_tuple(n: int, orders, min_order: int = 2) -> RamTuple:
     degenerates to a smaller one); the default 2 matches the usual setting
     where all entries are then automatically distinct.
     """
-    if n < 1:
-        raise InputError(f"dimension must be >= 1, got {n}")
-    if min_order not in (1, 2):
-        raise InputError(f"min_order must be 1 or 2, got {min_order}")
-    orders = tuple(int(m) for m in orders)
+    n = check_int(n, "dimension", 1)
+    min_order = check_int(min_order, "min_order", 1, 2)
+    orders = [check_int(m, "order") for m in orders]
     if len(orders) != n + 2:
         raise WrongLength(f"dimension {n} needs {n + 2} orders, got {len(orders)}")
-    for m in orders:
-        if m < min_order:
-            raise OrderBelowMinimum(f"order {m} is below the minimum {min_order}")
-    if not is_pairwise_coprime(orders):
-        a, b, g = _first_coprime_violation(orders)
-        raise PairwiseCoprimeViolation(f"gcd({a},{b})={g}")
-    return RamTuple(n, tuple(sorted(orders)))
+    return RamTuple(n, check_orders(sorted(orders), min_order))
 
 
 def first_chern(t: RamTuple) -> Rat:

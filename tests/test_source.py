@@ -86,3 +86,21 @@ def test_exact_modules_have_no_floats():
             elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy":
                 found.append(("numpy", node.lineno))
         assert found == [], name
+
+
+def test_integer_checks_go_through_check_int():
+    # errors.check_int is the one integer rule (any Integral but bool, as a
+    # plain int); a hand-rolled isinstance(_, int) elsewhere would drift
+    # from it, as the copies in lct and oracle once rejected numpy integers.
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "isinstance" and len(node.args) == 2):
+                continue
+            kinds = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+            if any(isinstance(k, ast.Name) and k.id == "int" for k in kinds):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
