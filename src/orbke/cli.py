@@ -14,12 +14,20 @@ time the handler took, and writes it.
 Exit codes separate computation from verdict: 0 means a verdict was
 computed (pass or fail alike, read the payload), 1 means the input was
 invalid, 2 means a resource cap stopped the run.
+
+`main(argv)` returns that code instead of exiting, so it can be called
+repeatedly in one process (batch scripts, tests).  It builds the argparse
+tree once per process, at the first call, and parses every later call with
+it: building the tree costs a few milliseconds, more than a one-shot
+certificate itself.  numpy is still imported with the package (the oracle
+commands need it), so a fresh process's start-up is mostly that import.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -92,10 +100,12 @@ _ASSUMPTION_NOTES = {
 
 
 def _rat(x) -> str:
-    """Exact string form: "p/q" (or "p"), with the infinity sentinel as "inf"."""
-    if x is INF:
-        return "inf"
-    return str(Fraction(x))
+    """Exact string form: "p/q" (or "p"), with the infinity sentinel as "inf".
+
+    Every exact value reaching it is an int or a Fraction, and both already
+    print in that form.
+    """
+    return "inf" if x is INF else str(x)
 
 
 def _ineq(name: str, lhs, rhs, holds: bool) -> dict:
@@ -503,7 +513,14 @@ def _cmd_oracle_bp(args, emit: Emitter) -> dict:
 # Parser
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The whole argparse tree, built at the first `main` call and then reused.
+
+    Parsing leaves the parser untouched (every call gets a fresh Namespace
+    and copies of list defaults), so one parser serves every call in the
+    process.
+    """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "csv", "text"), default="json",
                         help="output encoding (default json, one record per line)")
@@ -600,14 +617,13 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="comma-separated cutoff ladder (decreasing)")
         p.add_argument("--grid", default=None, metavar="lo:hi:step",
                        help="lambda probe grid (default spans the analytic value)")
+    parser.add_argument("--version", action="version", version=f"orbke {__version__}")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    parser.add_argument("--version", action="version", version=f"orbke {__version__}")
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors; fold that into the invalid-input code.
         return 0 if exc.code in (0, None) else 1

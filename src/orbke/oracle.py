@@ -90,6 +90,8 @@ class OracleConfig:
     def __post_init__(self):
         object.__setattr__(self, "samples_per_shell",
                            check_int(self.samples_per_shell, "samples_per_shell", _MIN_SAMPLES))
+        if any(isinstance(e, bool) or not isinstance(e, Real) for e in self.cutoffs):
+            raise InputError(f"cutoffs must be real numbers, got {self.cutoffs!r}")
         cuts = tuple(float(e) for e in self.cutoffs)
         if len(cuts) < _MIN_SHELLS:
             raise InputError(f"need at least {_MIN_SHELLS} cutoff shells, got {len(cuts)}")

@@ -42,15 +42,20 @@ CLASSIFICATIONS = ("NotFano", "OldKE", "NewOnlyKE", "NoCriterion")
 class RamTuple:
     """Sorted ramification indices of an n-dimensional arrangement orbifold.
 
-    Construction checks structure only (dimension, length, sorted, first
-    order >= 1): the search builds one per tuple from coprime orders, and
-    outside input goes through `make_tuple` and `check_orders`.
+    Construction checks structure only (integer entries, dimension, length,
+    sorted, first order >= 1): the search builds one per tuple from coprime
+    orders, and outside input goes through `make_tuple` and `check_orders`.
+    Other Integral entries (numpy integers) are stored as plain ints.
     """
 
     n: int
     orders: tuple[int, ...]
 
     def __post_init__(self):
+        if type(self.n) is not int:
+            object.__setattr__(self, "n", check_int(self.n, "dimension"))
+        if not all(type(m) is int for m in self.orders):
+            object.__setattr__(self, "orders", tuple(check_int(m, "order") for m in self.orders))
         if self.n < 1:
             raise InputError(f"dimension must be >= 1, got {self.n}")
         if len(self.orders) != self.n + 2:

@@ -2,17 +2,20 @@
 
 from __future__ import annotations
 
+import argparse
 import csv
 import io
 import os
+import re
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
 
 import orbke
-from orbke import __version__
+from orbke import __version__, cli
 
 from conftest import json_records
 
@@ -492,6 +495,23 @@ class TestRoundTrip:
         assert rec1 == rec2
 
 
+def _fresh_cli(*argv):
+    """`python -m orbke.cli` in a fresh interpreter; (exit_code, stdout, stderr).
+
+    The child imports the package under test, installed or not, and formats
+    usage text for 80 columns.
+    """
+    src = str(Path(orbke.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "orbke.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path, "COLUMNS": "80"},
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
 class TestExitPolicy:
     def test_usage_error_exits_one(self, run_cli):
         assert run_cli("check")[0] == 1
@@ -517,17 +537,9 @@ class TestExitPolicy:
         assert __version__ in out
 
     def test_module_entry_point(self):
-        # The child imports the package under test, installed or not.
-        src = str(Path(orbke.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "orbke.cli", "--version"],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": path},
-        )
-        assert proc.returncode == 0
-        assert __version__ in proc.stdout
+        code, out, _ = _fresh_cli("--version")
+        assert code == 0
+        assert __version__ in out
 
 
 class TestDeterminism:
@@ -552,3 +564,79 @@ class TestDeterminism:
         _, out2, _ = run_cli(*args)
         (r1,), (r2,) = json_records(out1), json_records(out2)
         assert r1["estimate"] == r2["estimate"]
+
+
+def _blank_elapsed(text):
+    """Output text with every elapsed_s value blanked, json-lines or csv."""
+    if not text.startswith("command,"):
+        return re.sub(r'"elapsed_s": [^,}]+', '"elapsed_s": ""', text)
+    rows = list(csv.reader(io.StringIO(text)))
+    drop = None
+    for row in rows:
+        if row[0] == "command":
+            drop = row.index("elapsed_s") if "elapsed_s" in row else None
+        elif drop is not None:
+            row[drop] = ""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
+class TestParserReuse:
+    """`main` builds its parser once per process and parses with it again."""
+
+    CALLS = [
+        *ENVELOPE_CASES.values(),
+        ("check", "--dim", "2", "2", "3", "5", "17", "--format", "csv"),
+        ("enumerate", "--dim", "2", "--format", "text"),
+        ("count", "--dim", "3", "--class", "all", "--max-order", "30", "--jobs", "1"),
+        ("lct", "snc", "--dim", "2", "--divisor", "1:3", "--divisor", "1:5"),
+        ("oracle", "bp", "--n", "2", "--seed", "5", "--samples", "1000", "--tol", "0.5"),
+        ("check", "--dim", "2"),
+        ("frobnicate",),
+        ("--version",),
+        ("lct", "--help"),
+    ]
+
+    def test_parser_is_built_once(self, run_cli, monkeypatch):
+        run_cli("--version")
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        codes = [run_cli(*argv)[0] for argv in self.CALLS]
+        assert codes.count(0) == len(self.CALLS) - 2
+        assert built == []
+
+    # Each call follows one that could leave state behind in a reused parser:
+    # an append list, a non-default choice, a usage error, the version exit
+    # and an explicit seed.
+    SEQUENCE = [
+        ("lct", "snc", "--dim", "2", "--divisor", "1:3", "--divisor", "1:5"),
+        ("lct", "snc", "--dim", "2", "--divisor", "1:3"),
+        ("check", "--dim", "2", "2", "3", "5", "17", "--format", "csv"),
+        ("check", "--dim", "2", "2", "3", "5", "17"),
+        ("check", "--dim", "2"),
+        ("sylvester", "--k", "3"),
+        ("--version",),
+        ("lct", "monomial", "2", "3"),
+        ("oracle", "bp", "--n", "2", "--seed", "5", "--samples", "1000"),
+        ("oracle", "bp", "--n", "2", "--samples", "1000"),
+    ]
+
+    def test_reused_parser_matches_fresh_processes(self, run_cli, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert cli._build_parser() is cli._build_parser()
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            fresh = pool.map(lambda argv: _fresh_cli(*argv), self.SEQUENCE)
+            reused = [run_cli(*argv) for argv in self.SEQUENCE]
+            fresh = list(fresh)
+        for argv, (code, out, err), (fresh_code, fresh_out, fresh_err) in zip(
+                self.SEQUENCE, reused, fresh):
+            assert (code, _blank_elapsed(out), err) == (
+                fresh_code, _blank_elapsed(fresh_out), fresh_err), argv
+        assert [code for code, _, _ in reused] == [0, 0, 0, 0, 1, 0, 0, 0, 0, 0]

@@ -43,7 +43,7 @@ from orbke.errors import (
     check_rational,
 )
 from orbke.oracle import ExponentEstimate
-from orbke.orbifold import check_orders
+from orbke.orbifold import RamTuple, check_orders
 
 GRID = tuple(Fraction(k, 4) for k in range(1, 9))
 
@@ -53,6 +53,8 @@ ENTRY_POINTS = {
     "make_tuple-n": lambda x: make_tuple(x, [2, 3, 5, 17]),
     "make_tuple-order": lambda x: make_tuple(2, [x, 3, 5, 17], min_order=1),
     "make_tuple-min_order": lambda x: make_tuple(2, [2, 3, 5, 17], min_order=x),
+    "RamTuple-n": lambda x: RamTuple(x, (2, 3, 5, 17)),
+    "RamTuple-order": lambda x: RamTuple(2, (x, 3, 5, 17)),
     "SearchConfig-n": lambda x: SearchConfig(n=x),
     "SearchConfig-min_order": lambda x: SearchConfig(n=2, min_order=x, max_order=10),
     "SearchConfig-max_order": lambda x: SearchConfig(n=2, min_order=1, max_order=x),
@@ -106,6 +108,8 @@ def test_numpy_integers_are_accepted_as_int():
     assert factorize(np.int64(12)).primes == (2, 3)
     cfg = SearchConfig(n=np.int64(2), max_order=np.int64(60), classes=("NewOnlyKE", "OldKE"))
     assert type(cfg.n) is int and type(cfg.max_order) is int
+    t = RamTuple(np.int64(2), tuple(np.array([2, 3, 5, 17])))
+    assert t == RamTuple(2, (2, 3, 5, 17)) and all(type(m) is int for m in (t.n, *t.orders))
 
 
 def test_check_int_bounds_raise_the_given_error():
@@ -175,3 +179,16 @@ def test_tolerance_accepts_real_numbers():
     assert verify_threshold(Fraction(1, 2), ESTIMATE, np.float64(0.01))
     assert verify_threshold(Fraction(2, 5), ESTIMATE, 1)
     assert not verify_threshold(Fraction(2, 5), ESTIMATE, 0.2)
+
+
+@pytest.mark.parametrize("bad", ["1e-9", True, None], ids=repr)
+def test_cutoffs_must_be_real_numbers(bad):
+    cuts = [1e-8, bad, 1e-10, 1e-11, 1e-12]
+    with pytest.raises(InputError, match="cutoffs must be real numbers"):
+        OracleConfig(lambda_grid=GRID, cutoffs=tuple(cuts))
+
+
+def test_cutoffs_accept_real_numbers():
+    cfg = OracleConfig(lambda_grid=GRID, cutoffs=(
+        Fraction(1, 10**8), np.float64(1e-9), 1e-10, np.float32(1e-11), 1e-12))
+    assert all(type(e) is float for e in cfg.cutoffs)
