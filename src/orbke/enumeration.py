@@ -19,6 +19,15 @@ coprime-count table built once per prefix for R's smallest primes;
 materialize mode walks to the prefixes of n + 1 orders and lists and
 classifies the coprime last coordinates of each interval.
 
+A parallel count plans exact-weight slices first (`_Search.plan`): a
+slice is a prefix of n orders with a range [lo, hi) of its next order v,
+and its weight is its number of leaves, the v in range coprime to the
+prefix, one inclusion-exclusion count.  The interior nodes of the walk
+and the weights sum to nodes_visited before any leaf is counted.  Below
+POOL_MIN_LEAVES leaves the slices are counted in-process; above it they
+are cut by v range into tasks of at most total/(4*workers) leaves
+(`pool_tasks`) and counted over a process pool in lexicographic order.
+
 Key facts the pruning relies on (all for sorted tuples, exact arithmetic;
 S is the reciprocal sum of the n+1 prefix entries, m the last coordinate):
 
@@ -48,6 +57,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 from .errors import InputError, NodeBudgetExceeded, SearchSpaceTooLarge, check_int
 from .exactmath import (
@@ -63,6 +73,12 @@ from .orbifold import CLASSIFICATIONS, RamTuple, check_orders, classify, make_tu
 _BOUNDED_CLASSES = frozenset({"OldKE", "NewOnlyKE"})
 
 _BRUTE_FORCE_GUARD = 10 ** 8
+
+# Fewest leaves for which a count with parallel_width > 1 starts a pool;
+# below it the planned slices are counted in-process.  Starting and
+# stopping two workers costs more than half the leaf time up to about
+# 12,000 leaves (dimension 4 has 3,512).
+POOL_MIN_LEAVES = 16_000
 
 
 # ---------------------------------------------------------------------------
@@ -249,8 +265,10 @@ class SearchConfig:
     bounds the number of search nodes; hitting it raises
     NodeBudgetExceeded carrying the partial result, and forces serial
     execution so the partial result is deterministic.  parallel_width > 1
-    splits count mode over worker processes, one per prefix subtree at
-    depth min(2, n); materialize mode always runs serially.
+    plans count mode as exact-weight slices of the leaves and counts them
+    in-process below POOL_MIN_LEAVES leaves, else over up to
+    parallel_width worker processes (no more than the CPUs the process may
+    run on); materialize mode always runs serially.
     """
 
     n: int
@@ -383,17 +401,15 @@ class _Search:
             return _meet(window, (pinned[len(prefix)], pinned[len(prefix)] + 1))
         return window
 
-    def _children(self, state):
-        """Yield (v, N*v + P, P*v, primes of v) for each next order v after state.
+    def _children(self, state, window):
+        """Yield (v, N*v + P, P*v, primes of v) for each next order v in window after state.
 
         The one step to the next order at every depth, for count and
         materialize: one node per v, each v with its primes from a
         segmented sieve that skips the multiples of the state's primes.
+        window is a range (lo, hi) of v.
         """
-        prefix, N, P, primes = state
-        window = self._next_window(prefix, N, P)
-        if window is None:
-            return
+        _, N, P, primes = state
         for v, v_primes in coprime_factorizations(*window, primes):
             self._bump()
             yield v, N * v + P, P * v, v_primes
@@ -408,7 +424,10 @@ class _Search:
             yield state
             return
         prefix, _, _, primes = state
-        for v, N, P, v_primes in self._children(state):
+        window = self._next_window(*state[:3])
+        if window is None:
+            return
+        for v, N, P, v_primes in self._children(state, window):
             yield from self.prefixes(depth, (prefix + (v,), N, P, primes + tuple(v_primes)))
 
     def _windows(self, N, P, floor):
@@ -434,20 +453,54 @@ class _Search:
                 windows.append((label, lo, hi))
         return windows
 
+    def _leaf_windows(self, root=_ROOT):
+        """(state, window of the next order v) of every depth-n prefix below root.
+
+        Lexicographic order; prefixes with no candidate are left out, and
+        each state carries its primes ascending.
+        """
+        for prefix, N, P, primes in self.prefixes(self.n, root):
+            window = self._next_window(prefix, N, P)
+            if window is not None:
+                yield (prefix, N, P, tuple(sorted(primes))), window
+
     def count(self, root=_ROOT):
-        """Count every tuple below root, closed-form in the last coordinate.
+        """Count every tuple below root, closed-form in the last coordinate."""
+        for state, window in self._leaf_windows(root):
+            self._count_leaves(state, window)
+
+    def _count_leaves(self, state, window):
+        """Count the tuples after a depth-n state whose next order v lies in window.
 
         Each leaf window is one inclusion-exclusion walk over primes(v) and
-        the prefix's primes outside a coprime-count table built per prefix.
+        the state's primes outside a coprime-count table built once per call.
         """
+        phi, rest = coprime_table(state[3])
         counts = self.counts
-        for prefix, N, P, primes in self.prefixes(self.n, root):
-            primes = tuple(sorted(primes))
-            phi, rest = coprime_table(primes)
-            for v, leaf_N, leaf_P, v_primes in self._children((prefix, N, P, primes)):
-                leaf_primes = sorted(rest + tuple(v_primes))
-                for label, lo, hi in self._windows(leaf_N, leaf_P, v):
-                    counts[label] += _count_positive(lo, hi - 1, leaf_primes, phi)
+        for v, leaf_N, leaf_P, v_primes in self._children(state, window):
+            leaf_primes = sorted(rest + tuple(v_primes))
+            for label, lo, hi in self._windows(leaf_N, leaf_P, v):
+                counts[label] += _count_positive(lo, hi - 1, leaf_primes, phi)
+
+    def plan(self):
+        """The leaf window of every depth-n prefix as one slice, lexicographic.
+
+        A slice is (state, lo, hi, weight): a depth-n state, a range
+        [lo, hi) of its next order v, and its weight, the number of leaves
+        in it (the v in range coprime to the state's primes), one
+        inclusion-exclusion count.  The walk to the states bumps the
+        interior nodes, so they and the weights sum to the nodes_visited of
+        a serial count.
+        """
+        return [
+            (state, lo, hi, _count_positive(lo, hi - 1, state[3]))
+            for state, (lo, hi) in self._leaf_windows()
+        ]
+
+    def count_slices(self, slices):
+        """Count the leaves of planned slices (see plan), in the given order."""
+        for state, lo, hi, _ in slices:
+            self._count_leaves(state, (lo, hi))
 
     def materialize(self):
         for prefix, N, P, _ in self.prefixes(self.n + 1):
@@ -472,17 +525,89 @@ def iter_tuples(cfg: SearchConfig):
     yield from _Search(cfg).materialize()
 
 
+def usable_cpus() -> int | None:
+    """CPUs this process may run on: its affinity set where the platform has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count()
+
+
 def pool_workers(jobs: int, tasks: int, cpus: int | None) -> int:
     """Worker processes for a pool: at most jobs, cpus (None counts as 1) and tasks."""
     return max(1, min(jobs, cpus or 1, tasks))
 
 
-def _run_task(task):
-    """Worker entry: count the subtree below one planned prefix state."""
-    cfg, root = task
+def _leaf_cut(state, lo: int, hi: int, k: int) -> int:
+    """The least x in [lo, hi] with k leaves of state in [lo, x), by bisection on the count."""
+    a, b = lo, hi
+    while a < b:
+        mid = (a + b) // 2
+        if _count_positive(lo, mid - 1, state[3]) < k:
+            a = mid + 1
+        else:
+            b = mid
+    return a
+
+
+def pool_tasks(slices, workers: int):
+    """Deal the slices, in order, into tasks of limit = floor(total/(4*workers)) leaves.
+
+    Each task is a list of consecutive slices filled up to the limit; a
+    slice that overflows the room left is cut by v range where the room
+    is used up (see _leaf_cut), and its rest starts the next task.  So no
+    slice or task weighs more than the limit, every task but the last
+    weighs exactly the limit, and the slices keep lexicographic order and
+    tile the planned windows.
+    """
+    limit = max(1, sum(s[3] for s in slices) // (4 * workers))
+    tasks = []
+    task = []
+    room = limit
+    for state, lo, hi, weight in slices:
+        while weight > room:
+            if room:
+                cut = _leaf_cut(state, lo, hi, room)
+                task.append((state, lo, cut, room))
+                lo, weight = cut, weight - room
+            tasks.append(task)
+            task, room = [], limit
+        task.append((state, lo, hi, weight))
+        room -= weight
+    if task:
+        tasks.append(task)
+    return tasks
+
+
+def _count_task(cfg, task):
+    """Worker entry: count the leaves of one task's slices."""
     search = _Search(cfg)
-    search.count(root)
+    search.count_slices(task)
     return search.counts, search.nodes
+
+
+def _count_sliced(search: _Search):
+    """Count mode over exact-weight slices, in-process or over a process pool.
+
+    The parent plans every slice.  With fewer than POOL_MIN_LEAVES leaves
+    in total, or one usable worker, it counts them itself in plan order,
+    which is the serial order.  Otherwise the slices, cut to at most
+    total/(4*workers) leaves each, go to the pool in lexicographic
+    order, a few to a task (see pool_tasks); their counts and leaf nodes
+    add to the parent's.
+    """
+    cfg = search.cfg
+    slices = search.plan()
+    total = sum(s[3] for s in slices)
+    width = pool_workers(cfg.parallel_width, total, usable_cpus())
+    if width == 1 or total < POOL_MIN_LEAVES:
+        search.count_slices(slices)
+        return
+    with ProcessPoolExecutor(max_workers=width) as pool:
+        for counts, nodes in pool.map(partial(_count_task, cfg), pool_tasks(slices, width)):
+            search.nodes += nodes
+            for label, value in counts.items():
+                search.counts[label] += value
 
 
 def enumerate_tuples(cfg: SearchConfig) -> EnumResult:
@@ -492,23 +617,17 @@ def enumerate_tuples(cfg: SearchConfig) -> EnumResult:
     mode classifies every emitted tuple and cross-checks the label against
     the interval that produced it.  Output order, counts and nodes_visited
     are independent of parallel_width.  Materialize mode runs serially;
-    count mode splits over disjoint prefix subtrees at depth min(2, n) when
-    parallel_width > 1 (not with a node_cap or a prefix_filter, to keep cap
-    semantics and task planning exact).
+    count mode with parallel_width > 1 plans exact-weight slices of the
+    leaves and counts them in-process when the total is small, else over
+    a process pool (see _count_sliced); a node_cap keeps it serial, so
+    the partial result is deterministic.
     """
     search = _Search(cfg)
     tuples = None
     if cfg.mode == "materialize":
         tuples = tuple(search.materialize())
-    elif cfg.parallel_width > 1 and cfg.node_cap is None and cfg.prefix_filter is None:
-        # Count workers start at depth <= n, where the leaf loop takes over.
-        roots = list(search.prefixes(min(2, cfg.n)))
-        width = pool_workers(cfg.parallel_width, len(roots), os.cpu_count())
-        with ProcessPoolExecutor(max_workers=width) as pool:
-            for task_counts, task_nodes in pool.map(_run_task, [(cfg, r) for r in roots]):
-                search.nodes += task_nodes
-                for label, value in task_counts.items():
-                    search.counts[label] += value
+    elif cfg.parallel_width > 1 and cfg.node_cap is None:
+        _count_sliced(search)
     else:
         search.count()
     return EnumResult(

@@ -128,16 +128,22 @@ class TestEnumerate:
         assert code == 1
         assert "max_order" in err
 
-    def test_jobs_do_not_change_the_record(self, run_cli):
-        records = []
-        for jobs in ("1", "2"):
-            code, out, _ = run_cli("count", "--dim", "3", "--jobs", jobs)
-            assert code == 0
-            (rec,) = json_records(out)
-            assert rec["input"].pop("jobs") == int(jobs)
-            rec.pop("elapsed_s")
-            records.append(rec)
-        assert records[0] == records[1]
+    def test_jobs_do_not_change_the_record(self, run_cli, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a small count started a process pool")
+
+        # Both counts are below POOL_MIN_LEAVES, so --jobs 2 runs in-process.
+        monkeypatch.setattr(orbke.enumeration, "ProcessPoolExecutor", no_pool)
+        for dim in ("3", "4"):
+            records = []
+            for jobs in ("1", "2"):
+                code, out, _ = run_cli("count", "--dim", dim, "--jobs", jobs)
+                assert code == 0
+                (rec,) = json_records(out)
+                assert rec["input"].pop("jobs") == int(jobs)
+                rec.pop("elapsed_s")
+                records.append(rec)
+            assert records[0] == records[1]
 
     def test_stream_echoes_the_serial_run(self, run_cli):
         code, out, _ = run_cli("enumerate", "--dim", "2", "--jobs", "4")

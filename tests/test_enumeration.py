@@ -26,7 +26,7 @@ from orbke import (
     sylvester_seq,
 )
 from orbke import enumeration
-from orbke.enumeration import _Search, pool_workers
+from orbke.enumeration import _Search, pool_workers, usable_cpus
 from orbke.errors import InputError, NodeBudgetExceeded, SearchSpaceTooLarge
 from orbke.exactmath import count_coprime_in_range, factorize
 
@@ -327,6 +327,41 @@ class TestEnumerateTuples:
         serial = enumerate_tuples(SearchConfig(n=3, mode="count"))
         par = enumerate_tuples(SearchConfig(n=3, mode="count", parallel_width=4))
         assert par.counts == serial.counts == {"NewOnlyKE": 2484}
+        assert par.nodes_visited == serial.nodes_visited == 34
+
+    @pytest.mark.parametrize("width", [2, 3, 4])
+    def test_parallel_equals_serial_count_dim4(self, width):
+        classes = ("OldKE", "NewOnlyKE")
+        serial = enumerate_tuples(SearchConfig(n=4, mode="count", classes=classes))
+        par = enumerate_tuples(
+            SearchConfig(n=4, mode="count", classes=classes, parallel_width=width)
+        )
+        assert (par.counts, par.nodes_visited) == (serial.counts, serial.nodes_visited)
+        assert serial.counts == {"OldKE": 2943231, "NewOnlyKE": 8369332}
+
+    @pytest.mark.parametrize(
+        "pin, pooled",
+        # (2,3,7,29) holds 1,174 leaves and stays in-process; (2,3,7,79)
+        # holds 17,526, above POOL_MIN_LEAVES; (2,3,7,71,103) pins a whole
+        # depth-5 prefix of 17,108 leaves, so its one window is cut by v range.
+        [((2, 3, 7, 29), False), ((2, 3, 7, 79), True), ((2, 3, 7, 71, 103), True)],
+    )
+    def test_pinned_parallel_equals_serial(self, monkeypatch, pin, pooled):
+        started = []
+        real_pool = enumeration.ProcessPoolExecutor
+
+        def spy(*args, **kwargs):
+            started.append(kwargs.get("max_workers"))
+            return real_pool(*args, **kwargs)
+
+        monkeypatch.setattr(enumeration, "ProcessPoolExecutor", spy)
+        monkeypatch.setattr(enumeration, "usable_cpus", lambda: 2)
+        serial = enumerate_tuples(SearchConfig(n=5, mode="count", prefix_filter=pin))
+        par = enumerate_tuples(
+            SearchConfig(n=5, mode="count", prefix_filter=pin, parallel_width=2)
+        )
+        assert (par.counts, par.nodes_visited) == (serial.counts, serial.nodes_visited)
+        assert started == ([2] if pooled else [])
 
     def test_prefix_filter(self):
         res = enumerate_tuples(
@@ -413,6 +448,56 @@ class TestPoolWorkers:
     def test_at_least_one(self):
         assert pool_workers(4, 0, 8) == 1
         assert pool_workers(4, 6, None) == 1
+
+    def test_usable_cpus_follow_the_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(enumeration.os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+        assert usable_cpus() == 2
+        monkeypatch.delattr(enumeration.os, "sched_getaffinity")
+        assert usable_cpus() == 64
+        monkeypatch.setattr(enumeration.os, "cpu_count", lambda: None)
+        assert pool_workers(4, 6, usable_cpus()) == 1
+
+
+# (interior nodes, leaves) of the NewOnlyKE search in each dimension.
+_TREE_SHAPE = {3: (8, 26), 4: (73, 3512), 5: (5819, 11312563)}
+
+
+class TestSlicePlan:
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_weights_and_interior_nodes_sum_to_nodes_visited(self, n):
+        search = _Search(SearchConfig(n=n, mode="count"))
+        slices = search.plan()
+        interior, leaves = _TREE_SHAPE[n]
+        assert (search.nodes, sum(s[3] for s in slices)) == (interior, leaves)
+        if n < 5:
+            assert enumerate_tuples(SearchConfig(n=n, mode="count")).nodes_visited == (
+                interior + leaves
+            )
+
+    @pytest.mark.parametrize("n, workers", [(3, 2), (4, 2), (4, 3), (5, 2)])
+    def test_tasks_tile_the_windows_in_order(self, n, workers):
+        search = _Search(SearchConfig(n=n, mode="count"))
+        slices = search.plan()
+        total = sum(s[3] for s in slices)
+        tasks = enumeration.pool_tasks(slices, workers)
+        pieces = [piece for task in tasks for piece in task]
+        for task in tasks:
+            assert sum(s[3] for s in task) * 4 * workers <= total
+        assert [(s[0][0], s[1]) for s in pieces] == sorted((s[0][0], s[1]) for s in pieces)
+        # Each prefix's pieces run from its candidate window's start to its
+        # end without a gap, and each weighs the leaves in its range.
+        windows = {}
+        for state, lo, hi, weight in pieces:
+            assert weight == count_coprime_in_range(lo, hi - 1, state[3])
+            assert windows.setdefault(state[0], [lo, lo])[1] == lo < hi
+            windows[state[0]][1] = hi
+        want = {}
+        for prefix, N, P, _ in _Search(search.cfg).prefixes(n):
+            window = search._next_window(prefix, N, P)
+            if window is not None:
+                want[prefix] = list(window)
+        assert windows == want
 
 
 def _hot_prefixes(n, root=()):
