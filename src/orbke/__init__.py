@@ -14,16 +14,14 @@ the criteria.
 
 __version__ = "0.1.0"
 
-from .exactmath import Rat, FactoredInt, factorize, count_coprime_in_range, harmonic_sum
+from .exactmath import Rat, FactoredInt, factorize, count_coprime_in_range
 from .orbifold import (
     RamTuple,
     FanoReport,
     LinkData,
     make_tuple,
-    first_chern,
     classify,
     link_weights,
-    is_pairwise_coprime,
 )
 from .enumeration import (
     SylvesterFamily,
@@ -66,15 +64,12 @@ __all__ = [
     "FactoredInt",
     "factorize",
     "count_coprime_in_range",
-    "harmonic_sum",
     "RamTuple",
     "FanoReport",
     "LinkData",
     "make_tuple",
-    "first_chern",
     "classify",
     "link_weights",
-    "is_pairwise_coprime",
     "SylvesterFamily",
     "SearchConfig",
     "EnumResult",

@@ -319,11 +319,3 @@ def coprime_in_range(lo: int, hi: int, modulus: int):
     for k in range(lo, hi + 1):
         if math.gcd(k, modulus) == 1:
             yield k
-
-
-def harmonic_sum(orders) -> Rat:
-    """Exact sum of reciprocals of the given positive integers."""
-    total = Fraction(0)
-    for m in orders:
-        total += Fraction(1, check_int(m, "order", 1))
-    return total

@@ -35,6 +35,14 @@ threshold.  Sampling is importance-weighted toward the divisor
 (uniform-area/log-radius mixtures), since uniform sampling under-resolves
 the singular locus.
 
+Arrays are laid out as rows of samples.  A point of C^2 is four real rows
+(Re u, Im u, Re v, Im v), and a quantity with one value per line or per
+coordinate is an (n, samples) array reduced along axis 0, so every numpy
+call runs over long contiguous rows in real arithmetic.  Each sampler
+keeps its scratch arrays from shell to shell.  The pipeline masks log f
+and log w once per shell, then integrates every lambda in place in one
+reused buffer.
+
 All randomness flows from counter-based Philox streams keyed by (seed,
 shell), so estimates are bit-identical for a given config no matter how the
 (lambda, shell) work is scheduled.  Before anything is sampled, the array
@@ -172,11 +180,16 @@ def _slope_fit(log_eps, log_i):
     return slope, se
 
 
-def _log_mean_exp(arg, mask):
-    """log(mean(exp(arg) * mask)), stabilized; mask must select something."""
-    arg = arg[mask]
-    top = float(arg.max())
-    return top + math.log(float(np.exp(arg - top).sum()) / mask.size)
+def _log_mean_exp(buf, total: int) -> float:
+    """log(sum(exp(buf)) / total), stabilized; buf must be nonempty.
+
+    buf is overwritten: it is shifted by its maximum and exponentiated in
+    place.
+    """
+    top = float(buf.max())
+    buf -= top
+    np.exp(buf, out=buf)
+    return top + math.log(float(buf.sum()) / total)
 
 
 def _extract_threshold(grid, slopes, ses, k_coeff) -> ExponentEstimate:
@@ -216,11 +229,17 @@ def _estimate(sample, k_coeff: float, cfg: OracleConfig) -> ExponentEstimate:
     sample(rng, eps) returns (log_f, log_w, mask) for one shell's draws:
     the log of |f|, the log importance weight (domain measure over sampling
     density), and which draws lie in the cutoff domain.  Entries outside
-    the mask are ignored but must be finite.
+    the mask are ignored; the returned arrays are only read.
+
+    Each shell is integrated in place: log_f and log_w are masked once, and
+    every lambda reuses one buffer for -2 lambda log_f + log_w, its shift by
+    the maximum and its exponential.  The mean runs over all the shell's
+    draws, so masked-out draws count as zeros.
     """
     lam_f = [float(l) for l in cfg.lambda_grid]
     log_eps = np.empty(len(cfg.cutoffs))
     log_i = np.empty((len(lam_f), len(cfg.cutoffs)))
+    scratch = np.empty(cfg.samples_per_shell)
     for shell, eps in enumerate(cfg.cutoffs):
         log_eps[shell] = math.log(eps)
         log_f, log_w, mask = sample(_shell_rng(cfg.seed, shell), eps)
@@ -229,8 +248,13 @@ def _estimate(sample, k_coeff: float, cfg: OracleConfig) -> ExponentEstimate:
                 f"no admissible samples at cutoff {eps}: the cutoff neighborhood "
                 "covers the sampled domain or samples_per_shell is too small"
             )
+        if not mask.all():
+            log_f, log_w = log_f[mask], log_w[mask]
+        buf = scratch[:log_f.size]
         for j, lam in enumerate(lam_f):
-            log_i[j, shell] = _log_mean_exp(-2.0 * lam * log_f + log_w, mask)
+            np.multiply(log_f, -2.0 * lam, out=buf)
+            buf += log_w
+            log_i[j, shell] = _log_mean_exp(buf, mask.size)
     fits = [_slope_fit(log_eps, row) for row in log_i]
     return _extract_threshold(
         cfg.lambda_grid, [sl for sl, _ in fits], [se for _, se in fits], k_coeff
@@ -258,21 +282,49 @@ def estimate_monomial_threshold(exponents, cfg: OracleConfig) -> ExponentEstimat
         raise InputError("exponent list must be nonempty")
     _check_work(cfg, len(exps))
     a_max = max(exps)
-    a_vec = np.array(exps, dtype=float)
+    return _estimate(
+        _monomial_sampler(exps, cfg.samples_per_shell), 2.0 * a_max * exps.count(a_max), cfg
+    )
+
+
+def _monomial_sampler(exps, n_s):
+    """sample(rng, eps) for the monomial integrand, one row per coordinate."""
+    k = len(exps)
+    a_col = np.array(exps, dtype=float)[:, None]
+    # Scratch reused by every shell; log_f, log_w and mask are new each shell.
+    scratch = tuple(np.empty((k, n_s)) for _ in range(3))
 
     def sample(rng, eps):
-        n, k = cfg.samples_per_shell, len(exps)
-        pick_log = rng.random((n, k)) < 0.5
-        u = rng.random((n, k))
-        r_area = np.sqrt(eps * eps + u * (1 - eps * eps))
-        r_log = np.exp(u * math.log(eps))
-        r = np.where(pick_log, r_log, r_area)
-        dens = 0.5 * (2 * r / (1 - eps * eps)) + 0.5 / (r * math.log(1 / eps))
+        r, tmp, dens = scratch
+        # Draws keep their (samples, coordinates) shape; the transposes are
+        # (coordinates, samples) rows.
+        pick_log = rng.random((n_s, k)).T < 0.5
+        u = rng.random((n_s, k)).T
+        np.multiply(u, math.log(eps), out=r)
+        np.exp(r, out=r)
+        np.multiply(u, 1 - eps * eps, out=tmp)
+        tmp += eps * eps
+        np.sqrt(tmp, out=tmp)
+        # r = pick_log ? r_log : r_area, selected exactly by 0/1 products.
+        r *= pick_log
+        tmp *= ~pick_log
+        r += tmp
+        # Mixture density r/(1-eps^2) + 1/(2 r log(1/eps)).
+        np.multiply(r, math.log(1 / eps), out=dens)
+        np.divide(0.5, dens, out=dens)
+        np.divide(r, 1 - eps * eps, out=tmp)
+        dens += tmp
+        np.log(dens, out=dens)
         # Angular part integrates to 2*pi*r per coordinate.
-        log_w = (np.log(2 * math.pi * r) - np.log(dens)).sum(axis=1)
-        return np.log(r) @ a_vec, log_w, np.ones(n, dtype=bool)
+        np.multiply(r, 2 * math.pi, out=tmp)
+        np.log(tmp, out=tmp)
+        tmp -= dens
+        log_w = np.add.reduce(tmp, axis=0)
+        np.log(r, out=r)
+        r *= a_col
+        return np.add.reduce(r, axis=0), log_w, np.ones(n_s, dtype=bool)
 
-    return _estimate(sample, 2.0 * a_max * exps.count(a_max), cfg)
+    return sample
 
 
 # ---------------------------------------------------------------------------
@@ -280,11 +332,16 @@ def estimate_monomial_threshold(exponents, cfg: OracleConfig) -> ExponentEstimat
 
 
 def _direction_times_radius(rng, size, radius):
-    """Points of C^2 with uniform direction on S^3 and length radius(uniform)."""
-    g = rng.standard_normal((size, 4))
-    g /= np.linalg.norm(g, axis=1, keepdims=True)
-    xy = g * radius(rng.random(size))[:, None]
-    return xy[:, 0] + 1j * xy[:, 1], xy[:, 2] + 1j * xy[:, 3]
+    """Rows (Re u, Im u, Re v, Im v) of points of C^2 with uniform direction
+    on S^3 and length radius(uniform)."""
+    g = np.ascontiguousarray(rng.standard_normal((size, 4)).T)
+    scale = radius(rng.random(size))
+    norm2 = g[0] * g[0]
+    for row in g[1:]:
+        norm2 += row * row
+    scale /= np.sqrt(norm2)
+    g *= scale
+    return g
 
 
 def estimate_bp_threshold(n: int, cfg: OracleConfig) -> ExponentEstimate:
@@ -304,82 +361,126 @@ def estimate_bp_threshold(n: int, cfg: OracleConfig) -> ExponentEstimate:
     """
     n = check_int(n, "n", 2)
     _check_work(cfg, n)
-    zetas = np.array([np.exp(1j * math.pi * (2 * j + 1) / n) for j in range(n)])
-    # Unit direction along line j is (zeta_j, 1)/sqrt(2); unit normal is
-    # (1, -conj(zeta_j))/sqrt(2).  In those coordinates dist(x, L_j) = |w|.
+    return _estimate(_bp_sampler(n, cfg.samples_per_shell), 2.0 * n, cfg)
+
+
+def _bp_sampler(n, n_s):
+    """sample(rng, eps) for the binomial integrand, one row per line.
+
+    A point is four real rows (Re u, Im u, Re v, Im v), and every per-line
+    quantity is an (n, samples) array built from real multiply-adds.
+    """
+    # zeta_j = za_j + i zb_j.  Unit direction along line j is (zeta_j, 1)/sqrt(2);
+    # unit normal is (1, -conj(zeta_j))/sqrt(2).  In those coordinates
+    # dist(x, L_j) = |w_j| with w_j = (u - zeta_j v)/sqrt(2).
+    angles = [math.pi * (2 * j + 1) / n for j in range(n)]
+    za, zb = np.cos(angles), np.sin(angles)
     inv_sqrt2 = 1 / math.sqrt(2)
     w_ball, w_origin, w_tube = 0.4, 0.3, 0.3
     vol_ball = math.pi ** 2 / 2
     area_s3 = 2 * math.pi ** 2
+    # Scratch reused by every shell: the point rows, three per-line arrays
+    # and four single rows.  Only log_f, log_w and mask are new each shell.
+    scratch = (
+        np.empty((4, n_s)), np.empty((n, n_s)), np.empty((n, n_s)),
+        np.empty((n, n_s), dtype=bool), np.empty((4, n_s)),
+    )
 
     def sample(rng, eps):
-        n_s = cfg.samples_per_shell
+        x, w_abs, terms, tube_ok, (norm2, p, q, t) = scratch
         log_inv_eps = math.log(1 / eps)
         comp = rng.choice(3, size=n_s, p=[w_ball, w_origin, w_tube])
-        u = np.empty(n_s, dtype=complex)
-        v = np.empty(n_s, dtype=complex)
         for c_id, radius in (
             (0, lambda t: t ** 0.25),
             (1, lambda t: np.exp(t * math.log(eps))),
         ):
             idx = np.flatnonzero(comp == c_id)
             if idx.size:
-                u[idx], v[idx] = _direction_times_radius(rng, idx.size, radius)
+                for row, vals in zip(x, _direction_times_radius(rng, idx.size, radius)):
+                    row[idx] = vals
 
         tube_idx = np.flatnonzero(comp == 2)
-        tube_line = tube_rad = None
-        if tube_idx.size:
-            tube_line = rng.integers(0, n, size=tube_idx.size)
-            c_rad = np.sqrt(rng.random(tube_idx.size))
-            c_ang = rng.random(tube_idx.size) * 2 * math.pi
-            c = c_rad * np.exp(1j * c_ang)
-            tube_rad = np.exp(rng.random(tube_idx.size) * math.log(eps))
-            s_ang = rng.random(tube_idx.size) * 2 * math.pi
-            w = tube_rad * np.exp(1j * s_ang)
-            z = zetas[tube_line]
-            u[tube_idx] = (c * z + w) * inv_sqrt2
-            v[tube_idx] = (c - w * np.conj(z)) * inv_sqrt2
+        m = tube_idx.size
+        if m:
+            tube_line = rng.integers(0, n, size=m)
+            c_rad = np.sqrt(rng.random(m))
+            c_ang = rng.random(m) * 2 * math.pi
+            tube_rad = np.exp(rng.random(m) * math.log(eps))
+            s_ang = rng.random(m) * 2 * math.pi
+            cr, ci = c_rad * np.cos(c_ang), c_rad * np.sin(c_ang)
+            wr, wi = tube_rad * np.cos(s_ang), tube_rad * np.sin(s_ang)
+            a, b = za[tube_line], zb[tube_line]
+            # x = c * direction + w * normal, in real rows.
+            x[0, tube_idx] = (cr * a - ci * b + wr) * inv_sqrt2
+            x[1, tube_idx] = (cr * b + ci * a + wi) * inv_sqrt2
+            x[2, tube_idx] = (cr - (wr * a + wi * b)) * inv_sqrt2
+            x[3, tube_idx] = (ci - (wi * a - wr * b)) * inv_sqrt2
 
-        norm2 = (u * np.conj(u) + v * np.conj(v)).real
-        # Transverse coordinates to every line at once: w_j = <x, normal_j>.
-        w_all = (u[:, None] - v[:, None] * zetas[None, :]) * inv_sqrt2
-        w_abs = np.abs(w_all)
-        if tube_idx.size:
+        ur, ui, vr, vi = x
+        np.multiply(ur, ur, out=norm2)
+        for row in (ui, vr, vi):
+            np.multiply(row, row, out=t)
+            norm2 += t
+        # Per line j, with zeta_j v = p + i q: 2|w_j|^2 = (ur - p)^2 + (ui - q)^2.
+        for j in range(n):
+            a, b = za[j], zb[j]
+            np.multiply(vr, a, out=p)
+            np.multiply(vi, b, out=t)
+            p -= t
+            np.multiply(vr, b, out=q)
+            np.multiply(vi, a, out=t)
+            q += t
+            np.subtract(ur, p, out=t)
+            np.multiply(t, t, out=w_abs[j])
+            np.subtract(ui, q, out=t)
+            t *= t
+            w_abs[j] += t
+        w_abs *= 0.5
+        # The along-line coordinate c_j = (conj(zeta_j) u + v)/sqrt(2) has
+        # |c_j|^2 + |w_j|^2 = |x|^2 (parallelogram law), so the tube's
+        # along-line bound |c_j| <= 1 reads |w_j|^2 >= |x|^2 - 1.
+        np.subtract(norm2, 1.0, out=t)
+        np.greater_equal(w_abs, t, out=tube_ok)
+        np.sqrt(w_abs, out=w_abs)
+        if m:
             # A tube sample's distance to its own line is the sampled radius
             # exactly; recomputing it as u - zeta*v cancels catastrophically
             # once the radius is near float epsilon.
-            w_abs[tube_idx, tube_line] = tube_rad
-        # Along-line coordinate c_j = <x, direction_j>.
-        c_all = (u[:, None] * np.conj(zetas)[None, :] + v[:, None]) * inv_sqrt2
-        dist = w_abs.min(axis=1)
-        mask = (norm2 <= 1.0) & (dist >= eps)
+            w_abs[tube_line, tube_idx] = tube_rad
+        inside = norm2 <= 1.0
+        mask = inside & (np.minimum.reduce(w_abs, axis=0) >= eps)
+        tube_ok &= w_abs >= eps
+        tube_ok &= w_abs <= 1.0
 
-        dens = np.zeros(n_s)
-        inside_ball = norm2 <= 1.0
-        dens += w_ball * inside_ball / vol_ball
-        rad = np.sqrt(norm2)
-        origin_ok = (rad >= eps) & (rad <= 1.0)
-        with np.errstate(divide="ignore"):
-            dens += np.where(
-                origin_ok, w_origin / (area_s3 * log_inv_eps * rad ** 4), 0.0
-            )
-        tube_ok = (np.abs(c_all) <= 1.0) & (w_abs >= eps) & (w_abs <= 1.0)
-        tube_dens = np.where(
-            tube_ok, 1.0 / (math.pi * 2 * math.pi * w_abs ** 2 * log_inv_eps), 0.0
-        ).sum(axis=1)
-        dens += w_tube * tube_dens / n
+        # Mixture density: ball + origin + the mean of the n tube densities.
+        # A point on a line or at the origin divides by zero here; it lies
+        # outside the mask, whose entries are overwritten below.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.multiply(norm2, norm2, out=t)
+            dens = np.divide(inside & (norm2 >= eps * eps), t)
+            dens *= w_origin / (area_s3 * log_inv_eps)
+            np.multiply(inside, w_ball / vol_ball, out=t)
+            dens += t
+            # Tube j has density 1/(pi * 2 pi |w_j|^2 log(1/eps)): uniform on
+            # the unit disc along the line, log-uniform in the transverse radius.
+            np.multiply(w_abs, w_abs, out=terms)
+            np.divide(tube_ok, terms, out=terms)
+            tube_norm = math.pi * 2 * math.pi * log_inv_eps
+            dens += np.add.reduce(terms, axis=0) * (w_tube / (n * tube_norm))
 
-        # |u^n + v^n| equals the product of the n line distances times
-        # sqrt(2)^n; summing logs of the patched distances stays stable
-        # arbitrarily close to the divisor.
-        with np.errstate(divide="ignore"):
-            log_f = np.where(
-                mask, np.log(w_abs).sum(axis=1) + n * math.log(math.sqrt(2)), 0.0
-            )
-            log_w = np.where(mask, -np.log(dens), 0.0)
+            # |u^n + v^n| equals the product of the n line distances times
+            # sqrt(2)^n; summing logs of the patched distances stays stable
+            # arbitrarily close to the divisor.
+            log_f = np.add.reduce(np.log(w_abs, out=w_abs), axis=0)
+            log_f += n * math.log(math.sqrt(2))
+            log_w = np.log(dens)
+        np.negative(log_w, out=log_w)
+        outside = ~mask
+        np.copyto(log_f, 0.0, where=outside)
+        np.copyto(log_w, 0.0, where=outside)
         return log_f, log_w, mask
 
-    return _estimate(sample, 2.0 * n, cfg)
+    return sample
 
 
 def verify_threshold(analytic, est: ExponentEstimate, tol: float) -> bool:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError, OrderBelowMinimum, PairwiseCoprimeViolation, WrongLength, check_int
-from .exactmath import Rat, harmonic_sum
+from .exactmath import Rat
 
 CLASSIFICATIONS = ("NotFano", "OldKE", "NewOnlyKE", "NoCriterion")
 
@@ -94,16 +94,6 @@ class LinkData:
     weights: tuple[int, ...]
 
 
-def is_pairwise_coprime(orders) -> bool:
-    """True iff gcd(mi, mj) = 1 for every pair i != j."""
-    prod = 1
-    for m in orders:
-        if math.gcd(check_int(m, "order"), prod) != 1:
-            return False
-        prod *= m
-    return True
-
-
 def check_orders(orders, min_order: int) -> tuple[int, ...]:
     """orders as plain ints >= min_order, checked nondecreasing and pairwise coprime.
 
@@ -135,11 +125,6 @@ def make_tuple(n: int, orders, min_order: int = 2) -> RamTuple:
     if len(orders) != n + 2:
         raise WrongLength(f"dimension {n} needs {n + 2} orders, got {len(orders)}")
     return RamTuple(n, check_orders(sorted(orders), min_order))
-
-
-def first_chern(t: RamTuple) -> Rat:
-    """c1 of the pair, identified with sum(1/mi) - 1."""
-    return harmonic_sum(t.orders) - 1
 
 
 def classify(t: RamTuple) -> FanoReport:

@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbke import count_coprime_in_range, factorize, harmonic_sum
+from orbke import classify, count_coprime_in_range, factorize
 from orbke import exactmath
-from orbke.errors import InputError
+from orbke.errors import InputError, OrderBelowMinimum, WrongLength
 from orbke.exactmath import (
     _BLOCK_CAP,
     _BLOCK_FIRST,
@@ -24,6 +24,7 @@ from orbke.exactmath import (
     coprime_table,
     is_probable_prime,
 )
+from orbke.orbifold import RamTuple
 
 
 def _trial_division(n):
@@ -259,25 +260,39 @@ class TestCoprimeFactorizations:
         assert tops and max(tops) <= 100
 
 
+def harmonic_sum(orders):
+    """Reference sum of reciprocals, one Fraction at a time."""
+    return sum((Fraction(1, m) for m in orders), Fraction(0))
+
+
+def c1_plus_one(orders):
+    """sum(1/mi) as classify computes it, on integers: c1 + 1 = D/P + 1."""
+    return classify(RamTuple(len(orders) - 2, tuple(sorted(orders)))).c1 + 1
+
+
 class TestHarmonicSum:
+    # The harmonic sum of the orders is c1 + 1; classify computes it as an
+    # integer numerator over the product of the orders.
     def test_235(self):
-        assert harmonic_sum([2, 3, 5]) == Fraction(31, 30)
+        assert c1_plus_one([2, 3, 5]) == harmonic_sum([2, 3, 5]) == Fraction(31, 30)
 
     def test_empty(self):
-        assert harmonic_sum([]) == 0
+        # No orbifold has fewer than three orders, so there is no empty sum.
+        with pytest.raises(WrongLength):
+            RamTuple(1, ())
 
     def test_sylvester_prefix(self):
-        assert harmonic_sum([2, 3, 7, 43]) == Fraction(1805, 1806)
+        assert c1_plus_one([2, 3, 7, 43]) == Fraction(1805, 1806)
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(InputError):
-            harmonic_sum([2, 0, 3])
+        with pytest.raises(OrderBelowMinimum):
+            RamTuple(1, (0, 2, 3))
 
-    @given(st.lists(st.integers(min_value=1, max_value=10**6), max_size=12))
+    @given(st.lists(st.integers(min_value=1, max_value=10**6), min_size=3, max_size=12))
     @settings(max_examples=100, deadline=None)
     def test_exactness(self, orders):
-        total = harmonic_sum(orders)
-        assert total == sum(Fraction(1, m) for m in orders)
+        # Orders need not be coprime here: the integer path is exact for any.
+        assert c1_plus_one(orders) == harmonic_sum(orders)
 
 
 _rats = st.fractions(

@@ -1,5 +1,6 @@
 """Monte-Carlo integrability oracle: protocol validation, determinism,
-slope behavior at the grid extremes, and threshold recovery.
+slope behavior at the grid extremes, threshold recovery, and the row-layout
+integrands against their complex (samples, lines) references.
 
 Module tests run with reduced sample counts to stay fast; the full-budget
 agreement runs for every acceptance case live in test_acceptance.py.
@@ -7,8 +8,10 @@ agreement runs for every acceptance case live in test_acceptance.py.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from orbke import (
@@ -19,7 +22,16 @@ from orbke import (
     verify_threshold,
 )
 from orbke.errors import InputError, ThresholdOutsideGrid
-from orbke.oracle import MAX_CELLS, MAX_EVALUATIONS, _check_work
+from orbke.oracle import (
+    MAX_CELLS,
+    MAX_EVALUATIONS,
+    _bp_sampler,
+    _check_work,
+    _estimate,
+    _log_mean_exp,
+    _monomial_sampler,
+    _shell_rng,
+)
 
 # Shallower ladder + fewer samples: ~10x faster, still adequate for the
 # coarse checks below (acceptance runs use the defaults).
@@ -225,3 +237,153 @@ class TestVerifyThreshold:
         # An infinite tolerance would pass every estimate.
         with pytest.raises(InputError):
             verify_threshold(1, self._fake(1.0), float("inf"))
+
+
+# ---------------------------------------------------------------------------
+# Reference integrands: the (samples, lines) layout in complex arithmetic
+# that the row layout replaced.  Same draws in the same order.
+
+
+def _reference_monomial(exps, n_s):
+    a_vec = np.array(exps, dtype=float)
+
+    def sample(rng, eps):
+        k = len(exps)
+        pick_log = rng.random((n_s, k)) < 0.5
+        u = rng.random((n_s, k))
+        r_area = np.sqrt(eps * eps + u * (1 - eps * eps))
+        r_log = np.exp(u * math.log(eps))
+        r = np.where(pick_log, r_log, r_area)
+        dens = 0.5 * (2 * r / (1 - eps * eps)) + 0.5 / (r * math.log(1 / eps))
+        log_w = (np.log(2 * math.pi * r) - np.log(dens)).sum(axis=1)
+        return np.log(r) @ a_vec, log_w, np.ones(n_s, dtype=bool)
+
+    return sample
+
+
+def _reference_direction_times_radius(rng, size, radius):
+    g = rng.standard_normal((size, 4))
+    g /= np.linalg.norm(g, axis=1, keepdims=True)
+    xy = g * radius(rng.random(size))[:, None]
+    return xy[:, 0] + 1j * xy[:, 1], xy[:, 2] + 1j * xy[:, 3]
+
+
+def _reference_bp(n, n_s):
+    zetas = np.array([np.exp(1j * math.pi * (2 * j + 1) / n) for j in range(n)])
+    inv_sqrt2 = 1 / math.sqrt(2)
+    w_ball, w_origin, w_tube = 0.4, 0.3, 0.3
+    vol_ball = math.pi ** 2 / 2
+    area_s3 = 2 * math.pi ** 2
+
+    def sample(rng, eps):
+        log_inv_eps = math.log(1 / eps)
+        comp = rng.choice(3, size=n_s, p=[w_ball, w_origin, w_tube])
+        u = np.empty(n_s, dtype=complex)
+        v = np.empty(n_s, dtype=complex)
+        for c_id, radius in ((0, lambda t: t ** 0.25), (1, lambda t: np.exp(t * math.log(eps)))):
+            idx = np.flatnonzero(comp == c_id)
+            if idx.size:
+                u[idx], v[idx] = _reference_direction_times_radius(rng, idx.size, radius)
+        tube_idx = np.flatnonzero(comp == 2)
+        if tube_idx.size:
+            tube_line = rng.integers(0, n, size=tube_idx.size)
+            c = np.sqrt(rng.random(tube_idx.size)) * np.exp(
+                1j * rng.random(tube_idx.size) * 2 * math.pi)
+            tube_rad = np.exp(rng.random(tube_idx.size) * math.log(eps))
+            w = tube_rad * np.exp(1j * rng.random(tube_idx.size) * 2 * math.pi)
+            z = zetas[tube_line]
+            u[tube_idx] = (c * z + w) * inv_sqrt2
+            v[tube_idx] = (c - w * np.conj(z)) * inv_sqrt2
+        norm2 = (u * np.conj(u) + v * np.conj(v)).real
+        w_abs = np.abs((u[:, None] - v[:, None] * zetas[None, :]) * inv_sqrt2)
+        if tube_idx.size:
+            w_abs[tube_idx, tube_line] = tube_rad
+        c_all = (u[:, None] * np.conj(zetas)[None, :] + v[:, None]) * inv_sqrt2
+        mask = (norm2 <= 1.0) & (w_abs.min(axis=1) >= eps)
+        dens = np.zeros(n_s)
+        dens += w_ball * (norm2 <= 1.0) / vol_ball
+        rad = np.sqrt(norm2)
+        with np.errstate(divide="ignore"):
+            dens += np.where((rad >= eps) & (rad <= 1.0),
+                             w_origin / (area_s3 * log_inv_eps * rad ** 4), 0.0)
+        tube_ok = (np.abs(c_all) <= 1.0) & (w_abs >= eps) & (w_abs <= 1.0)
+        dens += w_tube * np.where(
+            tube_ok, 1.0 / (math.pi * 2 * math.pi * w_abs ** 2 * log_inv_eps), 0.0
+        ).sum(axis=1) / n
+        with np.errstate(divide="ignore"):
+            log_f = np.where(mask, np.log(w_abs).sum(axis=1) + n * math.log(math.sqrt(2)), 0.0)
+            log_w = np.where(mask, -np.log(dens), 0.0)
+        return log_f, log_w, mask
+
+    return sample
+
+
+REFERENCE_SAMPLES = 2000
+REFERENCE_SHELLS = (0, 4, 8)
+DEFAULT_CUTOFFS = OracleConfig(lambda_grid=(1, 2, 3)).cutoffs
+
+
+def _assert_same_integrand(sampler, reference, seed):
+    # One sampler serves every shell, as in _estimate, so its reused scratch
+    # is exercised across shells.
+    for shell in REFERENCE_SHELLS:
+        eps = DEFAULT_CUTOFFS[shell]
+        log_f, log_w, mask = sampler(_shell_rng(seed, shell), eps)
+        ref_f, ref_w, ref_mask = reference(_shell_rng(seed, shell), eps)
+        np.testing.assert_array_equal(mask, ref_mask)
+        assert mask.any()
+        # Both logs pass through zero, where no relative bound holds; the
+        # 1e-14 floor is about 50 ulps of 1.0.
+        np.testing.assert_allclose(log_f[mask], ref_f[mask], rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(log_w[mask], ref_w[mask], rtol=1e-12, atol=1e-14)
+
+
+class TestRowLayoutMatchesReference:
+    @pytest.mark.parametrize("seed", [3, 20260814])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_bp(self, n, seed):
+        _assert_same_integrand(
+            _bp_sampler(n, REFERENCE_SAMPLES), _reference_bp(n, REFERENCE_SAMPLES), seed
+        )
+
+    @pytest.mark.parametrize("seed", [3, 20260814])
+    @pytest.mark.parametrize("exps", [(1,), (4,), (1, 3), (2, 2, 5)])
+    def test_monomial(self, exps, seed):
+        _assert_same_integrand(
+            _monomial_sampler(exps, REFERENCE_SAMPLES),
+            _reference_monomial(exps, REFERENCE_SAMPLES), seed,
+        )
+
+
+class TestInPlaceIntegration:
+    @pytest.mark.parametrize("make, arg, k_coeff, analytic", [
+        (_bp_sampler, 3, 6.0, Fraction(2, 3)),
+        (_monomial_sampler, (1, 2), 4.0, Fraction(1, 2)),
+    ])
+    def test_estimate_leaves_sampler_arrays_alone(self, make, arg, k_coeff, analytic):
+        cfg = OracleConfig(lambda_grid=grid_around(analytic), **FAST)
+        inner = make(arg, cfg.samples_per_shell)
+        seen = []
+
+        def spy(rng, eps):
+            out = inner(rng, eps)
+            seen.append((out, tuple(a.copy() for a in out)))
+            return out
+
+        _estimate(spy, k_coeff, cfg)
+        assert len(seen) == len(cfg.cutoffs)
+        for out, copies in seen:
+            for got, want in zip(out, copies):
+                np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("center", [800.0, -800.0])
+    def test_log_mean_exp_is_stable_near_800(self, center):
+        # exp(800) overflows and exp(-800) underflows, so only the shift by
+        # the maximum keeps the result finite.
+        arg = center + np.random.default_rng(5).uniform(-30.0, 2.0, 500)
+        total = 640
+        top = float(arg.max())
+        want = top + math.log(math.fsum(math.exp(a - top) for a in arg) / total)
+        got = _log_mean_exp(arg.copy(), total)
+        assert math.isfinite(got)
+        assert got == pytest.approx(want, rel=1e-14)

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbke import classify, first_chern, is_pairwise_coprime, link_weights, make_tuple
+from orbke import classify, link_weights, make_tuple
 from orbke.errors import InputError, OrderBelowMinimum, PairwiseCoprimeViolation, WrongLength
-from orbke.orbifold import RamTuple
+from orbke.orbifold import RamTuple, check_orders
 
 from conftest import assert_pairwise_coprime, coprime_orders
 
@@ -57,14 +57,15 @@ class TestRamTuple:
 
 
 class TestFirstChern:
+    # c1 = sum(1/mi) - 1, as classify reports it.
     def test_new_example(self):
-        assert first_chern(make_tuple(2, [2, 3, 5, 17])) == Fraction(47, 510)
+        assert classify(make_tuple(2, [2, 3, 5, 17])).c1 == Fraction(47, 510)
 
     def test_trivial_orbifold(self):
-        assert first_chern(make_tuple(2, [1, 1, 1, 1], min_order=1)) == 3
+        assert classify(make_tuple(2, [1, 1, 1, 1], min_order=1)).c1 == 3
 
     def test_sylvester_boundary(self):
-        assert first_chern(make_tuple(2, [2, 3, 7, 43])) == Fraction(-1, 1806)
+        assert classify(make_tuple(2, [2, 3, 7, 43])).c1 == Fraction(-1, 1806)
 
 
 class TestClassify:
@@ -116,20 +117,23 @@ class TestLinkWeights:
 
 
 class TestIsPairwiseCoprime:
+    # check_orders is the one pairwise-coprime check: it returns coprime
+    # orders and raises PairwiseCoprimeViolation on a shared prime.
     def test_prime_power_entry(self):
-        assert is_pairwise_coprime([2, 3, 5, 49])
+        assert check_orders([2, 3, 5, 49], 2) == (2, 3, 5, 49)
 
     def test_shared_factor(self):
-        assert not is_pairwise_coprime([2, 3, 5, 15])
+        with pytest.raises(PairwiseCoprimeViolation, match=r"gcd\(3,15\)=3"):
+            check_orders([2, 3, 5, 15], 2)
 
     def test_singleton(self):
-        assert is_pairwise_coprime([7])
+        assert check_orders([7], 2) == (7,)
 
     def test_empty(self):
-        assert is_pairwise_coprime([])
+        assert check_orders([], 2) == ()
 
     def test_repeated_units(self):
-        assert is_pairwise_coprime([1, 1, 1])
+        assert check_orders([1, 1, 1], 1) == (1, 1, 1)
 
 
 @st.composite
@@ -148,7 +152,7 @@ class TestProperties:
         seed.shuffle(shuffled)
         t2 = make_tuple(t.n, shuffled, min_order=1)
         assert t2.orders == t.orders
-        assert first_chern(t2) == first_chern(t)
+        assert classify(t2).c1 == classify(t).c1
         assert classify(t2) == classify(t)
 
     @given(t=_tuples())
@@ -178,7 +182,7 @@ class TestProperties:
     @given(t=_tuples())
     @settings(max_examples=300, deadline=None)
     def test_first_chern_formula(self, t):
-        assert first_chern(t) == sum(Fraction(1, m) for m in t.orders) - 1
+        assert classify(t).c1 == sum(Fraction(1, m) for m in t.orders) - 1
 
     @given(t=_tuples())
     @settings(max_examples=300, deadline=None)

@@ -21,13 +21,12 @@ from orbke import (
     SncFanoData,
     admissible_last_interval,
     brute_force_oracle,
+    classify,
     count_coprime_in_range,
     count_new,
     estimate_bp_threshold,
     estimate_monomial_threshold,
     factorize,
-    harmonic_sum,
-    is_pairwise_coprime,
     make_tuple,
     monomial_lct,
     snc_threshold,
@@ -84,8 +83,8 @@ ENTRY_POINTS = {
         samples_per_shell=x, lambda_grid=GRID),
     "OracleConfig-seed": lambda x: OracleConfig(lambda_grid=GRID, seed=x),
     "OracleConfig-lambda_grid": lambda x: OracleConfig(lambda_grid=(x, 3, 4)),
-    "harmonic_sum": lambda x: harmonic_sum([x, 3]),
-    "is_pairwise_coprime": lambda x: is_pairwise_coprime([x, 3]),
+    "classify": lambda x: classify(RamTuple(1, (x, 3, 5))),
+    "check_orders": lambda x: check_orders([x, 3], 1),
     "estimate_monomial_threshold": lambda x: estimate_monomial_threshold(
         [x], OracleConfig(lambda_grid=GRID)),
     "estimate_bp_threshold": lambda x: estimate_bp_threshold(x, OracleConfig(lambda_grid=GRID)),
