@@ -33,7 +33,6 @@ from .enumeration import (
     enumerate_tuples,
     iter_tuples,
     count_new,
-    brute_force_oracle,
 )
 from .lct import (
     INF,
@@ -79,7 +78,6 @@ __all__ = [
     "enumerate_tuples",
     "iter_tuples",
     "count_new",
-    "brute_force_oracle",
     "INF",
     "SncFanoData",
     "KeReport",

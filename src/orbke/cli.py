@@ -68,8 +68,6 @@ from .oracle import (
 )
 from .orbifold import classify, link_weights, make_tuple
 
-JOBS_ENV = "ORBKE_JOBS"
-
 CONTACT_NOTE = (
     "contact-structure: pairwise-coprime orders identify the link with an "
     "odd sphere carrying its standard contact structure; that identification "
@@ -261,65 +259,48 @@ _CLASS_CHOICES = {
 }
 
 
-def _jobs(args) -> int:
-    if args.jobs is not None:
-        return args.jobs
-    env = os.environ.get(JOBS_ENV, "").strip()
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise InputError(f"{JOBS_ENV} must be an integer, got {env!r}")
-    return 1
-
-
 def _cmd_enumerate(args, emit: Emitter) -> dict:
-    classes = _CLASS_CHOICES[args.klass]
+    """`count` counts in closed form; `enumerate` streams every tuple, serially."""
+    counting = args.subcommand == "count"
     cfg = SearchConfig(
         n=args.dim,
         min_order=1 if args.allow_unit_orders else 2,
-        mode="count" if args.count_only else "materialize",
-        classes=classes,
+        mode="count" if counting else "materialize",
+        classes=_CLASS_CHOICES[args.klass],
         max_order=args.max_order,
-        parallel_width=_jobs(args),
+        parallel_width=args.jobs,
         node_cap=args.max_nodes,
     )
-    input_echo = {
-        "dim": args.dim,
-        "class": args.klass,
-        "count_only": args.count_only,
-        "max_order": args.max_order,
-        "min_order": cfg.min_order,
-        # The stream is serial: iter_tuples has no pool.
-        "jobs": cfg.parallel_width if args.count_only else 1,
-        "max_nodes": args.max_nodes,
-    }
-    if args.count_only:
-        result = enumerate_tuples(cfg)
-        counts = result.counts
-        nodes = result.nodes_visited
-    else:
-        counts = {label: 0 for label in classes}
-        nodes = None
-        for t, report in iter_tuples(cfg):
-            counts[report.classification] += 1
-            emit.write({
-                "command": "enumerate-item",
-                "orders": list(t.orders),
-                "classification": report.classification,
-                "c1": _rat(report.c1),
-                "old_ok": report.old_ok,
-                "new_ok": report.new_ok,
-            })
     summary = {
         "command": args.subcommand,
-        "input": input_echo,
-        "counts": counts,
+        "input": {
+            "dim": args.dim,
+            "class": args.klass,
+            "count_only": counting,
+            "max_order": args.max_order,
+            "min_order": cfg.min_order,
+            "jobs": cfg.parallel_width,
+            "max_nodes": args.max_nodes,
+        },
+        "counts": dict.fromkeys(cfg.classes, 0),
         "verdict": "complete",
         "caveats": [CONTACT_NOTE],
     }
-    if nodes is not None:
-        summary["nodes_visited"] = nodes
+    if counting:
+        result = enumerate_tuples(cfg)
+        summary["counts"] = result.counts
+        summary["nodes_visited"] = result.nodes_visited
+        return summary
+    for t, report in iter_tuples(cfg):
+        summary["counts"][report.classification] += 1
+        emit.write({
+            "command": "enumerate-item",
+            "orders": list(t.orders),
+            "classification": report.classification,
+            "c1": _rat(report.c1),
+            "old_ok": report.old_ok,
+            "new_ok": report.new_ok,
+        })
     return summary
 
 
@@ -552,17 +533,16 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--dim", type=int, required=True)
         p.add_argument("--class", dest="klass", choices=sorted(_CLASS_CHOICES),
                        default="new-only")
-        if name == "enumerate":
-            p.add_argument("--count-only", action="store_true",
-                           help="closed-form counting instead of materializing")
         p.add_argument("--max-order", type=int, default=None,
                        help="cap on every order (required for infinite classes)")
-        p.add_argument("--jobs", type=int, default=None,
-                       help=f"worker processes for counting (default ${JOBS_ENV} or 1)")
+        if name == "count":
+            p.add_argument("--jobs", type=int,
+                           help="worker processes for counting (default 1)")
         p.add_argument("--max-nodes", type=int, default=None, dest="max_nodes",
                        help="search node budget; exceeding it exits with code 2")
         p.add_argument("--allow-unit-orders", action="store_true")
-        p.set_defaults(func=_cmd_enumerate, count_only=name == "count")
+        # enumerate streams serially: jobs is 1 and has no flag there.
+        p.set_defaults(func=_cmd_enumerate, jobs=1)
 
     p = sub.add_parser("family", parents=[common],
                        help="the doubly-exponential family and its admissible counts")

@@ -59,7 +59,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
-from .errors import InputError, NodeBudgetExceeded, SearchSpaceTooLarge, check_int
+from .errors import InputError, NodeBudgetExceeded, check_int
 from .exactmath import (
     _count_positive,
     coprime_factorizations,
@@ -71,8 +71,6 @@ from .orbifold import CLASSIFICATIONS, RamTuple, check_orders, classify, make_tu
 
 # Classes whose members form a finite set without any order cap.
 _BOUNDED_CLASSES = frozenset({"OldKE", "NewOnlyKE"})
-
-_BRUTE_FORCE_GUARD = 10 ** 8
 
 # Fewest leaves for which a count with parallel_width > 1 starts a pool;
 # below it the planned slices are counted in-process.  Starting and
@@ -453,20 +451,20 @@ class _Search:
                 windows.append((label, lo, hi))
         return windows
 
-    def _leaf_windows(self, root=_ROOT):
-        """(state, window of the next order v) of every depth-n prefix below root.
+    def _leaf_windows(self):
+        """(state, window of the next order v) of every depth-n prefix.
 
         Lexicographic order; prefixes with no candidate are left out, and
         each state carries its primes ascending.
         """
-        for prefix, N, P, primes in self.prefixes(self.n, root):
+        for prefix, N, P, primes in self.prefixes(self.n):
             window = self._next_window(prefix, N, P)
             if window is not None:
                 yield (prefix, N, P, tuple(sorted(primes))), window
 
-    def count(self, root=_ROOT):
-        """Count every tuple below root, closed-form in the last coordinate."""
-        for state, window in self._leaf_windows(root):
+    def count(self):
+        """Count every tuple, closed-form in the last coordinate."""
+        for state, window in self._leaf_windows():
             self._count_leaves(state, window)
 
     def _count_leaves(self, state, window):
@@ -644,38 +642,3 @@ def count_new(n: int) -> int:
     result = enumerate_tuples(SearchConfig(n=n, mode="count", classes=("NewOnlyKE",)))
     return result.counts["NewOnlyKE"]
 
-
-def brute_force_oracle(n: int, max_order: int, min_order: int = 2):
-    """Exhaustively classify every sorted valid tuple with entries <= max_order.
-
-    Test oracle: no pruning beyond tuple validity (sortedness, coprimality,
-    min_order).  Returns a list of (orders, classification) pairs in
-    lexicographic order.  Guarded to max_order**(n+2) <= 1e8 raw candidates.
-    """
-    n = check_int(n, "dimension", 1)
-    min_order = check_int(min_order, "min_order", 1, 2)
-    max_order = check_int(max_order, "max_order", min_order)
-    if max_order ** (n + 2) > _BRUTE_FORCE_GUARD:
-        raise SearchSpaceTooLarge(
-            f"{max_order}^{n + 2} raw candidates exceed the {_BRUTE_FORCE_GUARD:.0e} guard"
-        )
-    out = []
-    slots = n + 2
-
-    def rec(prefix, prod):
-        if len(prefix) == slots:
-            t = RamTuple(n, prefix)
-            out.append((prefix, classify(t).classification))
-            return
-        if not prefix:
-            lo = min_order
-        elif prefix[-1] == 1:
-            lo = 1
-        else:
-            lo = prefix[-1] + 1
-        for v in range(lo, max_order + 1):
-            if math.gcd(v, prod) == 1:
-                rec(prefix + (v,), prod * v)
-
-    rec((), 1)
-    return out

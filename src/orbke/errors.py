@@ -68,10 +68,6 @@ class NodeBudgetExceeded(ResourceLimitExceeded):
         self.partial = partial
 
 
-class SearchSpaceTooLarge(ResourceLimitExceeded):
-    """Brute-force scan would exceed the raw-candidate guard."""
-
-
 def check_int(value, what: str, lo=None, hi=None, error=InputError) -> int:
     """Plain int of an Integral but bool (else InputError) in [lo, hi] (else `error`)."""
     if isinstance(value, bool) or not isinstance(value, Integral):

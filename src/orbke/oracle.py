@@ -72,6 +72,10 @@ MAX_CELLS = 4_000_000
 MAX_EVALUATIONS = 10 ** 9
 # No config with more probe points passes the evaluation cap.
 MAX_GRID_POINTS = MAX_EVALUATIONS // (_MIN_SAMPLES * _MIN_SHELLS)
+# Smallest cutoff the binomial sampler computes with: its density divides
+# by |x|^4 and |w_j|^2, which underflow for eps below this (eps^4 is then
+# no longer a normal double).
+BP_MIN_CUTOFF = 2.0 ** -255
 
 
 @dataclass(frozen=True)
@@ -357,9 +361,15 @@ def estimate_bp_threshold(n: int, cfg: OracleConfig) -> ExponentEstimate:
     component (log-uniform radius, uniform direction), and per-line tube
     components (uniform position along the line, log-uniform transverse
     radius).  The importance weight is the reciprocal of the full mixture
-    density, evaluated exactly for every sample.
+    density, evaluated exactly for every sample.  Cutoffs below
+    BP_MIN_CUTOFF are rejected before anything is sampled.
     """
     n = check_int(n, "n", 2)
+    if cfg.cutoffs[-1] < BP_MIN_CUTOFF:
+        raise InputError(
+            f"cutoff {cfg.cutoffs[-1]} is below {BP_MIN_CUTOFF:.3g}, where the "
+            "sampling density of u^n + v^n underflows"
+        )
     _check_work(cfg, n)
     return _estimate(_bp_sampler(n, cfg.samples_per_shell), 2.0 * n, cfg)
 

@@ -22,7 +22,6 @@ from orbke import (
     SearchConfig,
     SncFanoData,
     admissible_last_interval,
-    brute_force_oracle,
     classify,
     count_coprime_in_range,
     count_new,
@@ -38,6 +37,8 @@ from orbke import (
     sylvester_seq,
     verify_threshold,
 )
+
+from reference import brute_force_oracle
 
 RESULTS: list[str] = []
 

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from orbke import (
     SearchConfig,
     admissible_last_interval,
-    brute_force_oracle,
     classify,
     count_new,
     enumerate_tuples,
@@ -27,10 +26,11 @@ from orbke import (
 )
 from orbke import enumeration
 from orbke.enumeration import _Search, pool_workers, usable_cpus
-from orbke.errors import InputError, NodeBudgetExceeded, SearchSpaceTooLarge
+from orbke.errors import InputError, NodeBudgetExceeded
 from orbke.exactmath import count_coprime_in_range, factorize
 
 from conftest import coprime_orders
+from reference import brute_force_oracle
 
 GOLDEN_LAST = (17, 19, 23, 29, 31, 37, 41, 43, 47, 49, 53, 59)
 ALL_CLASSES = ("NotFano", "OldKE", "NewOnlyKE", "NoCriterion")
@@ -627,7 +627,10 @@ def _reference_leaves(search, state):
 
 def _kernel_leaves(cfg, state):
     search = _Search(cfg)
-    search.count(state)
+    prefix, N, P, primes = state
+    window = search._next_window(prefix, N, P)
+    if window is not None:
+        search._count_leaves((prefix, N, P, tuple(sorted(primes))), window)
     return search.counts, search.nodes
 
 
@@ -685,20 +688,3 @@ class TestCountNew:
         with pytest.raises(InputError):
             count_new(n)
 
-
-class TestBruteForceOracle:
-    def test_contains_new_example(self):
-        out = dict(brute_force_oracle(2, 20))
-        assert out[(2, 3, 5, 17)] == "NewOnlyKE"
-
-    def test_no_new_below_order_five(self):
-        assert all(label != "NewOnlyKE" for _, label in brute_force_oracle(2, 5))
-
-    def test_dim1_small_scan(self):
-        # The only pairwise-coprime sorted triples with entries in [2,5].
-        out = dict(brute_force_oracle(1, 5))
-        assert out == {(2, 3, 5): "OldKE", (3, 4, 5): "NotFano"}
-
-    def test_guard(self):
-        with pytest.raises(SearchSpaceTooLarge):
-            brute_force_oracle(3, 100)

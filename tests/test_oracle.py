@@ -23,6 +23,7 @@ from orbke import (
 )
 from orbke.errors import InputError, ThresholdOutsideGrid
 from orbke.oracle import (
+    BP_MIN_CUTOFF,
     MAX_CELLS,
     MAX_EVALUATIONS,
     _bp_sampler,
@@ -126,6 +127,24 @@ class TestNoAdmissibleSamples:
         )
         with pytest.raises(InputError, match="no admissible samples at cutoff 0.9"):
             estimate_bp_threshold(2, cfg)
+
+
+class TestBpCutoffFloor:
+    def test_density_stays_finite_at_the_floor(self):
+        # At eps = BP_MIN_CUTOFF, eps^4 is still a normal double, so the
+        # mixture density neither overflows nor divides by an underflow.
+        sample = _bp_sampler(2, 2000)
+        with np.errstate(all="raise"):
+            log_f, log_w, mask = sample(_shell_rng(1, 0), BP_MIN_CUTOFF)
+        assert mask.any()
+        assert np.isfinite(log_f).all() and np.isfinite(log_w).all()
+
+    def test_monomial_has_no_floor(self):
+        cuts = tuple(10.0 ** -k for k in range(296, 301))
+        cfg = OracleConfig(samples_per_shell=4000, cutoffs=cuts,
+                           lambda_grid=grid_around(monomial_lct([2])), seed=1)
+        est = estimate_monomial_threshold([2], cfg)
+        assert verify_threshold(monomial_lct([2]), est, 0.1)
 
 
 class TestDeterminism:

@@ -111,3 +111,19 @@ def test_integer_checks_go_through_check_int():
             if any(isinstance(k, ast.Name) and k.id == "int" for k in kinds):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_no_module_reads_the_environment():
+    # Every knob is an argument or a config field; a setting read from the
+    # environment would be a second, invisible way to ask for the same thing.
+    names = {"environ", "getenv", "putenv"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.Attribute) and node.attr in names
+                    and isinstance(node.value, ast.Name) and node.value.id == "os"):
+                found.append(f"{path.name}:{node.lineno}")
+            elif (isinstance(node, ast.ImportFrom) and node.module == "os"
+                    and any(a.name in names for a in node.names)):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

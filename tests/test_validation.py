@@ -20,7 +20,6 @@ from orbke import (
     SearchConfig,
     SncFanoData,
     admissible_last_interval,
-    brute_force_oracle,
     classify,
     count_coprime_in_range,
     count_new,
@@ -66,9 +65,6 @@ ENTRY_POINTS = {
     "sylvester_seq": lambda x: sylvester_seq(x),
     "sylvester_family": lambda x: sylvester_family(x),
     "count_new": lambda x: count_new(x),
-    "brute_force_oracle-n": lambda x: brute_force_oracle(x, 10),
-    "brute_force_oracle-max_order": lambda x: brute_force_oracle(2, x, min_order=1),
-    "brute_force_oracle-min_order": lambda x: brute_force_oracle(2, 10, min_order=x),
     "factorize": lambda x: factorize(x),
     "count_coprime_in_range-lo": lambda x: count_coprime_in_range(x, 10, (2,)),
     "count_coprime_in_range-hi": lambda x: count_coprime_in_range(1, x, (2,)),
