@@ -140,14 +140,28 @@ class TestEnumerate:
                 records.append(rec)
             assert records[0] == records[1]
 
-    def test_jobs_env_is_ignored(self, run_cli, monkeypatch):
-        # --jobs is the only way to ask for workers; the environment is not read.
-        monkeypatch.setenv("ORBKE_JOBS", "0")
+    # --jobs is the only way to ask for workers; ORBKE_JOBS is not read.
+    def test_jobs_env_default(self, run_cli, monkeypatch):
+        monkeypatch.setenv("ORBKE_JOBS", "2")
         code, out, _ = run_cli("count", "--dim", "2")
         assert code == 0
         (rec,) = json_records(out)
         assert rec["input"]["jobs"] == 1
         assert rec["counts"] == {"NewOnlyKE": 12}
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_jobs_env_below_one_exits_one(self, run_cli, monkeypatch, value):
+        monkeypatch.setenv("ORBKE_JOBS", value)
+        code, out, _ = run_cli("count", "--dim", "2")
+        assert code == 0
+        (rec,) = json_records(out)
+        assert rec["input"]["jobs"] == 1
+        assert rec["counts"] == {"NewOnlyKE": 12}
+        # A worker count below one still exits 1, but only through --jobs.
+        code, out, err = run_cli("count", "--dim", "2", "--jobs", value)
+        assert code == 1
+        assert out == ""
+        assert "parallel_width" in err
 
     def test_old_class(self, run_cli):
         code, out, _ = run_cli("count", "--dim", "2", "--class", "old")
