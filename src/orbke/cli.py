@@ -111,26 +111,42 @@ def _ineq(name: str, lhs, rhs, holds: bool) -> dict:
 
 
 def _scalar(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
     if value is None:
         return ""
     return str(value)
 
 
-def _flat_items(value, key=""):
-    """Dotted-key flattening shared by the csv and text renderers."""
+_NESTED = (dict, list, tuple)
+
+
+def _flat_items(value, key="", flat=None) -> list:
+    """Dotted-key (key, text) pairs, shared by the csv and text renderers.
+
+    A dict contributes its items under key.sub, a list of scalars one
+    ";"-joined entry, any other list its items under key.i, and a scalar
+    itself.  Every pair is appended to the one list flat, which is returned.
+    """
+    if flat is None:
+        flat = []
     if isinstance(value, dict):
         for sub, inner in value.items():
-            yield from _flat_items(inner, f"{key}.{sub}" if key else sub)
+            _flat_items(inner, f"{key}.{sub}" if key else sub, flat)
     elif isinstance(value, (list, tuple)):
-        if all(not isinstance(v, (dict, list, tuple)) for v in value):
-            yield key, ";".join(_scalar(v) for v in value)
+        for item in value:
+            if isinstance(item, _NESTED):
+                break
         else:
-            for i, inner in enumerate(value):
-                yield from _flat_items(inner, f"{key}.{i}")
+            flat.append((key, ";".join(map(_scalar, value))))
+            return flat
+        for i, item in enumerate(value):
+            _flat_items(item, f"{key}.{i}", flat)
     else:
-        yield key, _scalar(value)
+        flat.append((key, _scalar(value)))
+    return flat
 
 
 class Emitter:
@@ -151,7 +167,7 @@ class Emitter:
         if self.fmt == "json":
             self.out.write(json.dumps(record) + "\n")
             return
-        flat = list(_flat_items(record))
+        flat = _flat_items(record)
         if self.fmt == "csv":
             keys = [k for k, _ in flat]
             if keys != self._csv_keys:

@@ -45,45 +45,91 @@ class RamTuple:
     Construction checks structure only (integer entries, dimension, length,
     sorted, first order >= 1): the search builds one per tuple from coprime
     orders, and outside input goes through `make_tuple` and `check_orders`.
-    Other Integral entries (numpy integers) are stored as plain ints.
+    Orders are stored as a tuple of plain ints, whatever sequence of
+    Integral entries (numpy integers, say) they came as.
     """
 
     n: int
     orders: tuple[int, ...]
 
     def __post_init__(self):
+        orders = self.orders
+        if type(orders) is not tuple:
+            orders = tuple(orders)
         if type(self.n) is not int:
             object.__setattr__(self, "n", check_int(self.n, "dimension"))
-        if not all(type(m) is int for m in self.orders):
-            object.__setattr__(self, "orders", tuple(check_int(m, "order") for m in self.orders))
+        if set(map(type, orders)) - {int}:
+            orders = tuple(check_int(m, "order") for m in orders)
+        if orders is not self.orders:
+            object.__setattr__(self, "orders", orders)
         if self.n < 1:
             raise InputError(f"dimension must be >= 1, got {self.n}")
-        if len(self.orders) != self.n + 2:
+        if len(orders) != self.n + 2:
             raise WrongLength(
-                f"dimension {self.n} needs {self.n + 2} orders, got {len(self.orders)}"
+                f"dimension {self.n} needs {self.n + 2} orders, got {len(orders)}"
             )
-        if any(self.orders[i] > self.orders[i + 1] for i in range(len(self.orders) - 1)):
+        if list(orders) != sorted(orders):
             raise InputError("orders must be sorted; use make_tuple to canonicalize")
-        if self.orders[0] < 1:
-            raise OrderBelowMinimum(f"order {self.orders[0]} is below 1")
+        if orders[0] < 1:
+            raise OrderBelowMinimum(f"order {orders[0]} is below 1")
+
+
+class _derived:
+    """A report attribute computed on its first read and then stored.
+
+    A non-data descriptor: the value goes into the instance __dict__,
+    which later reads find first.  Unlike functools.cached_property it
+    takes no lock; a race at worst computes the same value twice.
+    """
+
+    def __init__(self, func):
+        self.func = func
+        self.name = func.__name__
+
+    def __get__(self, report, owner=None):
+        if report is None:
+            return self
+        value = report.__dict__[self.name] = self.func(report)
+        return value
 
 
 @dataclass(frozen=True)
 class FanoReport:
     """Exact evaluation of the positivity and both existence bounds.
 
-    old_lhs equals c1 (both bounds share the left-hand side); old_ok and
+    The fields are integers, three flags and the verdict: c1 = D/P with P
+    the product of the orders, and m_max the largest order; old_ok and
     new_ok are the raw strict inequalities, independent of positivity.
+    The rational sides of the inequalities are derived attributes, each
+    built as a Fraction on its first read: c1, old_lhs (equal to c1, as
+    both bounds share the left-hand side), old_rhs = (n+1)/(n*m_max) and
+    new_rhs = (n+1)/m_max.  Equality and hashing see the fields only.
     """
 
-    c1: Rat
+    n: int
+    m_max: int
+    D: int
+    P: int
     fano: bool
-    old_lhs: Rat
-    old_rhs: Rat
-    new_rhs: Rat
     old_ok: bool
     new_ok: bool
     classification: str
+
+    @_derived
+    def c1(self) -> Rat:
+        return Fraction(self.D, self.P)
+
+    @_derived
+    def old_lhs(self) -> Rat:
+        return self.c1
+
+    @_derived
+    def old_rhs(self) -> Rat:
+        return Fraction(self.n + 1, self.n * self.m_max)
+
+    @_derived
+    def new_rhs(self) -> Rat:
+        return Fraction(self.n + 1, self.m_max)
 
 
 @dataclass(frozen=True)
@@ -135,12 +181,12 @@ def classify(t: RamTuple) -> FanoReport:
     class is D/P for the integer D = sum(P/mi) - P, so each comparison is
     one integer inequality: c1 > 0 iff D > 0, c1 < (n+1)/(n*m_max) iff
     n*m_max*D < (n+1)*P, and c1 < (n+1)/m_max iff m_max*D < (n+1)*P.
+    No Fraction is built here: the report derives them when read.
     """
     n = t.n
     m_max = t.orders[-1]
     P = math.prod(t.orders)
-    D = sum(P // m for m in t.orders) - P
-    c1 = Fraction(D, P)
+    D = sum(map(P.__floordiv__, t.orders)) - P
     fano = D > 0
     old_ok = n * m_max * D < (n + 1) * P
     new_ok = m_max * D < (n + 1) * P
@@ -152,16 +198,7 @@ def classify(t: RamTuple) -> FanoReport:
         label = "NewOnlyKE"
     else:
         label = "NoCriterion"
-    return FanoReport(
-        c1=c1,
-        fano=fano,
-        old_lhs=c1,
-        old_rhs=Fraction(n + 1, n * m_max),
-        new_rhs=Fraction(n + 1, m_max),
-        old_ok=old_ok,
-        new_ok=new_ok,
-        classification=label,
-    )
+    return FanoReport(n, m_max, D, P, fano, old_ok, new_ok, label)
 
 
 def link_weights(t: RamTuple) -> LinkData:

@@ -503,6 +503,68 @@ class TestEnvelope:
         assert tail == ["caveats", "elapsed_s"] + (["nodes_visited"] if name == "count" else [])
 
 
+def _reference_scalar(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if value is None:
+        return ""
+    return str(value)
+
+
+def _reference_flat_items(value, key=""):
+    """The generator flattener the list-building `cli._flat_items` replaced."""
+    if isinstance(value, dict):
+        for sub, inner in value.items():
+            yield from _reference_flat_items(inner, f"{key}.{sub}" if key else sub)
+    elif isinstance(value, (list, tuple)):
+        if all(not isinstance(v, (dict, list, tuple)) for v in value):
+            yield key, ";".join(_reference_scalar(v) for v in value)
+        else:
+            for i, inner in enumerate(value):
+                yield from _reference_flat_items(inner, f"{key}.{i}")
+    else:
+        yield key, _reference_scalar(value)
+
+
+class TestFlattener:
+    """`cli._flat_items` gives the reference's pairs, in its order, on every record."""
+
+    RUNS = [
+        *ENVELOPE_CASES.values(),
+        ("check", "--dim", "2", "2", "3", "7", "43"),
+        ("enumerate", "--dim", "3", "--class", "all", "--max-order", "30"),
+        ("enumerate", "--dim", "3", "--max-nodes", "20"),
+        ("count", "--dim", "3", "--class", "all", "--max-order", "30", "--jobs", "2"),
+        ("lct", "snc", "--dim", "2", "--divisor", "1:3", "--divisor", "1:5"),
+    ]
+
+    @pytest.mark.parametrize("fmt", ["csv", "text"])
+    def test_matches_reference_on_every_subcommand(self, run_cli, monkeypatch, fmt):
+        records = []
+        write = cli.Emitter.write
+
+        def recording_write(self, record):
+            records.append(record)
+            return write(self, record)
+
+        monkeypatch.setattr(cli.Emitter, "write", recording_write)
+        codes = [run_cli(*argv, "--format", fmt)[0] for argv in self.RUNS]
+        assert codes == [2 if "--max-nodes" in argv else 0 for argv in self.RUNS]
+        commands = {r["command"] for r in records}
+        assert commands >= {name for name in ENVELOPE_CASES} | {"enumerate-item"}
+        assert sum(r["command"] == "enumerate-item" for r in records) > 100
+        for record in records:
+            assert cli._flat_items(record) == list(_reference_flat_items(record))
+
+    @pytest.mark.parametrize("value", [
+        {}, {"a": []}, {"a": ()}, {"a": [None, True, False, 0, 1.5, "x"]},
+        {"a": [[1, 2], [3]], "b": {"c": {"d": None}}, "e": [{"f": (1,)}, 2]},
+        {"a": [1, {"b": 2}]}, [1, [2, 3]], (), 7, None, True,
+    ])
+    def test_matches_reference_on_edge_shapes(self, value):
+        assert cli._flat_items(value) == list(_reference_flat_items(value))
+
+
 class TestRoundTrip:
     def test_check_roundtrip_identical_modulo_timing(self, run_cli):
         _, out1, _ = run_cli("check", "--dim", "2", "2", "3", "5", "17")

@@ -2,15 +2,17 @@
 
 from __future__ import annotations
 
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbke import classify, link_weights, make_tuple
+from orbke import SearchConfig, classify, iter_tuples, link_weights, make_tuple, orbifold
 from orbke.errors import InputError, OrderBelowMinimum, PairwiseCoprimeViolation, WrongLength
-from orbke.orbifold import RamTuple, check_orders
+from orbke.orbifold import CLASSIFICATIONS, RamTuple, check_orders
 
 from conftest import assert_pairwise_coprime, coprime_orders
 
@@ -55,6 +57,24 @@ class TestRamTuple:
     def test_unit_orders_construct(self):
         assert RamTuple(1, (1, 1, 1)).orders == (1, 1, 1)
 
+    @pytest.mark.parametrize("orders", [
+        [2, 3, 5, 17], iter((2, 3, 5, 17)), np.array([2, 3, 5, 17]), range(2, 18, 5)])
+    def test_orders_stored_as_tuple(self, orders):
+        t = RamTuple(2, orders)
+        assert type(t.orders) is tuple and t.orders in ((2, 3, 5, 17), (2, 7, 12, 17))
+        assert all(type(m) is int for m in t.orders)
+
+    def test_list_orders_hash_and_compare_as_tuple(self):
+        t = RamTuple(2, [2, 3, 5, 17])
+        assert t == RamTuple(2, (2, 3, 5, 17))
+        assert hash(t) == hash(RamTuple(2, (2, 3, 5, 17)))
+        assert len({t, RamTuple(2, (2, 3, 5, 17))}) == 1
+
+    @pytest.mark.parametrize("orders", [[2, 5, 3, 17], (2, 3, 17, 5)])
+    def test_unsorted_rejected(self, orders):
+        with pytest.raises(InputError, match="sorted"):
+            RamTuple(2, orders)
+
 
 class TestFirstChern:
     # c1 = sum(1/mi) - 1, as classify reports it.
@@ -97,6 +117,86 @@ class TestClassify:
     def test_old_lhs_is_c1(self):
         r = classify(make_tuple(2, [2, 3, 5, 13]))
         assert r.old_lhs == r.c1
+
+    def test_fields_are_integers(self):
+        r = classify(make_tuple(2, [2, 3, 5, 17]))
+        assert (r.n, r.m_max, r.D, r.P) == (2, 17, 47, 510)
+        assert all(type(x) is int for x in (r.n, r.m_max, r.D, r.P))
+
+    def test_report_is_frozen(self):
+        r = classify(make_tuple(2, [2, 3, 5, 17]))
+        with pytest.raises(FrozenInstanceError):
+            r.D = 1
+
+
+def _spy_fractions(monkeypatch):
+    """Count the Fractions that orbifold builds; the list grows by one per build."""
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(orbifold, "Fraction", counting)
+    return built
+
+
+def _fraction_sides(t):
+    """(c1, old_lhs, old_rhs, new_rhs) from the definition, one Fraction at a time."""
+    n, m_max = t.n, max(t.orders)
+    c1 = sum((Fraction(1, m) for m in t.orders), Fraction(0)) - 1
+    return c1, c1, Fraction(n + 1, n * m_max), Fraction(n + 1, m_max)
+
+
+def _sides(r):
+    return r.c1, r.old_lhs, r.old_rhs, r.new_rhs
+
+
+class TestDerivedFractions:
+    """classify reports integers; its Fractions are built when first read."""
+
+    def test_classify_builds_no_fraction(self, monkeypatch):
+        built = _spy_fractions(monkeypatch)
+        r = classify(make_tuple(2, [2, 3, 5, 17]))
+        assert (r.classification, built) == ("NewOnlyKE", [])
+        assert r.c1 == Fraction(47, 510) and len(built) == 1
+        assert (r.c1, r.old_lhs, r.c1) == (Fraction(47, 510),) * 3 and len(built) == 1
+        assert (r.old_rhs, r.new_rhs) == (Fraction(3, 34), Fraction(3, 17))
+        assert len(built) == 3
+
+    def test_dim3_stream_builds_no_fraction(self, monkeypatch):
+        built = _spy_fractions(monkeypatch)
+        reports = [r for _, r in iter_tuples(SearchConfig(n=3, mode="materialize"))]
+        assert len(reports) == 2484 and built == []
+        assert reports[0].c1 > 0 and len(built) == 1
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_sides_match_definition_on_every_small_tuple(self, n):
+        cfg = SearchConfig(n=n, mode="materialize", classes=CLASSIFICATIONS, max_order=30)
+        seen = set()
+        for t, r in iter_tuples(cfg):
+            assert _sides(r) == _fraction_sides(t), t.orders
+            c1, _, old_rhs, new_rhs = _fraction_sides(t)
+            assert (r.fano, r.old_ok, r.new_ok) == (c1 > 0, c1 < old_rhs, c1 < new_rhs)
+            seen.add(r.classification)
+        # dimension 2 below 61 has no NoCriterion tuple; dimension 3 has all four.
+        assert seen == set(CLASSIFICATIONS) - ({"NoCriterion"} if n == 2 else set())
+
+    def test_sides_match_definition_on_non_coprime_tuple(self):
+        t = RamTuple(2, (2, 4, 6, 8))
+        r = classify(t)
+        assert (r.D, r.P) == (16, 384)
+        assert _sides(r) == _fraction_sides(t) == (
+            Fraction(1, 24), Fraction(1, 24), Fraction(3, 16), Fraction(3, 8))
+        assert r.classification == "OldKE"
+
+    def test_same_tuple_reports_equal_and_hash_alike(self):
+        t = make_tuple(3, [2, 3, 7, 43, 1811])
+        fresh, read = classify(t), classify(t)
+        _sides(read)
+        assert fresh == read and hash(fresh) == hash(read)
+        assert len({fresh, read, classify(RamTuple(3, list(t.orders)))}) == 1
+        assert fresh != classify(make_tuple(3, [2, 3, 7, 43, 1817]))
 
 
 class TestLinkWeights:
