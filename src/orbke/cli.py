@@ -652,7 +652,19 @@ def main(argv=None) -> int:
 
 
 def entry():
-    sys.exit(main())
+    """Console entry point: exit with main's code, and with 1 when stdout closes early.
+
+    A reader that stops early (`orbke enumerate ... | head -1`) closes the
+    pipe; the rest of the output is dropped into os.devnull, so that the
+    flush at interpreter exit does not fail again.
+    """
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -10,14 +10,17 @@ inclusion-exclusion coprime counts over the intervals between them.  The
 same inequalities bound the candidates for every earlier entry.
 
 One child step, `_Search._children`, takes the next order v after a
-prefix (N, P, primes R) at every depth: one node per v, each v with its
-primes from a segmented sieve.  The walk `_Search.prefixes` recurses over
-it.  Count mode stops the walk at the prefixes of n orders and counts
-each class interval of the last coordinate, for each child v, by one
-inclusion-exclusion walk over the primes of v and those of R outside a
-coprime-count table built once per prefix for R's smallest primes;
-materialize mode walks to the prefixes of n + 1 orders and lists and
-classifies the coprime last coordinates of each interval.
+prefix (N, P, primes R) at the interior depths: one node per v, each v
+with its primes from a segmented sieve.  The walk `_Search.prefixes`
+recurses over it.  Count mode stops the walk at the prefixes of n orders
+and reads the leaves v straight from the sieve (`_Search._count_leaves`),
+one node each: it counts each class interval of the last coordinate by
+one inclusion-exclusion walk over the primes of v and those of R outside
+a coprime-count table for R's smallest primes, which is kept from prefix
+to prefix while those primes are the same.  Materialize mode walks to the
+prefixes of n + 1 orders and lists and classifies the coprime last
+coordinates of each interval.  Both clip the class intervals with
+`_Search._windows`, by a class plan fixed once per search.
 
 A parallel count plans exact-weight slices first (`_Search.plan`): a
 slice is a prefix of n orders with a range [lo, hi) of its next order v,
@@ -62,6 +65,7 @@ from functools import partial
 from .errors import InputError, NodeBudgetExceeded, check_int
 from .exactmath import (
     _count_positive,
+    _table_length,
     coprime_factorizations,
     coprime_in_range,
     coprime_table,
@@ -71,6 +75,9 @@ from .orbifold import CLASSIFICATIONS, RamTuple, check_orders, classify, make_tu
 
 # Classes whose members form a finite set without any order cap.
 _BOUNDED_CLASSES = frozenset({"OldKE", "NewOnlyKE"})
+
+# Classes of the last coordinate past both cut points (see _cuts).
+_TAIL_CLASSES = frozenset({"NoCriterion", "NotFano"})
 
 # Fewest leaves for which a count with parallel_width > 1 starts a pool;
 # below it the planned slices are counted in-process.  Starting and
@@ -337,6 +344,12 @@ class _Search:
         self.n = cfg.n
         self.cap = None if cfg.max_order is None else cfg.max_order + 1
         self.counts = {c: 0 for c in cfg.classes}
+        # The class plan: which of the windows from _cuts are requested.
+        self.old = "OldKE" in cfg.classes
+        self.new = "NewOnlyKE" in cfg.classes
+        self.tails = _TAIL_CLASSES.intersection(cfg.classes)
+        # The last coprime-count table: (phi, the primes it tabulates).
+        self.table = coprime_table(())
         self.nodes = 0
         self.started = time.perf_counter()
 
@@ -344,15 +357,19 @@ class _Search:
         self.nodes += 1
         cap = self.cfg.node_cap
         if cap is not None and self.nodes > cap:
-            partial = EnumResult(
-                tuples=None,
-                counts=dict(self.counts),
-                nodes_visited=self.nodes,
-                elapsed_s=time.perf_counter() - self.started,
-            )
-            raise NodeBudgetExceeded(
-                f"node cap {cap} exceeded (progress: {dict(self.counts)})", partial
-            )
+            self._stop()
+
+    def _stop(self):
+        """Raise NodeBudgetExceeded carrying the partial result."""
+        partial = EnumResult(
+            tuples=None,
+            counts=dict(self.counts),
+            nodes_visited=self.nodes,
+            elapsed_s=time.perf_counter() - self.started,
+        )
+        raise NodeBudgetExceeded(
+            f"node cap {self.cfg.node_cap} exceeded (progress: {dict(self.counts)})", partial
+        )
 
     def _next_window(self, prefix, N, P):
         """Window (lo, hi) of the next entries v that can still lead to a requested class.
@@ -402,10 +419,10 @@ class _Search:
     def _children(self, state, window):
         """Yield (v, N*v + P, P*v, primes of v) for each next order v in window after state.
 
-        The one step to the next order at every depth, for count and
-        materialize: one node per v, each v with its primes from a
-        segmented sieve that skips the multiples of the state's primes.
-        window is a range (lo, hi) of v.
+        The one step to the next order at the interior depths, and at the
+        last depth of materialize: one node per v, each v with its primes
+        from a segmented sieve that skips the multiples of the state's
+        primes.  window is a range (lo, hi) of v.
         """
         _, N, P, primes = state
         for v, v_primes in coprime_factorizations(*window, primes):
@@ -432,23 +449,32 @@ class _Search:
         """Requested (label, lo, hi) windows of the last coordinate, ascending.
 
         Each is the class's range from `_cuts` clipped to [floor, cap),
-        half-open and nonempty.
+        half-open and nonempty; the class plan set in __init__ says which
+        are requested.
         """
         a, b, tail = _cuts(N, P, self.n)
         cap = self.cap
+        if cap is not None:
+            if a > cap:
+                a = cap
+            if b > cap:
+                b = cap
         windows = []
-        for label, lo, hi in (("OldKE", floor, a), ("NewOnlyKE", a, b), (tail, b, cap)):
-            if label not in self.cfg.classes:
-                continue
-            if hi is None:
+        if self.old and floor < a:
+            windows.append(("OldKE", floor, a))
+        if a < floor:
+            a = floor
+        if self.new and a < b:
+            windows.append(("NewOnlyKE", a, b))
+        if tail in self.tails:
+            if cap is None:
                 raise AssertionError(
-                    f"unbounded window for {label} escaped config validation"
+                    f"unbounded window for {tail} escaped config validation"
                 )  # pragma: no cover
-            lo = max(lo, floor)
-            if cap is not None and hi > cap:
-                hi = cap
-            if lo < hi:
-                windows.append((label, lo, hi))
+            if b < floor:
+                b = floor
+            if b < cap:
+                windows.append((tail, b, cap))
         return windows
 
     def _leaf_windows(self):
@@ -467,18 +493,38 @@ class _Search:
         for state, window in self._leaf_windows():
             self._count_leaves(state, window)
 
+    def _coprime_table(self, primes):
+        """coprime_table(primes) for ascending primes, reusing the last table.
+
+        The table is built again only when the primes it tabulates differ
+        from the last table's; one table is kept, so memory does not grow.
+        """
+        k = _table_length(primes)
+        head = primes[:k]
+        if head != self.table[1]:
+            self.table = coprime_table(head)[0], head
+        return self.table[0], primes[k:]
+
     def _count_leaves(self, state, window):
         """Count the tuples after a depth-n state whose next order v lies in window.
 
-        Each leaf window is one inclusion-exclusion walk over primes(v) and
-        the state's primes outside a coprime-count table built once per call.
+        The leaves v come straight from the sieve, one node each.  Each
+        class window of a leaf is one inclusion-exclusion walk over
+        primes(v) and the state's primes outside the coprime-count table.
         """
-        phi, rest = coprime_table(state[3])
+        _, N, P, primes = state
+        phi, rest = self._coprime_table(primes)
         counts = self.counts
-        for v, leaf_N, leaf_P, v_primes in self._children(state, window):
-            leaf_primes = sorted(rest + tuple(v_primes))
-            for label, lo, hi in self._windows(leaf_N, leaf_P, v):
-                counts[label] += _count_positive(lo, hi - 1, leaf_primes, phi)
+        windows = self._windows
+        cap = self.cfg.node_cap
+        for v, v_primes in coprime_factorizations(*window, primes):
+            self.nodes += 1
+            if cap is not None and self.nodes > cap:
+                self._stop()
+            if rest:
+                v_primes = sorted(rest + tuple(v_primes))
+            for label, lo, hi in windows(N * v + P, P * v, v):
+                counts[label] += _count_positive(lo, hi - 1, v_primes, phi)
 
     def plan(self):
         """The leaf window of every depth-n prefix as one slice, lexicographic.

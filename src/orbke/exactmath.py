@@ -13,13 +13,15 @@ runs; Miller-Rabin and rho see only cofactors left when the bound runs out.
 
 Coprime counting is inclusion-exclusion over the squarefree products d of
 the given primes, pruned: a d with no multiple in the range adds zero, as
-does every multiple of d, so the walk visits only products up to the top
-of the range.  Ranges reaching below 1 are reflected onto positive ones.
-The walk counts on top of a table of the integers coprime to a small
-modulus q (Legendre's phi(x, a) with the small-prime table of
-Meissel-Lehmer), so its products run only over the primes outside q;
-`count_coprime_in_range` uses the empty table q = 1, and the search
-tabulates the smallest primes of a prefix once for all of its leaves.
+does every multiple of d, so the walk, depth-first on one stack, visits
+only products up to the top of the range.  Ranges reaching below 1 are
+reflected onto positive ones.  The walk counts on top of a table of the
+integers coprime to a small modulus q (Legendre's phi(x, a) with the
+small-prime table of Meissel-Lehmer), so its products run only over the
+primes outside q; `count_coprime_in_range` uses the empty table q = 1, and
+the search tabulates the smallest primes of a prefix once for all of its
+leaves and keeps that table while the next prefix's smallest primes are
+the same.
 
 `coprime_factorizations` gives the distinct primes of every integer in a
 window by a segmented sieve (Bays-Hudson), for the search's orders at
@@ -165,6 +167,16 @@ def factorize(n: int) -> FactoredInt:
     return FactoredInt(value, tuple(sorted(counts.items())))
 
 
+def _table_length(primes: tuple[int, ...]) -> int:
+    """How many of the smallest of the ascending `primes` coprime_table tabulates."""
+    q = 1
+    k = 0
+    while k < len(primes) and q * primes[k] <= TABLE_CAP:
+        q *= primes[k]
+        k += 1
+    return k
+
+
 def coprime_table(primes: tuple[int, ...]):
     """(phi, rest): a coprime-count table for the smallest of the ascending `primes`.
 
@@ -174,11 +186,8 @@ def coprime_table(primes: tuple[int, ...]):
     rest holds the primes left out of q, ascending.  With no prime small
     enough, q = 1 and phi is the empty table (0, 1).
     """
-    q = 1
-    k = 0
-    while k < len(primes) and q * primes[k] <= TABLE_CAP:
-        q *= primes[k]
-        k += 1
+    k = _table_length(primes)
+    q = math.prod(primes[:k])
     marks = bytearray([1]) * (q + 1)
     marks[0] = 0
     for p in primes[:k]:
@@ -198,11 +207,13 @@ def _count_positive(lo: int, hi: int, primes: tuple[int, ...] | list[int], phi=_
     the squarefree products d of the primes adds (-1)^(number of primes)
     * (phi_q(hi//d) - phi_q((lo-1)//d)): the multiples k = d*j in range
     with j coprime to q, which are coprime to q as d is.  The empty table
-    gives phi_q(x) = x, plain inclusion-exclusion.  Products are built
-    level by level (one more prime each) in ascending prime order.  A d
-    whose term is zero leaves no such k in range, and so does every
-    multiple of d, so d is not extended; in particular the first d*p > hi
-    ends the extensions of d.
+    gives phi_q(x) = x, plain inclusion-exclusion.  Products are walked
+    depth-first on one stack of (product, index of the first prime it may
+    take next, sign of its extensions) entries, each taking primes in
+    ascending order.  A d whose term is zero leaves no such k in range,
+    and so does every multiple of d, so d is not extended; in particular
+    the first d*p > hi ends the extensions of d, and a d with no prime
+    left to take is never pushed.
     """
     if lo > hi:
         return 0
@@ -210,23 +221,23 @@ def _count_positive(lo: int, hi: int, primes: tuple[int, ...] | list[int], phi=_
     per = phi[q]
     below = lo - 1
     total = (hi // q - below // q) * per + phi[hi % q] - phi[below % q]
-    level = [(1, 0)]  # (product, index of the first prime it may take next)
-    sign = -1
-    while level:
-        extended = []
-        for d, start in level:
-            for i in range(start, len(primes)):
-                e = d * primes[i]
-                if e > hi:
-                    break
-                x = hi // e
-                y = below // e
-                term = (x // q - y // q) * per + phi[x % q] - phi[y % q]
-                if term:
-                    total += sign * term
-                    extended.append((e, i + 1))
-        level = extended
-        sign = -sign
+    last = len(primes) - 1
+    stack = [(1, 0, -1)]
+    push = stack.append
+    pop = stack.pop
+    while stack:
+        d, start, sign = pop()
+        for i in range(start, last + 1):
+            e = d * primes[i]
+            if e > hi:
+                break
+            x = hi // e
+            y = below // e
+            term = (x // q - y // q) * per + phi[x % q] - phi[y % q]
+            if term:
+                total += sign * term
+                if i < last:
+                    push((e, i + 1, -sign))
     return total
 
 
@@ -271,14 +282,15 @@ def coprime_factorizations(lo: int, hi: int, skip: tuple[int, ...] = ()):
     The v come ascending, and the primes of v are its distinct primes,
     ascending: the same as `factorize(v).primes`.  A segmented sieve:
     each block [start, end) first drops the multiples of the `skip`
-    primes, then is sieved by the other primes p <= isqrt(end - 1), and
-    dividing out every power of them leaves each entry a cofactor of 1 or
-    a prime above isqrt(end - 1).  Blocks start at _BLOCK_FIRST entries
-    and double up to _BLOCK_CAP, so a short window costs a short sieve
-    and a long one a bounded amount of memory.  The sieving primes grow
-    with the blocks: when isqrt(end - 1) passes their limit, the limit
-    becomes the larger of that root and twice the old limit, so the
-    primes held are bounded by the orders reached, not by hi.
+    primes, then its kept entries are sieved by the other primes
+    p <= isqrt(end - 1), and dividing out every power of them leaves each
+    kept entry a cofactor of 1 or a prime above isqrt(end - 1).  Blocks
+    start at _BLOCK_FIRST entries and double up to _BLOCK_CAP, so a short
+    window costs a short sieve and a long one a bounded amount of memory.
+    The sieving primes grow with the blocks: when isqrt(end - 1) passes
+    their limit, the limit becomes the larger of that root and twice the
+    old limit, so the primes held are bounded by the orders reached, not
+    by hi.
     """
     sieving = []
     limit = 0
@@ -299,11 +311,14 @@ def coprime_factorizations(lo: int, hi: int, skip: tuple[int, ...] = ()):
         for p in sieving:
             if p > top:
                 break
-            for j in range(-start % p, width, p):
+            first = -start % p
+            for j in compress(range(first, width, p), keep[first::p]):
                 factors[j].append(p)
-            power = p
+                rest[j] //= p
+            power = p * p
             while power < end:
-                for j in range(-start % power, width, power):
+                first = -start % power
+                for j in compress(range(first, width, power), keep[first::power]):
                     rest[j] //= p
                 power *= p
         for j in compress(range(width), keep):

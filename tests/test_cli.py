@@ -582,15 +582,19 @@ def _fresh_cli(*argv):
     The child imports the package under test, installed or not, and formats
     usage text for 80 columns.
     """
-    src = str(Path(orbke.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "orbke.cli", *argv],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path, "COLUMNS": "80"},
+        env=_fresh_env(),
     )
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def _fresh_env():
+    src = str(Path(orbke.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path, "COLUMNS": "80"}
 
 
 class TestExitPolicy:
@@ -623,6 +627,29 @@ class TestExitPolicy:
         code, out, _ = _fresh_cli("--version")
         assert code == 0
         assert __version__ in out
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+    def test_closed_output_exits_one_without_traceback(self, fmt):
+        # The stream is over 600 kB, far past a pipe buffer, so the writer
+        # is still writing when the reader closes its end after one line.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "orbke.cli", "enumerate", "--dim", "4",
+             "--max-order", "180", "--format", fmt],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=_fresh_env(),
+        )
+        try:
+            assert proc.stdout.readline()
+            proc.stdout.close()
+            code = proc.wait(timeout=60)
+            err = proc.stderr.read().decode()
+        finally:
+            proc.kill()
+            proc.stdout.close()
+            proc.stderr.close()
+        assert code == 1
+        assert "Traceback" not in err and "BrokenPipeError" not in err
 
 
 class TestDeterminism:

@@ -500,6 +500,55 @@ class TestSlicePlan:
         assert windows == want
 
 
+class TestTableReuse:
+    # _Search keeps its last coprime table and builds one only when the
+    # primes tabulated change; whatever order the states come in, the
+    # table handed out must be the one a fresh build gives.
+    @pytest.mark.parametrize("n, root", [(4, None), (5, (2, 3, 7, 89))])
+    def test_reused_table_equals_a_fresh_one(self, n, root, monkeypatch):
+        cfg = SearchConfig(n=n, mode="count", prefix_filter=root)
+        states = [tuple(sorted(s[3])) for s in _Search(cfg).prefixes(n)]
+        shuffled = random.Random(20261019).sample(states, len(states))
+        builds = []
+        build = enumeration.coprime_table
+        monkeypatch.setattr(enumeration, "coprime_table",
+                            lambda primes: builds.append(primes) or build(primes))
+        for order in (states, shuffled):
+            search = _Search(cfg)
+            builds.clear()
+            heads = [()]  # a search starts with the empty table
+            for primes in order:
+                phi, rest = build(primes)
+                heads.append(primes[:len(primes) - len(rest)])
+                assert search._coprime_table(primes) == (phi, rest), primes
+            # One build each time the tabulated primes change, and no more.
+            assert 0 < len(builds) == sum(a != b for a, b in zip(heads, heads[1:]))
+            if order is states and n == 5:
+                # Neighbouring states below (2,3,7,89) share table primes.
+                assert len(builds) < len(states)
+
+    @pytest.mark.parametrize("n, root", [(4, None), (5, (2, 3, 7, 89))])
+    def test_tasks_in_reverse_order_count_as_serial(self, n, root):
+        cfg = SearchConfig(n=n, mode="count", prefix_filter=root)
+        serial = enumerate_tuples(cfg)
+        search = _Search(cfg)
+        tasks = enumeration.pool_tasks(search.plan(), 2)
+        assert len(tasks) > 2
+        interior = search.nodes
+        for task in reversed(tasks):
+            search.count_slices(task)
+        assert (search.counts, search.nodes) == (serial.counts, serial.nodes_visited)
+        # One worker entry per task, each with a table of its own.
+        counts = dict.fromkeys(cfg.classes, 0)
+        nodes = interior
+        for task in reversed(tasks):
+            task_counts, task_nodes = enumeration._count_task(cfg, task)
+            nodes += task_nodes
+            for label, value in task_counts.items():
+                counts[label] += value
+        assert (counts, nodes) == (serial.counts, serial.nodes_visited)
+
+
 def _hot_prefixes(n, root=()):
     """(prefix, S) for the sorted coprime (n+1)-prefixes below root that can carry NewOnlyKE.
 

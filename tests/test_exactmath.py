@@ -19,6 +19,7 @@ from orbke.exactmath import (
     _TRIAL_BOUND,
     TABLE_CAP,
     FactoredInt,
+    _count_positive,
     coprime_factorizations,
     coprime_in_range,
     coprime_table,
@@ -132,6 +133,20 @@ class TestPrimality:
             assert not is_probable_prime(c)
 
 
+def _check_stack_walk(lo, hi, primes):
+    """_count_positive over [lo, hi], lo >= 1, against a gcd scan.
+
+    Once on the table coprime_table builds for the primes, with the rest
+    walked, and once on the empty table with every prime walked.
+    """
+    modulus = math.prod(primes)
+    scan = sum(1 for k in range(lo, hi + 1) if math.gcd(k, modulus) == 1)
+    ascending = tuple(sorted(primes))
+    phi, rest = coprime_table(ascending)
+    assert _count_positive(lo, hi, rest, phi) == scan, (lo, hi, primes)
+    assert _count_positive(lo, hi, ascending) == scan, (lo, hi, primes)
+
+
 class TestCountCoprimeInRange:
     def test_totient_of_30(self):
         assert count_coprime_in_range(1, 30, (2, 3, 5)) == 8
@@ -166,6 +181,9 @@ class TestCountCoprimeInRange:
         assert count_coprime_in_range(lo, hi, tuple(primes)) == brute
 
     def test_seeded_ranges_match_brute_force_scan(self):
+        # count_coprime_in_range on every range, and the search's stack walk
+        # _count_positive on the positive part of it, both on the primes'
+        # coprime_table and on the empty one, against a gcd scan.
         rng = random.Random(20261018)
         pool = _first_primes(10)
         cases = [(lo, lo + w) for lo in (-40, -7, -1, 0, 1, 2) for w in (0, 1, 10, 60)]
@@ -181,6 +199,19 @@ class TestCountCoprimeInRange:
                 modulus = math.prod(primes)
                 brute = sum(1 for k in range(lo, hi + 1) if math.gcd(k, modulus) == 1)
                 assert count_coprime_in_range(lo, hi, primes) == brute, (lo, hi, primes)
+                _check_stack_walk(max(lo, 1), hi, primes)
+        # The leaf shapes of the search: a table with no prime or one prime
+        # left over (the median leaf: 43 after the table of 2*3*5*7*19 =
+        # 3990 below (2,3,7,43,1805)), primes past TABLE_CAP, and long
+        # ranges that wrap the table many times.
+        shapes = [(), (4099,), (5, 4099), (2, 3, 7, 43), (2, 3, 5, 7, 19, 43),
+                  (2, 3, 5, 7, 11, 13), (2, 3, 5, 7, 11, 4099, 4111), (3, 5, 7, 11, 1811)]
+        for primes in shapes:
+            for _ in range(6):
+                lo = rng.randint(1, 30_000)
+                _check_stack_walk(lo, lo + rng.randint(-2, 20_000), primes)
+            for lo, hi in ((1, 1), (7, 7), (4100, 4100), (9, 8), (1, 0), (1, 60_000)):
+                _check_stack_walk(lo, hi, primes)
 
     def test_forty_primes_to_a_million(self):
         # The full subset sum would have 2^40 terms.

@@ -95,6 +95,23 @@ def test_exact_modules_have_no_floats():
         assert found == [], name
 
 
+def test_only_oracle_imports_numpy():
+    # numpy serves the Monte-Carlo oracle alone; the exact modules, the CLI
+    # and the package root reach it only through oracle.py.
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "numpy" for name in names):
+                found.append(path.name)
+    assert set(found) == {"oracle.py"}
+
+
 def test_integer_checks_go_through_check_int():
     # errors.check_int is the one integer rule (any Integral but bool, as a
     # plain int); a hand-rolled isinstance(_, int) elsewhere would drift
