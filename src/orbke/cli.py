@@ -9,7 +9,10 @@ so certificates can be re-checked independently; re-running a command on
 a certificate's echoed input reproduces the record bit-for-bit except for
 the timing field.  Handlers build only the body of their record; `main`
 stamps every record with the package `version` and with `elapsed_s`, the
-time the handler took, and writes it.
+time the handler took, and writes it.  `enumerate` also writes one
+`enumerate-item` record per tuple as it streams: each is built straight
+from the search's integer rows (`enumeration.iter_rows`), with c1 the one
+Fraction D/P, and goes through the same `Emitter` as every other record.
 
 Exit codes separate computation from verdict: 0 means a verdict was
 computed (pass or fail alike, read the payload), 1 means the input was
@@ -38,7 +41,7 @@ from . import __version__
 from .enumeration import (
     SearchConfig,
     enumerate_tuples,
-    iter_tuples,
+    iter_rows,
     sylvester_family,
     sylvester_seq,
 )
@@ -128,13 +131,13 @@ def _flat_items(value, key="", flat=None) -> list:
 
     A dict contributes its items under key.sub, a list of scalars one
     ";"-joined entry, any other list its items under key.i, and a scalar
-    itself.  Every pair is appended to the one list flat, which is returned.
+    itself.  Every pair is appended to the one list flat, which is returned:
+    a scalar member in place, a nested one by a recursive call.
     """
     if flat is None:
         flat = []
     if isinstance(value, dict):
-        for sub, inner in value.items():
-            _flat_items(inner, f"{key}.{sub}" if key else sub, flat)
+        prefix, members = (f"{key}." if key else ""), value.items()
     elif isinstance(value, (list, tuple)):
         for item in value:
             if isinstance(item, _NESTED):
@@ -142,10 +145,15 @@ def _flat_items(value, key="", flat=None) -> list:
         else:
             flat.append((key, ";".join(map(_scalar, value))))
             return flat
-        for i, item in enumerate(value):
-            _flat_items(item, f"{key}.{i}", flat)
+        prefix, members = f"{key}.", enumerate(value)
     else:
         flat.append((key, _scalar(value)))
+        return flat
+    for sub, inner in members:
+        if isinstance(inner, _NESTED):
+            _flat_items(inner, f"{prefix}{sub}", flat)
+        else:
+            flat.append((f"{prefix}{sub}", _scalar(inner)))
     return flat
 
 
@@ -169,11 +177,11 @@ class Emitter:
             return
         flat = _flat_items(record)
         if self.fmt == "csv":
-            keys = [k for k, _ in flat]
+            keys, values = zip(*flat)
             if keys != self._csv_keys:
                 self._csv.writerow(keys)
                 self._csv_keys = keys
-            self._csv.writerow([v for _, v in flat])
+            self._csv.writerow(values)
             return
         for key, value in flat:
             self.out.write(f"{key} = {value}\n")
@@ -307,15 +315,16 @@ def _cmd_enumerate(args, emit: Emitter) -> dict:
         summary["counts"] = result.counts
         summary["nodes_visited"] = result.nodes_visited
         return summary
-    for t, report in iter_tuples(cfg):
-        summary["counts"][report.classification] += 1
+    counts = summary["counts"]
+    for orders, (_, D, P, _, old_ok, new_ok, label) in iter_rows(cfg):
+        counts[label] += 1
         emit.write({
             "command": "enumerate-item",
-            "orders": list(t.orders),
-            "classification": report.classification,
-            "c1": _rat(report.c1),
-            "old_ok": report.old_ok,
-            "new_ok": report.new_ok,
+            "orders": list(orders),
+            "classification": label,
+            "c1": str(Fraction(D, P)),
+            "old_ok": old_ok,
+            "new_ok": new_ok,
         })
     return summary
 

@@ -18,9 +18,16 @@ one node each: it counts each class interval of the last coordinate by
 one inclusion-exclusion walk over the primes of v and those of R outside
 a coprime-count table for R's smallest primes, which is kept from prefix
 to prefix while those primes are the same.  Materialize mode walks to the
-prefixes of n + 1 orders and lists and classifies the coprime last
-coordinates of each interval.  Both clip the class intervals with
-`_Search._windows`, by a class plan fixed once per search.
+prefixes of n + 1 orders and lists the coprime last coordinates of each
+interval.  Both clip the class intervals with `_Search._windows`, by a
+class plan fixed once per search.
+
+Materialize mode has one traversal, the row generator `_Search.rows`.  It
+yields each tuple once, as integers: its orders and its `fano_fields`,
+re-derived from the orders and checked against the label of the interval
+the last order was solved into.  `iter_rows` streams those rows, and the
+`enumerate` command writes its items straight from them; `iter_tuples`
+and `enumerate_tuples` wrap each row into a (RamTuple, FanoReport) pair.
 
 A parallel count plans exact-weight slices first (`_Search.plan`): a
 slice is a prefix of n orders with a range [lo, hi) of its next order v,
@@ -71,7 +78,15 @@ from .exactmath import (
     coprime_table,
     factorize,
 )
-from .orbifold import CLASSIFICATIONS, RamTuple, check_orders, classify, make_tuple
+from .orbifold import (
+    CLASSIFICATIONS,
+    FanoReport,
+    RamTuple,
+    check_orders,
+    classify,
+    fano_fields,
+    make_tuple,
+)
 
 # Classes whose members form a finite set without any order cap.
 _BOUNDED_CLASSES = frozenset({"OldKE", "NewOnlyKE"})
@@ -546,17 +561,43 @@ class _Search:
         for state, lo, hi, _ in slices:
             self._count_leaves(state, (lo, hi))
 
-    def materialize(self):
-        for prefix, N, P, _ in self.prefixes(self.n + 1):
+    def rows(self):
+        """Yield (orders, fields) of every requested tuple, in lexicographic order.
+
+        The one traversal of materialize mode.  orders is the sorted tuple
+        and fields its `fano_fields` (m_max, D, P, fano, old_ok, new_ok,
+        label), re-derived from the orders alone; a label that differs from
+        the class window the last order was solved into raises
+        AssertionError, under `python -O` too.
+        """
+        n = self.n
+        counts = self.counts
+        for prefix, N, P, _ in self.prefixes(n + 1):
             for label, lo, hi in self._windows(N, P, prefix[-1]):
                 for m in coprime_in_range(lo, hi - 1, P):
-                    t = RamTuple(self.n, prefix + (m,))
-                    report = classify(t)
-                    if report.classification != label:
-                        raise AssertionError(f"{t.orders} solved into {label} but "
-                                             f"classifies as {report.classification}")
-                    self.counts[label] += 1
-                    yield t, report
+                    orders = prefix + (m,)
+                    fields = fano_fields(n, orders)
+                    if fields[-1] != label:
+                        raise AssertionError(f"{orders} solved into {label} but "
+                                             f"classifies as {fields[-1]}")
+                    counts[label] += 1
+                    yield orders, fields
+
+    def materialize(self):
+        """Yield the rows wrapped as (RamTuple, FanoReport) pairs."""
+        n = self.n
+        for orders, fields in self.rows():
+            yield RamTuple(n, orders), FanoReport(n, *fields)
+
+
+def iter_rows(cfg: SearchConfig):
+    """Stream the integer rows (orders, fano_fields) of materialize mode.
+
+    The form the `enumerate` command writes its items from: no RamTuple,
+    FanoReport or Fraction is built.  Same order, counts, node cap and
+    cross-check as iter_tuples, which wraps these rows.
+    """
+    return _Search(cfg).rows()
 
 
 def iter_tuples(cfg: SearchConfig):

@@ -38,7 +38,7 @@ from .exactmath import Rat
 CLASSIFICATIONS = ("NotFano", "OldKE", "NewOnlyKE", "NoCriterion")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class RamTuple:
     """Sorted ramification indices of an n-dimensional arrangement orbifold.
 
@@ -52,26 +52,23 @@ class RamTuple:
     n: int
     orders: tuple[int, ...]
 
-    def __post_init__(self):
-        orders = self.orders
-        if type(orders) is not tuple:
-            orders = tuple(orders)
-        if type(self.n) is not int:
-            object.__setattr__(self, "n", check_int(self.n, "dimension"))
-        if set(map(type, orders)) - {int}:
+    def __init__(self, n, orders):
+        if type(n) is not int:
+            n = check_int(n, "dimension")
+        if type(orders) is not tuple or set(map(type, orders)) - {int}:
             orders = tuple(check_int(m, "order") for m in orders)
-        if orders is not self.orders:
-            object.__setattr__(self, "orders", orders)
-        if self.n < 1:
-            raise InputError(f"dimension must be >= 1, got {self.n}")
-        if len(orders) != self.n + 2:
-            raise WrongLength(
-                f"dimension {self.n} needs {self.n + 2} orders, got {len(orders)}"
-            )
+        if n < 1:
+            raise InputError(f"dimension must be >= 1, got {n}")
+        if len(orders) != n + 2:
+            raise WrongLength(f"dimension {n} needs {n + 2} orders, got {len(orders)}")
         if list(orders) != sorted(orders):
             raise InputError("orders must be sorted; use make_tuple to canonicalize")
         if orders[0] < 1:
             raise OrderBelowMinimum(f"order {orders[0]} is below 1")
+        # Each field is set once, after the checks (see FanoReport.__init__).
+        set_ = object.__setattr__
+        set_(self, "n", n)
+        set_(self, "orders", orders)
 
 
 class _derived:
@@ -93,7 +90,7 @@ class _derived:
         return value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FanoReport:
     """Exact evaluation of the positivity and both existence bounds.
 
@@ -114,6 +111,22 @@ class FanoReport:
     old_ok: bool
     new_ok: bool
     classification: str
+
+    def __init__(self, n, m_max, D, P, fano, old_ok, new_ok, classification):
+        # The generated frozen __init__ looks object.__setattr__ up again for
+        # every field; binding it once makes a report about a third cheaper,
+        # and iter_tuples builds one per tuple.  Filling self.__dict__
+        # directly would be cheaper still, but it gives every report a dict
+        # object of its own, about 180 bytes more per report.
+        set_ = object.__setattr__
+        set_(self, "n", n)
+        set_(self, "m_max", m_max)
+        set_(self, "D", D)
+        set_(self, "P", P)
+        set_(self, "fano", fano)
+        set_(self, "old_ok", old_ok)
+        set_(self, "new_ok", new_ok)
+        set_(self, "classification", classification)
 
     @_derived
     def c1(self) -> Rat:
@@ -173,20 +186,20 @@ def make_tuple(n: int, orders, min_order: int = 2) -> RamTuple:
     return RamTuple(n, check_orders(sorted(orders), min_order))
 
 
-def classify(t: RamTuple) -> FanoReport:
-    """Evaluate both existence bounds exactly and attach the verdict.
+def fano_fields(n: int, orders: tuple[int, ...]) -> tuple:
+    """The fields of a FanoReport after n: (m_max, D, P, fano, old_ok, new_ok, label).
 
-    min over i of 1/mi is 1/(largest order), so both right-hand sides use
-    the last entry of the sorted tuple.  With P = prod(mi) the first Chern
-    class is D/P for the integer D = sum(P/mi) - P, so each comparison is
-    one integer inequality: c1 > 0 iff D > 0, c1 < (n+1)/(n*m_max) iff
-    n*m_max*D < (n+1)*P, and c1 < (n+1)/m_max iff m_max*D < (n+1)*P.
-    No Fraction is built here: the report derives them when read.
+    orders must be sorted.  min over i of 1/mi is 1/(largest order), so
+    both right-hand sides use the last entry.  With P = prod(mi) the first
+    Chern class is D/P for the integer D = sum(P/mi) - P, so each
+    comparison is one integer inequality: c1 > 0 iff D > 0,
+    c1 < (n+1)/(n*m_max) iff n*m_max*D < (n+1)*P, and c1 < (n+1)/m_max iff
+    m_max*D < (n+1)*P.  This is the one place a verdict is decided:
+    `classify` wraps it, and the search's rows carry it unwrapped.
     """
-    n = t.n
-    m_max = t.orders[-1]
-    P = math.prod(t.orders)
-    D = sum(map(P.__floordiv__, t.orders)) - P
+    m_max = orders[-1]
+    P = math.prod(orders)
+    D = sum(map(P.__floordiv__, orders)) - P
     fano = D > 0
     old_ok = n * m_max * D < (n + 1) * P
     new_ok = m_max * D < (n + 1) * P
@@ -198,7 +211,15 @@ def classify(t: RamTuple) -> FanoReport:
         label = "NewOnlyKE"
     else:
         label = "NoCriterion"
-    return FanoReport(n, m_max, D, P, fano, old_ok, new_ok, label)
+    return m_max, D, P, fano, old_ok, new_ok, label
+
+
+def classify(t: RamTuple) -> FanoReport:
+    """Evaluate both existence bounds exactly and attach the verdict (see fano_fields).
+
+    No Fraction is built here: the report derives them when read.
+    """
+    return FanoReport(t.n, *fano_fields(t.n, t.orders))
 
 
 def link_weights(t: RamTuple) -> LinkData:
