@@ -10,9 +10,11 @@ a certificate's echoed input reproduces the record bit-for-bit except for
 the timing field.  Handlers build only the body of their record; `main`
 stamps every record with the package `version` and with `elapsed_s`, the
 time the handler took, and writes it.  `enumerate` also writes one
-`enumerate-item` record per tuple as it streams: each is built straight
+`enumerate-item` record per tuple as it streams: each is rendered straight
 from the search's integer rows (`enumeration.iter_rows`), with c1 the one
-Fraction D/P, and goes through the same `Emitter` as every other record.
+Fraction D/P, by the `Emitter`'s fixed line template for its format.  No
+dict is built for an item, and the bytes are those the generic path writes
+for the item's dict.
 
 Exit codes separate computation from verdict: 0 means a verdict was
 computed (pass or fail alike, read the payload), 1 means the input was
@@ -157,8 +159,39 @@ def _flat_items(value, key="", flat=None) -> list:
     return flat
 
 
+# Every enumerate-item record has these keys, in this order.
+ITEM_KEYS = ("command", "orders", "classification", "c1", "old_ok", "new_ok")
+_ITEM_CSV_HEADER = ",".join(ITEM_KEYS) + "\n"
+# A bool as json.dumps and _scalar both write it, indexed by the bool.
+_BOOL = ("false", "true")
+
+
+def _item_template(fmt: str) -> tuple:
+    """(line template, orders join) of an enumerate-item record in fmt.
+
+    The template's "%s" fields take the joined orders, the label, c1 and the
+    two bools.  No value of an item needs escaping or quoting (ints, four
+    labels, a "p/q" string, bools), so the line is the bytes `Emitter.write`
+    gives for the item's dict, a csv header aside.
+    """
+    if fmt == "json":
+        values = ('"enumerate-item"', "[%s]", '"%s"', '"%s"', "%s", "%s")
+        pairs = ", ".join(f'"{key}": {value}' for key, value in zip(ITEM_KEYS, values))
+        return "{" + pairs + "}\n", ", ".join
+    values = ("enumerate-item", "%s", "%s", "%s", "%s", "%s")
+    if fmt == "csv":
+        return ",".join(values) + "\n", ";".join
+    lines = "".join(f"{key} = {value}\n" for key, value in zip(ITEM_KEYS, values))
+    return lines + "\n", ";".join
+
+
 class Emitter:
     """Streams records as json-lines, csv sections, or text blocks.
+
+    `write` renders any record dict.  `item_line` renders one
+    enumerate-item from its values with the format's fixed template, the
+    same bytes as `write` on the item's dict; `enumerate` streams its items
+    through it and writes the line to `out` itself.
 
     csv emits a header row whenever the record shape changes, so a stream
     of homogeneous rows (enumerate items) forms one table and the trailing
@@ -170,6 +203,7 @@ class Emitter:
         self.out = out
         self._csv_keys = None
         self._csv = csv.writer(out, lineterminator="\n") if fmt == "csv" else None
+        self._item, self._join = _item_template(fmt)
 
     def write(self, record: dict):
         if self.fmt == "json":
@@ -186,6 +220,16 @@ class Emitter:
         for key, value in flat:
             self.out.write(f"{key} = {value}\n")
         self.out.write("\n")
+
+    def item_line(self, orders, label: str, c1: str, old_ok: bool, new_ok: bool) -> str:
+        """The text of one enumerate-item; in csv, the first item's line carries the header."""
+        line = self._item % (
+            self._join(map(str, orders)), label, c1, _BOOL[old_ok], _BOOL[new_ok],
+        )
+        if self._csv is None or self._csv_keys == ITEM_KEYS:
+            return line
+        self._csv_keys = ITEM_KEYS
+        return _ITEM_CSV_HEADER + line
 
 
 class _OutFile:
@@ -316,16 +360,10 @@ def _cmd_enumerate(args, emit: Emitter) -> dict:
         summary["nodes_visited"] = result.nodes_visited
         return summary
     counts = summary["counts"]
+    line, write = emit.item_line, emit.out.write
     for orders, (_, D, P, _, old_ok, new_ok, label) in iter_rows(cfg):
         counts[label] += 1
-        emit.write({
-            "command": "enumerate-item",
-            "orders": list(orders),
-            "classification": label,
-            "c1": str(Fraction(D, P)),
-            "old_ok": old_ok,
-            "new_ok": new_ok,
-        })
+        write(line(orders, label, str(Fraction(D, P)), old_ok, new_ok))
     return summary
 
 

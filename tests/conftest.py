@@ -8,7 +8,7 @@ import math
 import pytest
 from hypothesis import strategies as st
 
-from orbke import cli
+from orbke import classify, cli, iter_tuples
 
 # Small primes whose powers build pairwise-coprime order tuples quickly.
 _PRIME_POOL = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
@@ -74,3 +74,17 @@ def run_cli(capsys):
 def json_records(stdout):
     """Parse JSON-lines output into a list of dicts."""
     return [json.loads(line) for line in stdout.splitlines() if line.strip()]
+
+
+def reference_items(cfg):
+    """The enumerate-item dicts of cfg's stream, each built from iter_tuples and classify."""
+    for t, _ in iter_tuples(cfg):
+        report = classify(t)
+        yield {
+            "command": "enumerate-item",
+            "orders": list(t.orders),
+            "classification": report.classification,
+            "c1": str(report.c1),
+            "old_ok": report.old_ok,
+            "new_ok": report.new_ok,
+        }

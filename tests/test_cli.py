@@ -16,9 +16,10 @@ from pathlib import Path
 import pytest
 
 import orbke
-from orbke import __version__, cli
+from orbke import SearchConfig, __version__, cli
+from orbke.orbifold import CLASSIFICATIONS
 
-from conftest import json_records
+from conftest import json_records, reference_items
 
 
 class TestCheck:
@@ -527,7 +528,12 @@ def _reference_flat_items(value, key=""):
 
 
 class TestFlattener:
-    """`cli._flat_items` gives the reference's pairs, in its order, on every record."""
+    """`cli._flat_items` gives the reference's pairs, in its order, on every record.
+
+    Items do not pass through `Emitter.write` (their lines come from
+    `Emitter.item_line`), so the item dicts are built as the stream tests'
+    reference builds them, and their keys are the csv item header's.
+    """
 
     RUNS = [
         *ENVELOPE_CASES.values(),
@@ -550,11 +556,16 @@ class TestFlattener:
         monkeypatch.setattr(cli.Emitter, "write", recording_write)
         codes = [run_cli(*argv, "--format", fmt)[0] for argv in self.RUNS]
         assert codes == [2 if "--max-nodes" in argv else 0 for argv in self.RUNS]
+        assert "enumerate-item" not in {r["command"] for r in records}
+        records += reference_items(SearchConfig(n=3, classes=CLASSIFICATIONS, max_order=30))
         commands = {r["command"] for r in records}
         assert commands >= {name for name in ENVELOPE_CASES} | {"enumerate-item"}
         assert sum(r["command"] == "enumerate-item" for r in records) > 100
         for record in records:
-            assert cli._flat_items(record) == list(_reference_flat_items(record))
+            flat = cli._flat_items(record)
+            assert flat == list(_reference_flat_items(record))
+            if record["command"] == "enumerate-item":
+                assert tuple(key for key, _ in flat) == cli.ITEM_KEYS
 
     @pytest.mark.parametrize("value", [
         {}, {"a": []}, {"a": ()}, {"a": [None, True, False, 0, 1.5, "x"]},

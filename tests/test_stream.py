@@ -1,8 +1,9 @@
 """`orbke enumerate` streams: the bytes, the cross-check and the item values.
 
-The command writes its items from the search's integer rows.  These tests
-hold it to a reference rendering that builds each item from `iter_tuples`
-and `classify` through the generic `Emitter`, to the cross-check between
+The command renders its items from the search's integer rows with one
+fixed line template per format.  These tests hold it to a reference
+rendering that builds each item dict from `iter_tuples` and `classify` and
+writes it through the generic `Emitter.write`, to the cross-check between
 the solved class window and the re-derived verdict, and to plain Fraction
 arithmetic on every item.
 """
@@ -21,10 +22,11 @@ from pathlib import Path
 import pytest
 
 import orbke
-from orbke import SearchConfig, __version__, classify, cli, enumeration, iter_tuples, orbifold
+from orbke import SearchConfig, __version__, cli, enumeration, iter_tuples, orbifold
+from orbke.errors import NodeBudgetExceeded
 from orbke.orbifold import CLASSIFICATIONS
 
-from conftest import json_records
+from conftest import json_records, reference_items
 
 FORMATS = ("json", "csv", "text")
 CLASSES = {"new-only": ("NewOnlyKE",), "old": ("OldKE",), "all": CLASSIFICATIONS}
@@ -48,32 +50,29 @@ def _argv(dim, klass):
     return argv
 
 
-def _reference_streams(dim, klass):
-    """{format: text} of the stream, each item built from iter_tuples and classify."""
-    max_order = ALL_CAP[dim] if klass == "all" else None
-    classes = CLASSES[klass]
+def _reference_streams(klass, **search):
+    """{format: text} of the stream of the search with SearchConfig fields search.
+
+    Each item dict is built from iter_tuples and classify and written with
+    `Emitter.write`; a stream the node cap stops has no summary.
+    """
+    cfg = SearchConfig(classes=CLASSES[klass], **search)
     outs = {fmt: io.StringIO() for fmt in FORMATS}
     emitters = [cli.Emitter(fmt, out) for fmt, out in outs.items()]
-    counts = dict.fromkeys(classes, 0)
-    for t, _ in iter_tuples(SearchConfig(n=dim, classes=classes, max_order=max_order)):
-        report = classify(t)
-        counts[report.classification] += 1
-        item = {
-            "command": "enumerate-item",
-            "orders": list(t.orders),
-            "classification": report.classification,
-            "c1": str(report.c1),
-            "old_ok": report.old_ok,
-            "new_ok": report.new_ok,
-        }
-        for emit in emitters:
-            emit.write(item)
+    counts = dict.fromkeys(cfg.classes, 0)
+    try:
+        for item in reference_items(cfg):
+            counts[item["classification"]] += 1
+            for emit in emitters:
+                emit.write(item)
+    except NodeBudgetExceeded:
+        return {fmt: out.getvalue() for fmt, out in outs.items()}
     summary = {
         "command": "enumerate",
         "version": __version__,
         "input": {
-            "dim": dim, "class": klass, "count_only": False, "max_order": max_order,
-            "min_order": 2, "jobs": 1, "max_nodes": None,
+            "dim": cfg.n, "class": klass, "count_only": False, "max_order": cfg.max_order,
+            "min_order": cfg.min_order, "jobs": 1, "max_nodes": cfg.node_cap,
         },
         "counts": counts,
         "verdict": "complete",
@@ -85,18 +84,61 @@ def _reference_streams(dim, klass):
     return {fmt: out.getvalue() for fmt, out in outs.items()}
 
 
+def _assert_streams(run_cli, tmp_path, argv, code, want):
+    """argv writes want[fmt] and exits code in every format, on stdout and through --out."""
+    for fmt in FORMATS:
+        got = run_cli(*argv, "--format", fmt)
+        assert got[:2] == (code, want[fmt]), fmt
+        path = tmp_path / f"stream.{fmt}"
+        got = run_cli(*argv, "--format", fmt, "--out", str(path))
+        assert got[:2] == (code, "")
+        assert path.read_text() == want[fmt], fmt
+
+
 class TestByteIdentity:
     @pytest.mark.parametrize("klass", list(CLASSES))
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_stream_equals_reference(self, run_cli, frozen_clock, tmp_path, dim, klass):
-        want = _reference_streams(dim, klass)
-        for fmt in FORMATS:
-            code, out, _ = run_cli(*_argv(dim, klass), "--format", fmt)
-            assert (code, out) == (0, want[fmt]), fmt
-            path = tmp_path / f"stream.{fmt}"
-            code, out, _ = run_cli(*_argv(dim, klass), "--format", fmt, "--out", str(path))
-            assert (code, out) == (0, "")
-            assert path.read_text() == want[fmt], fmt
+        max_order = ALL_CAP[dim] if klass == "all" else None
+        want = _reference_streams(klass, n=dim, max_order=max_order)
+        _assert_streams(run_cli, tmp_path, _argv(dim, klass), 0, want)
+
+    # (argv, exit code, SearchConfig fields, class) of the streams at the
+    # edges of the item renderer.
+    EDGES = {
+        # The item 1;1;1 has c1 "2", with P = 1.
+        "unit-orders": (
+            ["enumerate", "--dim", "1", "--allow-unit-orders", "--class", "all",
+             "--max-order", "6"],
+            0, {"n": 1, "min_order": 1, "max_order": 6}, "all",
+        ),
+        # No item: csv prints the summary's header only.
+        "empty": (["enumerate", "--dim", "4", "--max-order", "10"], 0,
+                  {"n": 4, "max_order": 10}, "new-only"),
+        # The node cap stops the stream after 50 items: exit 2, no summary.
+        "capped": (["enumerate", "--dim", "3", "--max-nodes", "20"], 2,
+                   {"n": 3, "node_cap": 20}, "new-only"),
+    }
+
+    @pytest.mark.parametrize("case", list(EDGES))
+    def test_edge_stream_equals_reference(self, run_cli, frozen_clock, tmp_path, case):
+        argv, code, search, klass = self.EDGES[case]
+        want = _reference_streams(klass, **search)
+        _assert_streams(run_cli, tmp_path, argv, code, want)
+        lines = want["json"].splitlines()
+        items = [r for r in json_records(want["json"]) if r["command"] == "enumerate-item"]
+        if case == "unit-orders":
+            assert {"command": "enumerate-item", "orders": [1, 1, 1],
+                    "classification": "NoCriterion", "c1": "2", "old_ok": False,
+                    "new_ok": False} in items
+        elif case == "empty":
+            assert (len(lines), items) == (1, [])
+            # The summary's header and its row, nothing else.
+            header, row = want["csv"].splitlines()
+            assert header.startswith("command,version,input.dim,")
+            assert row.startswith("enumerate,")
+        else:
+            assert (len(lines), len(items)) == (50, 50)
 
     # sha256 of each stream of `enumerate --dim 3 --class all --max-order 30`
     # with elapsed_s 0.0, as written before items were built from rows; this
@@ -112,6 +154,32 @@ class TestByteIdentity:
         code, out, _ = run_cli(*_argv(3, "all"), "--format", fmt)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS[fmt]
+
+
+class TestFastPath:
+    """Items skip the generic path: no dict through `Emitter.write`, no `json.dumps`."""
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_only_the_summary_takes_the_generic_path(self, run_cli, monkeypatch, fmt):
+        written = []
+        dumped = []
+        write, dumps = cli.Emitter.write, cli.json.dumps
+
+        def recording_write(self, record):
+            written.append(record["command"])
+            return write(self, record)
+
+        def counting_dumps(*args, **kwargs):
+            dumped.append(args)
+            return dumps(*args, **kwargs)
+
+        monkeypatch.setattr(cli.Emitter, "write", recording_write)
+        monkeypatch.setattr(cli.json, "dumps", counting_dumps)
+        code, out, _ = run_cli("enumerate", "--dim", "3", "--format", fmt)
+        assert code == 0
+        assert out.count("enumerate-item") == 2484
+        assert written == ["enumerate"]
+        assert len(dumped) == (fmt == "json")
 
 
 def _shift_old_cut(N, P, n, cuts=enumeration._cuts):
