@@ -11,10 +11,11 @@ the timing field.  Handlers build only the body of their record; `main`
 stamps every record with the package `version` and with `elapsed_s`, the
 time the handler took, and writes it.  `enumerate` also writes one
 `enumerate-item` record per tuple as it streams: each is rendered straight
-from the search's integer rows (`enumeration.iter_rows`), with c1 the one
-Fraction D/P, by the `Emitter`'s fixed line template for its format.  No
-dict is built for an item, and the bytes are those the generic path writes
-for the item's dict.
+from the search's integer rows (`enumeration.iter_rows`) by the
+`Emitter`'s fixed line template for its format, with the text of its order
+prefix joined once per prefix and c1 = D/P reduced by one gcd.  No dict or
+Fraction is built for an item, and the bytes are those the generic path
+writes for the item's dict.
 
 Exit codes separate computation from verdict: 0 means a verdict was
 computed (pass or fail alike, read the payload), 1 means the input was
@@ -34,6 +35,7 @@ import argparse
 import csv
 import functools
 import json
+import math
 import os
 import sys
 import time
@@ -167,7 +169,7 @@ _BOOL = ("false", "true")
 
 
 def _item_template(fmt: str) -> tuple:
-    """(line template, orders join) of an enumerate-item record in fmt.
+    """(line template, orders separator) of an enumerate-item record in fmt.
 
     The template's "%s" fields take the joined orders, the label, c1 and the
     two bools.  No value of an item needs escaping or quoting (ints, four
@@ -177,21 +179,30 @@ def _item_template(fmt: str) -> tuple:
     if fmt == "json":
         values = ('"enumerate-item"', "[%s]", '"%s"', '"%s"', "%s", "%s")
         pairs = ", ".join(f'"{key}": {value}' for key, value in zip(ITEM_KEYS, values))
-        return "{" + pairs + "}\n", ", ".join
+        return "{" + pairs + "}\n", ", "
     values = ("enumerate-item", "%s", "%s", "%s", "%s", "%s")
     if fmt == "csv":
-        return ",".join(values) + "\n", ";".join
+        return ",".join(values) + "\n", ";"
     lines = "".join(f"{key} = {value}\n" for key, value in zip(ITEM_KEYS, values))
-    return lines + "\n", ";".join
+    return lines + "\n", ";"
+
+
+def _ratio(D: int, P: int) -> str:
+    """str(Fraction(D, P)) for P > 0, from one gcd: "p/q" in lowest terms, or "p" when q is 1."""
+    g = math.gcd(D, P)
+    return f"{D // g}/{P // g}" if P != g else str(D // g)
 
 
 class Emitter:
     """Streams records as json-lines, csv sections, or text blocks.
 
-    `write` renders any record dict.  `item_line` renders one
-    enumerate-item from its values with the format's fixed template, the
-    same bytes as `write` on the item's dict; `enumerate` streams its items
-    through it and writes the line to `out` itself.
+    `write` renders any record dict.  `item_format(head)` gives the line
+    template of the enumerate-items whose orders begin with head: the
+    format's fixed item template with head's text in place, so `enumerate`
+    joins an order prefix once for all its items and fills in the last
+    order, the label, c1 and the two bools per item, the same bytes as
+    `write` on the item's dict.  `enumerate` writes the lines to `out`
+    itself.
 
     csv emits a header row whenever the record shape changes, so a stream
     of homogeneous rows (enumerate items) forms one table and the trailing
@@ -203,7 +214,7 @@ class Emitter:
         self.out = out
         self._csv_keys = None
         self._csv = csv.writer(out, lineterminator="\n") if fmt == "csv" else None
-        self._item, self._join = _item_template(fmt)
+        self._item, self._sep = _item_template(fmt)
 
     def write(self, record: dict):
         if self.fmt == "json":
@@ -221,15 +232,19 @@ class Emitter:
             self.out.write(f"{key} = {value}\n")
         self.out.write("\n")
 
-    def item_line(self, orders, label: str, c1: str, old_ok: bool, new_ok: bool) -> str:
-        """The text of one enumerate-item; in csv, the first item's line carries the header."""
-        line = self._item % (
-            self._join(map(str, orders)), label, c1, _BOOL[old_ok], _BOOL[new_ok],
-        )
-        if self._csv is None or self._csv_keys == ITEM_KEYS:
-            return line
-        self._csv_keys = ITEM_KEYS
-        return _ITEM_CSV_HEADER + line
+    def item_format(self, head) -> str:
+        """The line template of the items whose orders are head plus one last order.
+
+        Its "%s" fields take the last order, the label, c1 and the two bools
+        (as _BOOL writes them).  Call it just before writing an item: in
+        csv, the first call writes the item header when the last header
+        written differs.
+        """
+        if self._csv is not None and self._csv_keys != ITEM_KEYS:
+            self._csv_keys = ITEM_KEYS
+            self.out.write(_ITEM_CSV_HEADER)
+        orders = self._sep.join(map(str, head)) + self._sep + "%s"
+        return self._item % (orders, "%s", "%s", "%s", "%s")
 
 
 class _OutFile:
@@ -360,10 +375,14 @@ def _cmd_enumerate(args, emit: Emitter) -> dict:
         summary["nodes_visited"] = result.nodes_visited
         return summary
     counts = summary["counts"]
-    line, write = emit.item_line, emit.out.write
+    item_format, write = emit.item_format, emit.out.write
+    head = line = None
     for orders, (_, D, P, _, old_ok, new_ok, label) in iter_rows(cfg):
         counts[label] += 1
-        write(line(orders, label, str(Fraction(D, P)), old_ok, new_ok))
+        # Rows of one prefix come together: join its text once, at its first row.
+        if (prefix := orders[:-1]) != head:
+            head, line = prefix, item_format(prefix)
+        write(line % (orders[-1], label, _ratio(D, P), _BOOL[old_ok], _BOOL[new_ok]))
     return summary
 
 

@@ -348,6 +348,21 @@ def _direction_times_radius(rng, size, radius):
     return g
 
 
+def _bp_components(rng, size, weights):
+    """Masks (ball, inner) of size samples' mixture components, as rng.choice draws them.
+
+    rng.choice(3, size, p=weights) labels each of size uniforms with the
+    number of entries of cdf = cumsum(weights) / last entry at or below
+    it.  The same uniforms give label 0 (the ball) where `ball`, 1 (the
+    origin) where `inner & ~ball` and 2 (the tubes) where `~inner`, with
+    no label array, and leave the stream where choice leaves it.
+    """
+    cdf = np.cumsum(weights)
+    cdf /= cdf[-1]
+    pick = rng.random(size)
+    return pick < cdf[0], pick < cdf[1]
+
+
 def estimate_bp_threshold(n: int, cfg: OracleConfig) -> ExponentEstimate:
     """Probe the integrability threshold of |u^n + v^n|^(-2 lambda).
 
@@ -399,17 +414,16 @@ def _bp_sampler(n, n_s):
     def sample(rng, eps):
         x, w_abs, terms, tube_ok, (norm2, p, q, t) = scratch
         log_inv_eps = math.log(1 / eps)
-        comp = rng.choice(3, size=n_s, p=[w_ball, w_origin, w_tube])
-        for c_id, radius in (
-            (0, lambda t: t ** 0.25),
-            (1, lambda t: np.exp(t * math.log(eps))),
+        ball, inner = _bp_components(rng, n_s, (w_ball, w_origin, w_tube))
+        for idx, radius in (
+            (np.flatnonzero(ball), lambda t: t ** 0.25),
+            (np.flatnonzero(inner & ~ball), lambda t: np.exp(t * math.log(eps))),
         ):
-            idx = np.flatnonzero(comp == c_id)
             if idx.size:
                 for row, vals in zip(x, _direction_times_radius(rng, idx.size, radius)):
                     row[idx] = vals
 
-        tube_idx = np.flatnonzero(comp == 2)
+        tube_idx = np.flatnonzero(~inner)
         m = tube_idx.size
         if m:
             tube_line = rng.integers(0, n, size=m)

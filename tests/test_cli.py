@@ -531,8 +531,9 @@ class TestFlattener:
     """`cli._flat_items` gives the reference's pairs, in its order, on every record.
 
     Items do not pass through `Emitter.write` (their lines come from
-    `Emitter.item_line`), so the item dicts are built as the stream tests'
-    reference builds them, and their keys are the csv item header's.
+    `Emitter.item_format`'s templates), so the item dicts are built as the
+    stream tests' reference builds them, and their keys are the csv item
+    header's.
     """
 
     RUNS = [

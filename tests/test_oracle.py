@@ -26,6 +26,7 @@ from orbke.oracle import (
     BP_MIN_CUTOFF,
     MAX_CELLS,
     MAX_EVALUATIONS,
+    _bp_components,
     _bp_sampler,
     _check_work,
     _estimate,
@@ -372,6 +373,19 @@ class TestRowLayoutMatchesReference:
             _monomial_sampler(exps, REFERENCE_SAMPLES),
             _reference_monomial(exps, REFERENCE_SAMPLES), seed,
         )
+
+
+class TestComponentDraw:
+    @pytest.mark.parametrize("seed", [0, 1, 3, 17, 20260814])
+    @pytest.mark.parametrize("size", [1, 7, 40_000])
+    @pytest.mark.parametrize("weights", [(0.4, 0.3, 0.3), (0.1, 0.6, 0.3)])
+    def test_labels_and_next_draw_match_choice(self, seed, size, weights):
+        ref = np.random.default_rng(seed)
+        rng = np.random.default_rng(seed)
+        want = ref.choice(3, size=size, p=list(weights))
+        ball, inner = _bp_components(rng, size, weights)
+        np.testing.assert_array_equal(np.where(ball, 0, np.where(inner, 1, 2)), want)
+        np.testing.assert_array_equal(rng.random(5), ref.random(5))
 
 
 class TestInPlaceIntegration:

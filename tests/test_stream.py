@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import io
 import os
+import random
 import subprocess
 import sys
 import types
@@ -140,6 +141,13 @@ class TestByteIdentity:
         else:
             assert (len(lines), len(items)) == (50, 50)
 
+    def test_dim4_stream_equals_reference(self, run_cli, frozen_clock, tmp_path):
+        """Dimension 4, whose stream the certify benchmark times: 3,822 items up to order 120."""
+        want = _reference_streams("new-only", n=4, max_order=120)
+        assert want["json"].count('"enumerate-item"') == 3822
+        argv = ["enumerate", "--dim", "4", "--max-order", "120"]
+        _assert_streams(run_cli, tmp_path, argv, 0, want)
+
     # sha256 of each stream of `enumerate --dim 3 --class all --max-order 30`
     # with elapsed_s 0.0, as written before items were built from rows; this
     # pins the emitter's own bytes, which the reference above shares.
@@ -238,6 +246,50 @@ class TestCrossCheck:
         assert proc.stdout.splitlines() == ["1", MISFILED, MISFILED]
 
 
+def _ratio_pairs(seed):
+    """Seeded (D, P) pairs of c1 = D/P with P > 0, from order tuples and built at the edges.
+
+    Random sorted orders of dimensions 1 to 5 give the pairs fano_fields
+    derives, coprime or not; dimension 5 has products above 10**13.  The
+    built pairs add D = 0, D a multiple of P, P = 1 and negative D.
+    """
+    rng = random.Random(seed)
+    pairs = []
+    for n in range(1, 6):
+        for _ in range(60):
+            orders = tuple(sorted(rng.randint(1, 3000) for _ in range(n + 2)))
+            _, D, P, *_ = orbifold.fano_fields(n, orders)
+            pairs.append((D, P))
+    for _ in range(60):
+        P = rng.randint(1, 10**15)
+        pairs += [(0, P), (rng.randint(-5, 5) * P, P), (rng.randint(-10**15, 10**15), 1),
+                  (-rng.randint(1, 10**15), P)]
+    return pairs
+
+
+class TestRatioText:
+    """`cli._ratio` writes c1 = D/P as str(Fraction(D, P)) does, with no Fraction."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_fraction(self, monkeypatch, seed):
+        pairs = _ratio_pairs(seed)
+        built = _spy(monkeypatch, cli)
+        got = [cli._ratio(D, P) for D, P in pairs]
+        assert built == []
+        assert got == [str(Fraction(D, P)) for D, P in pairs]
+        # The edges are all there: NotFano's D < 0, D = kP (c1 "2" with unit
+        # orders), P = 1 and dimension-5 products.
+        assert any(D < 0 for D, _ in pairs)
+        assert any(P > 1 and D and D % P == 0 for D, P in pairs)
+        assert any(P == 1 for _, P in pairs)
+        assert any(P > 10**13 for D, P in pairs[4 * 60:5 * 60])
+
+    def test_unit_orders_item(self):
+        # Orders 1;1;1: D = 2, P = 1.
+        _, D, P, *_ = orbifold.fano_fields(1, (1, 1, 1))
+        assert (D, P, cli._ratio(D, P)) == (2, 1, "2")
+
+
 def _spy(monkeypatch, module):
     """Count the Fractions that module builds; the list grows by one per build."""
     built = []
@@ -258,8 +310,8 @@ class TestAgreement:
         assert code == 0
         items = [r for r in json_records(out) if r["command"] == "enumerate-item"]
         assert len(items) == 3915
-        # One Fraction per item, for c1; no report is built, so none of its sides.
-        assert (len(cli_built), report_built) == (len(items), [])
+        # No Fraction per item: c1 comes from one gcd, and no report is built.
+        assert (cli_built, report_built) == ([], [])
         n = 3
         for item in items:
             orders = item["orders"]
