@@ -32,7 +32,6 @@ from .enumeration import (
     admissible_last_interval,
     enumerate_tuples,
     iter_tuples,
-    count_new,
 )
 from .lct import (
     INF,
@@ -77,7 +76,6 @@ __all__ = [
     "admissible_last_interval",
     "enumerate_tuples",
     "iter_tuples",
-    "count_new",
     "INF",
     "SncFanoData",
     "KeReport",

@@ -9,34 +9,36 @@ at no more than two integer cut points (`_cuts`), and counting reduces to
 inclusion-exclusion coprime counts over the intervals between them.  The
 same inequalities bound the candidates for every earlier entry.
 
-One child step, `_Search._children`, takes the next order v after a
-prefix (N, P, primes R) at the interior depths: one node per v, each v
-with its primes from a segmented sieve.  The walk `_Search.prefixes`
-recurses over it.  Count mode stops the walk at the prefixes of n orders
-and reads the leaves v straight from the sieve (`_Search._count_leaves`),
-one node each: it counts each class interval of the last coordinate by
-one inclusion-exclusion walk over the primes of v and those of R outside
-a coprime-count table for R's smallest primes, which is kept from prefix
-to prefix while those primes are the same.  Materialize mode walks to the
-prefixes of n + 1 orders and lists the coprime last coordinates of each
-interval.  Both clip the class intervals with `_Search._windows`, by a
-class plan fixed once per search.
+The search has one walk, the generator `_Search.plan`.  It recurses over
+the interior depths, one node per next order v after a prefix (N, P,
+primes R), each v with its primes from a segmented sieve, and stops at
+the prefixes of n orders.  It yields each of them that has a candidate
+next order as a slice (state, lo, hi): the state and the window [lo, hi)
+of its next order v, whose coprime values are the leaves.  The walk is
+lazy, so it holds one path of states at a time, and every consumer reads
+the leaves v of a slice straight from the sieve, one node each.  Both
+modes clip the class intervals of the last coordinate with
+`_Search._windows`, by a class plan fixed once per search.
 
-Materialize mode has one traversal, the row generator `_Search.rows`.  It
-yields each tuple once, as integers: its orders and its `fano_fields`,
-re-derived from the orders and checked against the label of the interval
-the last order was solved into.  `iter_rows` streams those rows, and the
-`enumerate` command writes its items straight from them; `iter_tuples`
-and `enumerate_tuples` wrap each row into a (RamTuple, FanoReport) pair.
+Count mode (`_Search.count`) counts each class interval of a leaf by one
+inclusion-exclusion walk over the primes of v and those of R outside a
+coprime-count table for R's smallest primes, which is kept from slice to
+slice while those primes are the same.  Materialize mode lists the
+coprime last coordinates of each interval instead.  Its row generator
+`_Search.rows` yields each tuple once, as integers: its orders and its
+`fano_fields`, re-derived from the orders and checked against the label
+of the interval the last order was solved into.  `iter_rows` streams those
+rows, and the `enumerate` command writes its items straight from them;
+`iter_tuples` and `enumerate_tuples` wrap each row into a (RamTuple,
+FanoReport) pair.
 
-A parallel count plans exact-weight slices first (`_Search.plan`): a
-slice is a prefix of n orders with a range [lo, hi) of its next order v,
-and its weight is its number of leaves, the v in range coprime to the
-prefix, one inclusion-exclusion count.  The interior nodes of the walk
-and the weights sum to nodes_visited before any leaf is counted.  Below
-POOL_MIN_LEAVES leaves the slices are counted in-process; above it they
-are cut by v range into tasks of at most total/(4*workers) leaves
-(`pool_tasks`) and counted over a process pool in lexicographic order.
+A parallel count lists the plan first and weighs each slice by its number
+of leaves, the v in range coprime to the prefix, one inclusion-exclusion
+count (`_count`).  The interior nodes of the walk and the weights sum to
+nodes_visited before any leaf is counted.  Below POOL_MIN_LEAVES leaves
+the slices are counted in-process; above it they are cut by v range into
+tasks of at most total/(4*workers) leaves (`pool_tasks`) and counted over
+a process pool in lexicographic order.
 
 Key facts the pruning relies on (all for sorted tuples, exact arithmetic;
 S is the reciprocal sum of the n+1 prefix entries, m the last coordinate):
@@ -284,11 +286,11 @@ class SearchConfig:
     prefix_filter pins the leading orders (sorted, coprime).  node_cap
     bounds the number of search nodes; hitting it raises
     NodeBudgetExceeded carrying the partial result, and forces serial
-    execution so the partial result is deterministic.  parallel_width > 1
-    plans count mode as exact-weight slices of the leaves and counts them
-    in-process below POOL_MIN_LEAVES leaves, else over up to
-    parallel_width worker processes (no more than the CPUs the process may
-    run on); materialize mode always runs serially.
+    execution so the partial result is deterministic.  Without a cap,
+    parallel_width > 1 lists count mode's plan as exact-weight slices of
+    the leaves and counts them in-process below POOL_MIN_LEAVES leaves,
+    else over up to parallel_width worker processes (no more than the CPUs
+    the process may run on); materialize mode always runs serially.
     """
 
     n: int
@@ -431,34 +433,28 @@ class _Search:
             return _meet(window, (pinned[len(prefix)], pinned[len(prefix)] + 1))
         return window
 
-    def _children(self, state, window):
-        """Yield (v, N*v + P, P*v, primes of v) for each next order v in window after state.
+    def plan(self, state=_ROOT):
+        """Yield (state, lo, hi) for each depth-n prefix below state with candidate leaves.
 
-        The one step to the next order at the interior depths, and at the
-        last depth of materialize: one node per v, each v with its primes
-        from a segmented sieve that skips the multiples of the state's
-        primes.  window is a range (lo, hi) of v.
-        """
-        _, N, P, primes = state
-        for v, v_primes in coprime_factorizations(*window, primes):
-            self._bump()
-            yield v, N * v + P, P * v, v_primes
-
-    def prefixes(self, depth: int, state=_ROOT):
-        """Yield the state of every viable prefix of length depth below state.
-
-        Lexicographic order.  Each prefix created below state is one node;
+        The one walk of the search, lazy and in lexicographic order: it
+        holds one path of states at a time.  [lo, hi) is the nonempty
+        window of the depth-n state's next order v, the leaves, and the
+        state carries its primes ascending.  Each interior order v is one
+        node, bumped as the walk creates it, with its primes from a
+        segmented sieve that skips the multiples of the state's primes;
         state itself was counted by whoever created it.
         """
-        if len(state[0]) == depth:
-            yield state
-            return
-        prefix, _, _, primes = state
-        window = self._next_window(*state[:3])
+        prefix, N, P, primes = state
+        window = self._next_window(prefix, N, P)
         if window is None:
             return
-        for v, N, P, v_primes in self._children(state, window):
-            yield from self.prefixes(depth, (prefix + (v,), N, P, primes + tuple(v_primes)))
+        if len(prefix) == self.n:
+            lo, hi = window
+            yield (prefix, N, P, tuple(sorted(primes))), lo, hi
+            return
+        for v, v_primes in coprime_factorizations(*window, primes):
+            self._bump()
+            yield from self.plan((prefix + (v,), N * v + P, P * v, primes + tuple(v_primes)))
 
     def _windows(self, N, P, floor):
         """Requested (label, lo, hi) windows of the last coordinate, ascending.
@@ -492,22 +488,6 @@ class _Search:
                 windows.append((tail, b, cap))
         return windows
 
-    def _leaf_windows(self):
-        """(state, window of the next order v) of every depth-n prefix.
-
-        Lexicographic order; prefixes with no candidate are left out, and
-        each state carries its primes ascending.
-        """
-        for prefix, N, P, primes in self.prefixes(self.n):
-            window = self._next_window(prefix, N, P)
-            if window is not None:
-                yield (prefix, N, P, tuple(sorted(primes))), window
-
-    def count(self):
-        """Count every tuple, closed-form in the last coordinate."""
-        for state, window in self._leaf_windows():
-            self._count_leaves(state, window)
-
     def _coprime_table(self, primes):
         """coprime_table(primes) for ascending primes, reusing the last table.
 
@@ -520,68 +500,57 @@ class _Search:
             self.table = coprime_table(head)[0], head
         return self.table[0], primes[k:]
 
-    def _count_leaves(self, state, window):
-        """Count the tuples after a depth-n state whose next order v lies in window.
+    def count(self, slices):
+        """Count the tuples in plan slices, in the given order: the one leaf loop.
 
-        The leaves v come straight from the sieve, one node each.  Each
-        class window of a leaf is one inclusion-exclusion walk over
-        primes(v) and the state's primes outside the coprime-count table.
+        A slice is (state, lo, hi) from plan, or (state, lo, hi, weight)
+        from pool_tasks.  The leaves v in [lo, hi) come straight from the
+        sieve, one node each.  Each class window of a leaf is one
+        inclusion-exclusion walk over primes(v) and the state's primes
+        outside the coprime-count table.
         """
-        _, N, P, primes = state
-        phi, rest = self._coprime_table(primes)
         counts = self.counts
         windows = self._windows
         cap = self.cfg.node_cap
-        for v, v_primes in coprime_factorizations(*window, primes):
-            self.nodes += 1
-            if cap is not None and self.nodes > cap:
-                self._stop()
-            if rest:
-                v_primes = sorted(rest + tuple(v_primes))
-            for label, lo, hi in windows(N * v + P, P * v, v):
-                counts[label] += _count_positive(lo, hi - 1, v_primes, phi)
-
-    def plan(self):
-        """The leaf window of every depth-n prefix as one slice, lexicographic.
-
-        A slice is (state, lo, hi, weight): a depth-n state, a range
-        [lo, hi) of its next order v, and its weight, the number of leaves
-        in it (the v in range coprime to the state's primes), one
-        inclusion-exclusion count.  The walk to the states bumps the
-        interior nodes, so they and the weights sum to the nodes_visited of
-        a serial count.
-        """
-        return [
-            (state, lo, hi, _count_positive(lo, hi - 1, state[3]))
-            for state, (lo, hi) in self._leaf_windows()
-        ]
-
-    def count_slices(self, slices):
-        """Count the leaves of planned slices (see plan), in the given order."""
-        for state, lo, hi, _ in slices:
-            self._count_leaves(state, (lo, hi))
+        for (_, N, P, primes), lo, hi, *_ in slices:
+            phi, rest = self._coprime_table(primes)
+            for v, v_primes in coprime_factorizations(lo, hi, primes):
+                self.nodes += 1
+                if cap is not None and self.nodes > cap:
+                    self._stop()
+                if rest:
+                    v_primes = sorted(rest + tuple(v_primes))
+                for label, a, b in windows(N * v + P, P * v, v):
+                    counts[label] += _count_positive(a, b - 1, v_primes, phi)
 
     def rows(self):
         """Yield (orders, fields) of every requested tuple, in lexicographic order.
 
-        The one traversal of materialize mode.  orders is the sorted tuple
-        and fields its `fano_fields` (m_max, D, P, fano, old_ok, new_ok,
-        label), re-derived from the orders alone; a label that differs from
-        the class window the last order was solved into raises
+        The one traversal of materialize mode.  The leaves v of each plan
+        slice come from the sieve, one node each, and the coprime last
+        coordinates of each class window follow.  orders is the sorted
+        tuple and fields its `fano_fields` (m_max, D, P, fano, old_ok,
+        new_ok, label), re-derived from the orders alone; a label that
+        differs from the class window the last order was solved into raises
         AssertionError, under `python -O` too.
         """
         n = self.n
         counts = self.counts
-        for prefix, N, P, _ in self.prefixes(n + 1):
-            for label, lo, hi in self._windows(N, P, prefix[-1]):
-                for m in coprime_in_range(lo, hi - 1, P):
-                    orders = prefix + (m,)
-                    fields = fano_fields(n, orders)
-                    if fields[-1] != label:
-                        raise AssertionError(f"{orders} solved into {label} but "
-                                             f"classifies as {fields[-1]}")
-                    counts[label] += 1
-                    yield orders, fields
+        windows = self._windows
+        for (prefix, N, P, primes), lo, hi in self.plan():
+            for v, _ in coprime_factorizations(lo, hi, primes):
+                self._bump()
+                head = prefix + (v,)
+                Nv, Pv = N * v + P, P * v
+                for label, a, b in windows(Nv, Pv, v):
+                    for m in coprime_in_range(a, b - 1, Pv):
+                        orders = head + (m,)
+                        fields = fano_fields(n, orders)
+                        if fields[-1] != label:
+                            raise AssertionError(f"{orders} solved into {label} but "
+                                                 f"classifies as {fields[-1]}")
+                        counts[label] += 1
+                        yield orders, fields
 
     def materialize(self):
         """Yield the rows wrapped as (RamTuple, FanoReport) pairs."""
@@ -667,26 +636,35 @@ def pool_tasks(slices, workers: int):
 def _count_task(cfg, task):
     """Worker entry: count the leaves of one task's slices."""
     search = _Search(cfg)
-    search.count_slices(task)
+    search.count(task)
     return search.counts, search.nodes
 
 
-def _count_sliced(search: _Search):
-    """Count mode over exact-weight slices, in-process or over a process pool.
+def _count(search: _Search):
+    """Count mode: the leaves of every plan slice, in-process or over a process pool.
 
-    The parent plans every slice.  With fewer than POOL_MIN_LEAVES leaves
-    in total, or one usable worker, it counts them itself in plan order,
-    which is the serial order.  Otherwise the slices, cut to at most
-    total/(4*workers) leaves each, go to the pool in lexicographic
-    order, a few to a task (see pool_tasks); their counts and leaf nodes
-    add to the parent's.
+    With parallel_width 1 or a node_cap the lazy plan is counted as it is
+    walked, so interior and leaf nodes interleave in lexicographic order
+    and the partial result at the cap is deterministic.  Otherwise the
+    plan is listed and each slice weighed by its number of leaves, the v
+    in range coprime to the state's primes, one inclusion-exclusion count:
+    the interior nodes and the weights sum to nodes_visited before any
+    leaf is counted.  With fewer than POOL_MIN_LEAVES leaves in total, or
+    one usable worker, the parent counts the slices itself in plan order.
+    Otherwise the slices, cut to at most total/(4*workers) leaves each,
+    go to the pool in lexicographic order, a few to a task (see
+    pool_tasks); their counts and leaf nodes add to the parent's.
     """
     cfg = search.cfg
-    slices = search.plan()
+    if cfg.parallel_width == 1 or cfg.node_cap is not None:
+        search.count(search.plan())
+        return
+    slices = [(state, lo, hi, _count_positive(lo, hi - 1, state[3]))
+              for state, lo, hi in search.plan()]
     total = sum(s[3] for s in slices)
     width = pool_workers(cfg.parallel_width, total, usable_cpus())
     if width == 1 or total < POOL_MIN_LEAVES:
-        search.count_slices(slices)
+        search.count(slices)
         return
     with ProcessPoolExecutor(max_workers=width) as pool:
         for counts, nodes in pool.map(partial(_count_task, cfg), pool_tasks(slices, width)):
@@ -698,34 +676,23 @@ def _count_sliced(search: _Search):
 def enumerate_tuples(cfg: SearchConfig) -> EnumResult:
     """Run the configured search; see SearchConfig for the contract.
 
-    Counting is exact and closed-form in the last coordinate; materialize
-    mode classifies every emitted tuple and cross-checks the label against
-    the interval that produced it.  Output order, counts and nodes_visited
-    are independent of parallel_width.  Materialize mode runs serially;
-    count mode with parallel_width > 1 plans exact-weight slices of the
-    leaves and counts them in-process when the total is small, else over
-    a process pool (see _count_sliced); a node_cap keeps it serial, so
-    the partial result is deterministic.
+    Both modes read the slices of one lazy walk, `_Search.plan`.  Counting
+    is exact and closed-form in the last coordinate (see _count);
+    materialize mode classifies every emitted tuple and cross-checks the
+    label against the interval that produced it, and runs serially.
+    Output order, counts and nodes_visited are independent of
+    parallel_width; a node_cap keeps a count serial, so the partial
+    result is deterministic.
     """
     search = _Search(cfg)
     tuples = None
     if cfg.mode == "materialize":
         tuples = tuple(search.materialize())
-    elif cfg.parallel_width > 1 and cfg.node_cap is None:
-        _count_sliced(search)
     else:
-        search.count()
+        _count(search)
     return EnumResult(
         tuples=tuples,
         counts=search.counts,
         nodes_visited=search.nodes,
         elapsed_s=time.perf_counter() - search.started,
     )
-
-
-def count_new(n: int) -> int:
-    """Exact number of canonical NewOnlyKE tuples in dimension n (n <= 5)."""
-    n = check_int(n, "count_new dimension", 1, 5)
-    result = enumerate_tuples(SearchConfig(n=n, mode="count", classes=("NewOnlyKE",)))
-    return result.counts["NewOnlyKE"]
-

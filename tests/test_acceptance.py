@@ -24,7 +24,6 @@ from orbke import (
     admissible_last_interval,
     classify,
     count_coprime_in_range,
-    count_new,
     dp2_check,
     dp4_check,
     enumerate_tuples,
@@ -111,17 +110,17 @@ def test_criterion_02_dim2_completeness():
 
 def test_criterion_03_dim3_count():
     def body():
-        assert count_new(3) == 2484
-        assert 2484 >= 10**3
         res = enumerate_tuples(SearchConfig(n=3, mode="count"))
         assert res.counts == {"NewOnlyKE": 2484}
+        assert 2484 >= 10**3
 
     _criterion(3, "dimension-3 new-only count is 2484 (>= 10^3)", 60.0, body)
 
 
 def test_criterion_04_dim4_count():
     def body():
-        assert count_new(4) == 8369332
+        res = enumerate_tuples(SearchConfig(n=4, mode="count"))
+        assert res.counts == {"NewOnlyKE": 8369332}
         assert 8369332 >= 10**6
 
     _criterion(4, "dimension-4 new-only count is 8369332 (>= 10^6)", 600.0, body)

@@ -4,6 +4,7 @@ branch-and-bound enumerator, cross-checked against the brute-force oracle."""
 from __future__ import annotations
 
 import bisect
+import dataclasses
 import itertools
 import math
 import random
@@ -17,7 +18,6 @@ from orbke import (
     SearchConfig,
     admissible_last_interval,
     classify,
-    count_new,
     enumerate_tuples,
     iter_tuples,
     make_tuple,
@@ -260,8 +260,9 @@ class TestEnumerateTuples:
         ids=["dim2", "dim3", "dim3-all", "dim2-units", "dim4-max182"],
     )
     def test_count_equals_materialize(self, kwargs, nodes, monkeypatch):
-        # Both modes share one child step at every depth: the same nodes,
-        # and every order's primes come from the sieve, never factorize.
+        # Both modes read the slices of one plan walk and their leaves from
+        # the sieve: the same nodes, and every order's primes come from the
+        # sieve, never factorize.
         def no_factorize(m):
             raise AssertionError(f"factorize({m}) called by the search")
 
@@ -467,18 +468,28 @@ class TestSlicePlan:
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_weights_and_interior_nodes_sum_to_nodes_visited(self, n):
         search = _Search(SearchConfig(n=n, mode="count"))
-        slices = search.plan()
+        weights = [count_coprime_in_range(lo, hi - 1, state[3]) for state, lo, hi in search.plan()]
         interior, leaves = _TREE_SHAPE[n]
-        assert (search.nodes, sum(s[3] for s in slices)) == (interior, leaves)
+        assert (search.nodes, sum(weights)) == (interior, leaves)
         if n < 5:
             assert enumerate_tuples(SearchConfig(n=n, mode="count")).nodes_visited == (
                 interior + leaves
             )
 
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_plan_is_lazy(self, n):
+        # The first slice comes after the n nodes on its path alone, not
+        # after a walk of every interior node (5,819 in dimension 5).
+        search = _Search(SearchConfig(n=n, mode="count"))
+        state, _, _ = next(search.plan())
+        assert (len(state[0]), search.nodes) == (n, n)
+
     @pytest.mark.parametrize("n, workers", [(3, 2), (4, 2), (4, 3), (5, 2)])
     def test_tasks_tile_the_windows_in_order(self, n, workers):
         search = _Search(SearchConfig(n=n, mode="count"))
-        slices = search.plan()
+        plan = list(search.plan())
+        slices = [(state, lo, hi, count_coprime_in_range(lo, hi - 1, state[3]))
+                  for state, lo, hi in plan]
         total = sum(s[3] for s in slices)
         tasks = enumeration.pool_tasks(slices, workers)
         pieces = [piece for task in tasks for piece in task]
@@ -492,12 +503,7 @@ class TestSlicePlan:
             assert weight == count_coprime_in_range(lo, hi - 1, state[3])
             assert windows.setdefault(state[0], [lo, lo])[1] == lo < hi
             windows[state[0]][1] = hi
-        want = {}
-        for prefix, N, P, _ in _Search(search.cfg).prefixes(n):
-            window = search._next_window(prefix, N, P)
-            if window is not None:
-                want[prefix] = list(window)
-        assert windows == want
+        assert windows == {state[0]: [lo, hi] for state, lo, hi in plan}
 
 
 class TestTableReuse:
@@ -507,7 +513,7 @@ class TestTableReuse:
     @pytest.mark.parametrize("n, root", [(4, None), (5, (2, 3, 7, 89))])
     def test_reused_table_equals_a_fresh_one(self, n, root, monkeypatch):
         cfg = SearchConfig(n=n, mode="count", prefix_filter=root)
-        states = [tuple(sorted(s[3])) for s in _Search(cfg).prefixes(n)]
+        states = [state[3] for state, _, _ in _Search(cfg).plan()]
         shuffled = random.Random(20261019).sample(states, len(states))
         builds = []
         build = enumeration.coprime_table
@@ -532,11 +538,13 @@ class TestTableReuse:
         cfg = SearchConfig(n=n, mode="count", prefix_filter=root)
         serial = enumerate_tuples(cfg)
         search = _Search(cfg)
-        tasks = enumeration.pool_tasks(search.plan(), 2)
+        slices = [(state, lo, hi, count_coprime_in_range(lo, hi - 1, state[3]))
+                  for state, lo, hi in search.plan()]
+        tasks = enumeration.pool_tasks(slices, 2)
         assert len(tasks) > 2
         interior = search.nodes
         for task in reversed(tasks):
-            search.count_slices(task)
+            search.count(task)
         assert (search.counts, search.nodes) == (serial.counts, serial.nodes_visited)
         # One worker entry per task, each with a table of its own.
         counts = dict.fromkeys(cfg.classes, 0)
@@ -651,19 +659,18 @@ def _reference_windows(n, N, P, floor, cap):
     return [(label, floor + edges[k], floor + edges[k + 1]) for label, k in _RANK.items()]
 
 
-def _reference_leaves(search, state):
-    """(counts, nodes) below one depth-n state, leaf by leaf.
+def _reference_leaves(search, slice_):
+    """(counts, nodes) of one plan slice (state, lo, hi), leaf by leaf.
 
-    Each next order v in the window coprime to P is factorized, its
-    leaf's class windows are found by bisection on the inequalities and
-    counted by count_coprime_in_range over all of the leaf's primes: no
-    table, sieve or cut points.
+    Each next order v in [lo, hi) coprime to P is factorized, its leaf's
+    class windows are found by bisection on the inequalities and counted
+    by count_coprime_in_range over all of the leaf's primes: no table,
+    sieve or cut points.
     """
-    prefix, N, P, primes = state
+    (_, N, P, primes), lo, hi = slice_
     counts = dict.fromkeys(search.cfg.classes, 0)
     nodes = 0
-    window = search._next_window(prefix, N, P)
-    for v in range(*window) if window else ():
+    for v in range(lo, hi):
         if math.gcd(v, P) != 1:
             continue
         nodes += 1
@@ -674,12 +681,9 @@ def _reference_leaves(search, state):
     return counts, nodes
 
 
-def _kernel_leaves(cfg, state):
+def _kernel_leaves(cfg, slice_):
     search = _Search(cfg)
-    prefix, N, P, primes = state
-    window = search._next_window(prefix, N, P)
-    if window is not None:
-        search._count_leaves((prefix, N, P, tuple(sorted(primes))), window)
+    search.count([slice_])
     return search.counts, search.nodes
 
 
@@ -706,10 +710,10 @@ class TestLeafKernel:
         # The first prefixes carry every bounded class; the seeded draw
         # reaches the sparse tail of the walk.
         cfg = SearchConfig(mode="count", **kwargs)
-        states = list(_Search(cfg).prefixes(cfg.n))
+        slices = list(_Search(cfg).plan())
         rng = random.Random(20261018)
-        for state in states[:4] + rng.sample(states[4:], min(4, len(states) - 4)):
-            assert _kernel_leaves(cfg, state) == _reference_leaves(_Search(cfg), state), state[0]
+        for slice_ in slices[:4] + rng.sample(slices[4:], min(4, len(slices) - 4)):
+            assert _kernel_leaves(cfg, slice_) == _reference_leaves(_Search(cfg), slice_), slice_[0]
 
     @pytest.mark.parametrize(
         "prefix, max_order",
@@ -719,21 +723,19 @@ class TestLeafKernel:
     )
     def test_primes_past_the_table_cap(self, prefix, max_order):
         cfg = SearchConfig(n=3, mode="count", classes=ALL_CLASSES, max_order=max_order)
-        state = _state(prefix)
-        counts, nodes = _kernel_leaves(cfg, state)
+        # The slice of the pinned prefix, its primes from the sieve checked
+        # against factorize.
+        [slice_] = _Search(dataclasses.replace(cfg, prefix_filter=prefix)).plan()
+        assert slice_[0] == _state(prefix)
+        counts, nodes = _kernel_leaves(cfg, slice_)
         assert nodes > 0 and counts["NotFano"] > 0
-        assert (counts, nodes) == _reference_leaves(_Search(cfg), state)
+        assert (counts, nodes) == _reference_leaves(_Search(cfg), slice_)
 
 
 class TestCountNew:
     def test_dim2(self):
-        assert count_new(2) == 12
+        assert enumerate_tuples(SearchConfig(n=2, mode="count")).counts == {"NewOnlyKE": 12}
 
     def test_dim1(self):
-        assert count_new(1) == 0
-
-    @pytest.mark.parametrize("n", [0, 6])
-    def test_rejects_out_of_range(self, n):
-        with pytest.raises(InputError):
-            count_new(n)
+        assert enumerate_tuples(SearchConfig(n=1, mode="count")).counts == {"NewOnlyKE": 0}
 

@@ -144,3 +144,18 @@ def test_no_module_reads_the_environment():
                     and any(a.name in names for a in node.names)):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_only_the_plan_walks_the_search_tree():
+    # _Search.plan is the one walk of the search tree, and it alone asks
+    # for the window of a prefix's next order; a second caller of
+    # _next_window would be a second walk for count, materialize or the
+    # pool to keep in step with it.
+    tree = ast.parse((SRC / "enumeration.py").read_text())
+    functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    callers = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "_next_window":
+            enclosing = [f for f in functions if f.lineno <= node.lineno <= f.end_lineno]
+            callers.add(min(enclosing, key=lambda f: f.end_lineno - f.lineno).name)
+    assert callers == {"plan"}

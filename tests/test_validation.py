@@ -22,7 +22,6 @@ from orbke import (
     admissible_last_interval,
     classify,
     count_coprime_in_range,
-    count_new,
     estimate_bp_threshold,
     estimate_monomial_threshold,
     factorize,
@@ -64,7 +63,6 @@ ENTRY_POINTS = {
     "admissible_last_interval-prefix": lambda x: admissible_last_interval((x, 3, 5), 2),
     "sylvester_seq": lambda x: sylvester_seq(x),
     "sylvester_family": lambda x: sylvester_family(x),
-    "count_new": lambda x: count_new(x),
     "factorize": lambda x: factorize(x),
     "count_coprime_in_range-lo": lambda x: count_coprime_in_range(x, 10, (2,)),
     "count_coprime_in_range-hi": lambda x: count_coprime_in_range(1, x, (2,)),
