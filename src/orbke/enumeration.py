@@ -17,17 +17,19 @@ next order as a slice (state, lo, hi): the state and the window [lo, hi)
 of its next order v, whose coprime values are the leaves.  The walk is
 lazy, so it holds one path of states at a time, and every consumer reads
 the leaves v of a slice straight from the sieve, one node each.  Both
-modes clip the class intervals of the last coordinate with
-`_Search._windows`, by a class plan fixed once per search.
+modes clip the cut points of the last coordinate into class windows with
+`_last_windows`, by a class plan fixed once per search;
+`admissible_last_interval` reports the same windows for one prefix.
 
 Count mode (`_Search.count`) counts each class interval of a leaf by one
 inclusion-exclusion walk over the primes of v and those of R outside a
-coprime-count table for R's smallest primes, which is kept from slice to
-slice while those primes are the same.  Materialize mode lists the
-coprime last coordinates of each interval instead.  Its row generator
-`_Search.rows` yields each tuple once, as integers: its orders and its
-`fano_fields`, re-derived from the orders and checked against the label
-of the interval the last order was solved into.  `iter_rows` streams those
+coprime-count table for R's smallest primes (`coprime_table`, which keeps
+its last table, so a table is built only when those primes change).
+Materialize mode lists the coprime last coordinates of each interval
+instead.  Its row generator `_Search.rows` yields each tuple once, as
+integers: its orders and its `fano_fields`, re-derived from the orders
+and checked against the label of the interval the last order was solved
+into.  `iter_rows` streams those
 rows, and the `enumerate` command writes its items straight from them;
 `iter_tuples` and `enumerate_tuples` wrap each row into a (RamTuple,
 FanoReport) pair.
@@ -71,10 +73,9 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
-from .errors import InputError, NodeBudgetExceeded, check_int
+from .errors import InputError, NodeBudgetExceeded, WrongLength, check_int
 from .exactmath import (
     _count_positive,
-    _table_length,
     coprime_factorizations,
     coprime_in_range,
     coprime_table,
@@ -231,6 +232,36 @@ def _cuts(N: int, P: int, n: int):
     raise AssertionError(f"prefix sum N/P = {N}/{P} is 1")
 
 
+def _last_windows(N: int, P: int, n: int, floor: int, cap, old: bool, new: bool, tails):
+    """Requested (label, lo, hi) windows of the last coordinate m after a prefix N/P, ascending.
+
+    Each is the class's range from `_cuts` clipped to [floor, cap),
+    half-open and nonempty; cap None leaves the tail window unbounded
+    (hi None).  old and new request OldKE and NewOnlyKE, and tails holds
+    the requested tail classes.  The one place the cut points become
+    windows: the search's leaves and `admissible_last_interval` read them.
+    """
+    a, b, tail = _cuts(N, P, n)
+    if cap is not None:
+        if a > cap:
+            a = cap
+        if b > cap:
+            b = cap
+    windows = []
+    if old and floor < a:
+        windows.append(("OldKE", floor, a))
+    if a < floor:
+        a = floor
+    if new and a < b:
+        windows.append(("NewOnlyKE", a, b))
+    if tail in tails:
+        if b < floor:
+            b = floor
+        if cap is None or b < cap:
+            windows.append((tail, b, cap))
+    return windows
+
+
 @dataclass(frozen=True)
 class LastIntervals:
     """Exact integer ranges of the last coordinate for a fixed prefix.
@@ -253,21 +284,19 @@ def admissible_last_interval(prefix, n: int) -> LastIntervals:
     prefix must hold the first n+1 orders, sorted nondecreasing and
     pairwise coprime; candidates for the last coordinate start at
     max(prefix) (sorted enumeration; coprimality later removes equality
-    except for repeated unit orders).
+    except for repeated unit orders).  The windows are the search's own
+    (`_last_windows`), with every class requested and no order cap.
     """
     n = check_int(n, "dimension", 1)
     prefix = check_orders(prefix, 1)
     if len(prefix) != n + 1:
-        raise InputError(f"dimension {n} needs a prefix of {n + 1} orders, got {len(prefix)}")
+        raise WrongLength(f"dimension {n} needs a prefix of {n + 1} orders, got {len(prefix)}")
     prod = math.prod(prefix)
     floor = prefix[-1]
-    a, b, tail = _cuts(sum(prod // m for m in prefix), prod, n)
-    windows = {
-        "OldKE": _window(floor, a),
-        "NewOnlyKE": _window(max(a, floor), b),
-        tail: (max(b, floor), None),
-    }
-    by_class = {label: windows.get(label) for label in CLASSIFICATIONS}
+    by_class = dict.fromkeys(CLASSIFICATIONS)
+    for label, lo, hi in _last_windows(sum(prod // m for m in prefix), prod, n, floor,
+                                       None, True, True, _TAIL_CLASSES):
+        by_class[label] = (lo, hi)
     return LastIntervals(prefix=prefix, n=n, floor=floor, by_class=by_class)
 
 
@@ -365,8 +394,10 @@ class _Search:
         self.old = "OldKE" in cfg.classes
         self.new = "NewOnlyKE" in cfg.classes
         self.tails = _TAIL_CLASSES.intersection(cfg.classes)
-        # The last coprime-count table: (phi, the primes it tabulates).
-        self.table = coprime_table(())
+        if self.tails and self.cap is None:
+            raise AssertionError(
+                f"unbounded windows for {sorted(self.tails)} escaped config validation"
+            )  # pragma: no cover
         self.nodes = 0
         self.started = time.perf_counter()
 
@@ -456,50 +487,6 @@ class _Search:
             self._bump()
             yield from self.plan((prefix + (v,), N * v + P, P * v, primes + tuple(v_primes)))
 
-    def _windows(self, N, P, floor):
-        """Requested (label, lo, hi) windows of the last coordinate, ascending.
-
-        Each is the class's range from `_cuts` clipped to [floor, cap),
-        half-open and nonempty; the class plan set in __init__ says which
-        are requested.
-        """
-        a, b, tail = _cuts(N, P, self.n)
-        cap = self.cap
-        if cap is not None:
-            if a > cap:
-                a = cap
-            if b > cap:
-                b = cap
-        windows = []
-        if self.old and floor < a:
-            windows.append(("OldKE", floor, a))
-        if a < floor:
-            a = floor
-        if self.new and a < b:
-            windows.append(("NewOnlyKE", a, b))
-        if tail in self.tails:
-            if cap is None:
-                raise AssertionError(
-                    f"unbounded window for {tail} escaped config validation"
-                )  # pragma: no cover
-            if b < floor:
-                b = floor
-            if b < cap:
-                windows.append((tail, b, cap))
-        return windows
-
-    def _coprime_table(self, primes):
-        """coprime_table(primes) for ascending primes, reusing the last table.
-
-        The table is built again only when the primes it tabulates differ
-        from the last table's; one table is kept, so memory does not grow.
-        """
-        k = _table_length(primes)
-        head = primes[:k]
-        if head != self.table[1]:
-            self.table = coprime_table(head)[0], head
-        return self.table[0], primes[k:]
-
     def count(self, slices):
         """Count the tuples in plan slices, in the given order: the one leaf loop.
 
@@ -509,18 +496,19 @@ class _Search:
         inclusion-exclusion walk over primes(v) and the state's primes
         outside the coprime-count table.
         """
-        counts = self.counts
-        windows = self._windows
+        n, counts, order_cap = self.n, self.counts, self.cap
+        old, new, tails = self.old, self.new, self.tails
         cap = self.cfg.node_cap
         for (_, N, P, primes), lo, hi, *_ in slices:
-            phi, rest = self._coprime_table(primes)
+            phi, rest = coprime_table(primes)
             for v, v_primes in coprime_factorizations(lo, hi, primes):
                 self.nodes += 1
                 if cap is not None and self.nodes > cap:
                     self._stop()
                 if rest:
                     v_primes = sorted(rest + tuple(v_primes))
-                for label, a, b in windows(N * v + P, P * v, v):
+                for label, a, b in _last_windows(N * v + P, P * v, n, v, order_cap,
+                                                 old, new, tails):
                     counts[label] += _count_positive(a, b - 1, v_primes, phi)
 
     def rows(self):
@@ -534,15 +522,14 @@ class _Search:
         differs from the class window the last order was solved into raises
         AssertionError, under `python -O` too.
         """
-        n = self.n
-        counts = self.counts
-        windows = self._windows
+        n, counts, order_cap = self.n, self.counts, self.cap
+        old, new, tails = self.old, self.new, self.tails
         for (prefix, N, P, primes), lo, hi in self.plan():
             for v, _ in coprime_factorizations(lo, hi, primes):
                 self._bump()
                 head = prefix + (v,)
                 Nv, Pv = N * v + P, P * v
-                for label, a, b in windows(Nv, Pv, v):
+                for label, a, b in _last_windows(Nv, Pv, n, v, order_cap, old, new, tails):
                     for m in coprime_in_range(a, b - 1, Pv):
                         orders = head + (m,)
                         fields = fano_fields(n, orders)
@@ -587,9 +574,9 @@ def usable_cpus() -> int | None:
         return os.cpu_count()
 
 
-def pool_workers(jobs: int, tasks: int, cpus: int | None) -> int:
-    """Worker processes for a pool: at most jobs, cpus (None counts as 1) and tasks."""
-    return max(1, min(jobs, cpus or 1, tasks))
+def pool_workers(jobs: int, cpus: int | None) -> int:
+    """Worker processes for a pool: at most jobs and cpus (None counts as 1)."""
+    return max(1, min(jobs, cpus or 1))
 
 
 def _leaf_cut(state, lo: int, hi: int, k: int) -> int:
@@ -662,7 +649,7 @@ def _count(search: _Search):
     slices = [(state, lo, hi, _count_positive(lo, hi - 1, state[3]))
               for state, lo, hi in search.plan()]
     total = sum(s[3] for s in slices)
-    width = pool_workers(cfg.parallel_width, total, usable_cpus())
+    width = pool_workers(cfg.parallel_width, usable_cpus())
     if width == 1 or total < POOL_MIN_LEAVES:
         search.count(slices)
         return

@@ -18,10 +18,10 @@ only products up to the top of the range.  Ranges reaching below 1 are
 reflected onto positive ones.  The walk counts on top of a table of the
 integers coprime to a small modulus q (Legendre's phi(x, a) with the
 small-prime table of Meissel-Lehmer), so its products run only over the
-primes outside q; `count_coprime_in_range` uses the empty table q = 1, and
-the search tabulates the smallest primes of a prefix once for all of its
-leaves and keeps that table while the next prefix's smallest primes are
-the same.
+primes outside q; `count_coprime_in_range` uses the empty table q = 1.
+`coprime_table` keeps the one table it built last, so the search, which
+asks for one per prefix, builds a table only when the tabulated smallest
+primes differ from the last prefix's.
 
 `coprime_factorizations` gives the distinct primes of every integer in a
 window by a segmented sieve (Bays-Hudson), for the search's orders at
@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate, compress
 
 from .errors import InputError, check_int
@@ -167,16 +168,6 @@ def factorize(n: int) -> FactoredInt:
     return FactoredInt(value, tuple(sorted(counts.items())))
 
 
-def _table_length(primes: tuple[int, ...]) -> int:
-    """How many of the smallest of the ascending `primes` coprime_table tabulates."""
-    q = 1
-    k = 0
-    while k < len(primes) and q * primes[k] <= TABLE_CAP:
-        q *= primes[k]
-        k += 1
-    return k
-
-
 def coprime_table(primes: tuple[int, ...]):
     """(phi, rest): a coprime-count table for the smallest of the ascending `primes`.
 
@@ -186,13 +177,23 @@ def coprime_table(primes: tuple[int, ...]):
     rest holds the primes left out of q, ascending.  With no prime small
     enough, q = 1 and phi is the empty table (0, 1).
     """
-    k = _table_length(primes)
-    q = math.prod(primes[:k])
+    q = 1
+    k = 0
+    while k < len(primes) and q * primes[k] <= TABLE_CAP:
+        q *= primes[k]
+        k += 1
+    return _phi_table(primes[:k]), primes[k:]
+
+
+@lru_cache(maxsize=1)
+def _phi_table(head: tuple[int, ...]) -> tuple[int, ...]:
+    """The phi of coprime_table for q = prod(head); one table is kept, the last built."""
+    q = math.prod(head)
     marks = bytearray([1]) * (q + 1)
     marks[0] = 0
-    for p in primes[:k]:
+    for p in head:
         marks[p::p] = bytes(q // p)
-    return tuple(accumulate(marks)), primes[k:]
+    return tuple(accumulate(marks))
 
 
 _NO_TABLE = (0, 1)

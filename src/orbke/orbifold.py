@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import InputError, OrderBelowMinimum, PairwiseCoprimeViolation, WrongLength, check_int
 from .exactmath import Rat
@@ -71,25 +72,6 @@ class RamTuple:
         set_(self, "orders", orders)
 
 
-class _derived:
-    """A report attribute computed on its first read and then stored.
-
-    A non-data descriptor: the value goes into the instance __dict__,
-    which later reads find first.  Unlike functools.cached_property it
-    takes no lock; a race at worst computes the same value twice.
-    """
-
-    def __init__(self, func):
-        self.func = func
-        self.name = func.__name__
-
-    def __get__(self, report, owner=None):
-        if report is None:
-            return self
-        value = report.__dict__[self.name] = self.func(report)
-        return value
-
-
 @dataclass(frozen=True, init=False)
 class FanoReport:
     """Exact evaluation of the positivity and both existence bounds.
@@ -128,19 +110,19 @@ class FanoReport:
         set_(self, "new_ok", new_ok)
         set_(self, "classification", classification)
 
-    @_derived
+    @cached_property
     def c1(self) -> Rat:
         return Fraction(self.D, self.P)
 
-    @_derived
+    @cached_property
     def old_lhs(self) -> Rat:
         return self.c1
 
-    @_derived
+    @cached_property
     def old_rhs(self) -> Rat:
         return Fraction(self.n + 1, self.n * self.m_max)
 
-    @_derived
+    @cached_property
     def new_rhs(self) -> Rat:
         return Fraction(self.n + 1, self.m_max)
 

@@ -5,13 +5,14 @@ from __future__ import annotations
 
 import bisect
 import dataclasses
+import functools
 import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orbke import (
@@ -24,10 +25,10 @@ from orbke import (
     sylvester_family,
     sylvester_seq,
 )
-from orbke import enumeration
-from orbke.enumeration import _Search, pool_workers, usable_cpus
-from orbke.errors import InputError, NodeBudgetExceeded
-from orbke.exactmath import count_coprime_in_range, factorize
+from orbke import enumeration, exactmath
+from orbke.enumeration import _TAIL_CLASSES, _last_windows, _Search, pool_workers, usable_cpus
+from orbke.errors import InputError, NodeBudgetExceeded, WrongLength
+from orbke.exactmath import TABLE_CAP, count_coprime_in_range, factorize
 
 from conftest import coprime_orders
 from reference import brute_force_oracle
@@ -178,9 +179,20 @@ class TestAdmissibleLastInterval:
         with pytest.raises(InputError):
             admissible_last_interval((1,), 0)
 
-    @given(prefix=coprime_orders(4, min_order=2), probe=st.integers(0, 200))
+    def test_wrong_length_prefix(self):
+        # The same error as make_tuple and RamTuple give for a wrong count.
+        for prefix in ((2, 3), (2, 3, 5, 7)):
+            with pytest.raises(WrongLength, match="dimension 2 needs a prefix of 3 orders"):
+                admissible_last_interval(prefix, 2)
+
+    @given(prefix=coprime_orders(4, min_order=2), probe=st.integers(0, 200),
+           cap_offset=st.integers(0, 250))
+    # Prefixes summing above 1, with a nonempty NewOnlyKE window (random
+    # draws seldom give one).
+    @example(prefix=(2, 3, 5, 7), probe=4, cap_offset=10)
+    @example(prefix=(2, 3, 7, 41), probe=2, cap_offset=250)
     @settings(max_examples=300, deadline=None)
-    def test_windows_partition_the_line_dim3(self, prefix, probe):
+    def test_windows_partition_the_line_dim3(self, prefix, probe, cap_offset):
         iv = admissible_last_interval(prefix, 3)
         m = iv.floor + probe
         prod = math.prod(prefix)
@@ -196,10 +208,12 @@ class TestAdmissibleLastInterval:
         assert len(hits) == 1
         expected = classify(make_tuple(3, prefix + (m,))).classification
         assert hits == [expected]
+        _check_capped_windows(3, prefix, m, iv.floor + cap_offset, expected)
 
-    @given(prefix=coprime_orders(2, min_order=1), probe=st.integers(0, 100))
+    @given(prefix=coprime_orders(2, min_order=1), probe=st.integers(0, 100),
+           cap_offset=st.integers(0, 120))
     @settings(max_examples=300, deadline=None)
-    def test_windows_partition_the_line_dim1_with_units(self, prefix, probe):
+    def test_windows_partition_the_line_dim1_with_units(self, prefix, probe, cap_offset):
         iv = admissible_last_interval(prefix, 1)
         m = iv.floor + probe
         prod = math.prod(prefix)
@@ -214,6 +228,35 @@ class TestAdmissibleLastInterval:
         ]
         expected = classify(make_tuple(1, prefix + (m,), min_order=1)).classification
         assert hits == [expected]
+        _check_capped_windows(1, prefix, m, iv.floor + cap_offset, expected)
+
+
+def _check_capped_windows(n, prefix, m, cap, expected):
+    """_last_windows of prefix for every subset of the classes, floor and cap.
+
+    The floors are max(prefix) and the positive cut points and their
+    neighbours, the caps `cap` and the same points.  The windows of a
+    subset are nonempty, ascending and disjoint, lie in [floor, cap) and
+    carry only requested labels; m lies in one of them exactly when its
+    class `expected` is requested and floor <= m < cap, and then in the
+    window of that class.
+    """
+    prod = math.prod(prefix)
+    N = sum(prod // q for q in prefix)
+    near = {x + d for x in enumeration._cuts(N, prod, n)[:2] for d in (-1, 0, 1)}
+    floors = {prefix[-1]} | {x for x in near if x > 0}
+    for floor, top in itertools.product(floors, near | {cap}):
+        for k in range(len(ALL_CLASSES) + 1):
+            for subset in itertools.combinations(ALL_CLASSES, k):
+                windows = _last_windows(N, prod, n, floor, top, "OldKE" in subset,
+                                        "NewOnlyKE" in subset, _TAIL_CLASSES.intersection(subset))
+                edges = [edge for _, lo, hi in windows for edge in (lo, hi)]
+                assert all(floor <= lo < hi <= top for _, lo, hi in windows), (floor, top, windows)
+                assert edges == sorted(edges), (floor, top, subset, windows)
+                assert {label for label, _, _ in windows} <= set(subset)
+                hits = [label for label, lo, hi in windows if lo <= m < hi]
+                want = expected in subset and floor <= m < top
+                assert hits == ([expected] if want else []), (floor, top, subset)
 
 
 def _as_sets(result):
@@ -440,15 +483,15 @@ class TestSearchConfigValidation:
 
 
 class TestPoolWorkers:
-    def test_never_more_than_cpus_or_tasks(self):
-        assert pool_workers(100_000, 6, 2) == 2
-        assert pool_workers(100_000, 10**6, 8) == 8
-        assert pool_workers(4, 3, 64) == 3
-        assert pool_workers(2, 6, 64) == 2
+    def test_never_more_than_jobs_or_cpus(self):
+        assert pool_workers(100_000, 2) == 2
+        assert pool_workers(100_000, 8) == 8
+        assert pool_workers(3, 64) == 3
+        assert pool_workers(2, 64) == 2
 
     def test_at_least_one(self):
-        assert pool_workers(4, 0, 8) == 1
-        assert pool_workers(4, 6, None) == 1
+        assert pool_workers(4, 0) == 1
+        assert pool_workers(4, None) == 1
 
     def test_usable_cpus_follow_the_affinity_mask(self, monkeypatch):
         monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 64)
@@ -457,7 +500,7 @@ class TestPoolWorkers:
         monkeypatch.delattr(enumeration.os, "sched_getaffinity")
         assert usable_cpus() == 64
         monkeypatch.setattr(enumeration.os, "cpu_count", lambda: None)
-        assert pool_workers(4, 6, usable_cpus()) == 1
+        assert pool_workers(4, usable_cpus()) == 1
 
 
 # (interior nodes, leaves) of the NewOnlyKE search in each dimension.
@@ -506,32 +549,52 @@ class TestSlicePlan:
         assert windows == {state[0]: [lo, hi] for state, lo, hi in plan}
 
 
+@functools.cache
+def _fresh_table(primes):
+    """(phi, rest) of coprime_table for ascending primes, by a gcd scan of 0..q."""
+    k = 0
+    while k < len(primes) and math.prod(primes[:k + 1]) <= TABLE_CAP:
+        k += 1
+    q = math.prod(primes[:k])
+    return tuple(itertools.accumulate(int(r > 0 and math.gcd(r, q) == 1)
+                                      for r in range(q + 1))), primes[k:]
+
+
 class TestTableReuse:
-    # _Search keeps its last coprime table and builds one only when the
+    # count takes each state's table from coprime_table, whose builder
+    # keeps the last table it built, so a table is built only when the
     # primes tabulated change; whatever order the states come in, the
     # table handed out must be the one a fresh build gives.
     @pytest.mark.parametrize("n, root", [(4, None), (5, (2, 3, 7, 89))])
     def test_reused_table_equals_a_fresh_one(self, n, root, monkeypatch):
         cfg = SearchConfig(n=n, mode="count", prefix_filter=root)
-        states = [state[3] for state, _, _ in _Search(cfg).plan()]
-        shuffled = random.Random(20261019).sample(states, len(states))
-        builds = []
-        build = enumeration.coprime_table
-        monkeypatch.setattr(enumeration, "coprime_table",
-                            lambda primes: builds.append(primes) or build(primes))
-        for order in (states, shuffled):
-            search = _Search(cfg)
-            builds.clear()
-            heads = [()]  # a search starts with the empty table
-            for primes in order:
-                phi, rest = build(primes)
-                heads.append(primes[:len(primes) - len(rest)])
-                assert search._coprime_table(primes) == (phi, rest), primes
-            # One build each time the tabulated primes change, and no more.
-            assert 0 < len(builds) == sum(a != b for a, b in zip(heads, heads[1:]))
-            if order is states and n == 5:
+        slices = list(_Search(cfg).plan())
+        shuffled = random.Random(20261019).sample(slices, len(slices))
+        handed = []
+
+        def spy(primes):
+            handed.append((primes, exactmath.coprime_table(primes)))
+            return handed[-1][1]
+
+        monkeypatch.setattr(enumeration, "coprime_table", spy)
+        builder = exactmath._phi_table
+        for order in (slices, shuffled):
+            builder.cache_clear()
+            handed.clear()
+            _Search(cfg).count(order)
+            assert [primes for primes, _ in handed] == [state[3] for state, _, _ in order]
+            heads = []
+            for primes, table in handed:
+                assert table == _fresh_table(primes), primes
+                heads.append(primes[:len(primes) - len(table[1])])
+            # One build each time the tabulated primes change, and no more;
+            # one table is kept.
+            info = builder.cache_info()
+            assert info.misses == 1 + sum(a != b for a, b in zip(heads, heads[1:]))
+            assert (info.hits + info.misses, info.currsize) == (len(order), 1)
+            if order is slices and n == 5:
                 # Neighbouring states below (2,3,7,89) share table primes.
-                assert len(builds) < len(states)
+                assert info.misses < len(slices)
 
     @pytest.mark.parametrize("n, root", [(4, None), (5, (2, 3, 7, 89))])
     def test_tasks_in_reverse_order_count_as_serial(self, n, root):
@@ -546,7 +609,7 @@ class TestTableReuse:
         for task in reversed(tasks):
             search.count(task)
         assert (search.counts, search.nodes) == (serial.counts, serial.nodes_visited)
-        # One worker entry per task, each with a table of its own.
+        # One worker entry per task, each with a search of its own.
         counts = dict.fromkeys(cfg.classes, 0)
         nodes = interior
         for task in reversed(tasks):

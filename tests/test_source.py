@@ -146,16 +146,32 @@ def test_no_module_reads_the_environment():
     assert found == []
 
 
+def _users(name):
+    """The innermost function around each use of `name` in the package source."""
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Name) and node.id == name) or (
+                    isinstance(node, ast.Attribute) and node.attr == name):
+                enclosing = [f for f in functions if f.lineno <= node.lineno <= f.end_lineno]
+                found.add(min(enclosing, key=lambda f: f.end_lineno - f.lineno).name
+                          if enclosing else "<module>")
+    return found
+
+
 def test_only_the_plan_walks_the_search_tree():
     # _Search.plan is the one walk of the search tree, and it alone asks
     # for the window of a prefix's next order; a second caller of
     # _next_window would be a second walk for count, materialize or the
     # pool to keep in step with it.
-    tree = ast.parse((SRC / "enumeration.py").read_text())
-    functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
-    callers = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and node.attr == "_next_window":
-            enclosing = [f for f in functions if f.lineno <= node.lineno <= f.end_lineno]
-            callers.add(min(enclosing, key=lambda f: f.end_lineno - f.lineno).name)
-    assert callers == {"plan"}
+    assert _users("_next_window") == {"plan"}
+
+
+def test_only_last_windows_clips_the_cut_points():
+    # _last_windows is the one place the last coordinate's cut points
+    # become class windows: the search's leaves and admissible_last_interval
+    # both read it, so a second caller of _cuts would be a second copy of
+    # the clipping to keep in step with it.
+    assert _users("_cuts") == {"_last_windows"}
