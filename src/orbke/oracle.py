@@ -25,40 +25,55 @@ If every grid point lands on one side of the cut the grid missed the
 threshold and ThresholdOutsideGrid reports the direction.
 
 Both integrands run through one pipeline, _estimate.  An integrand is a
-sampler plus its coefficient K: for each cutoff shell the sampler draws
-samples_per_shell points and returns the arrays (log f, log w, mask), where
-f is |f| at each point, w its importance weight (domain measure over
-sampling density) and mask marks the points inside the cutoff domain.  The
-pipeline turns each shell into log I(eps, lambda) = log mean(|f|^(-2 lambda)
-* w * mask) for every lambda, fits one slope per lambda and extracts the
-threshold.  Sampling is importance-weighted toward the divisor
-(uniform-area/log-radius mixtures), since uniform sampling under-resolves
-the singular locus.
+sampler factory plus its width (array cells per sample) and coefficient K:
+for each cutoff shell a sampler draws samples_per_shell points and returns
+the arrays (log f, log w, mask), where f is |f| at each point, w its
+importance weight (domain measure over sampling density) and mask marks
+the points inside the cutoff domain.  The pipeline turns each shell into
+log I(eps, lambda) = log mean(|f|^(-2 lambda) * w * mask) for every
+lambda, fits one slope per lambda and extracts the threshold.  Sampling
+is importance-weighted toward the divisor (uniform-area/log-radius
+mixtures), since uniform sampling under-resolves the singular locus.
 
-Arrays are laid out as rows of samples.  A point of C^2 is four real rows
-(Re u, Im u, Re v, Im v), and a quantity with one value per line or per
-coordinate is an (n, samples) array reduced along axis 0, so every numpy
-call runs over long contiguous rows in real arithmetic.  Each sampler
-keeps its scratch arrays from shell to shell.  The pipeline masks log f
-and log w once per shell, then integrates every lambda in place in one
-reused buffer.
+Arrays are laid out as rows of samples, so every numpy call runs over
+long rows in real arithmetic.  A point of C^2 is four real rows (Re u,
+Im u, Re v, Im v).  The monomial sampler holds one row per coordinate and
+reduces along axis 0; the binomial sampler takes its lines one at a time
+over blocks of columns and adds each line's row into running rows, in
+the order such a reduction adds them.  Each sampler keeps its scratch
+arrays from shell to shell.  The pipeline masks log f and log w once per
+shell, then integrates every lambda in place in one reused buffer.
+
+The shells run on up to min(usable CPUs, shells, MAX_CELLS // cells)
+workers: the calling thread and one thread per further worker.  Each
+worker owns a sampler built by the factory and its own integration rows.
+It takes the next shell of the ladder, writes that shell's log I for
+every lambda, and takes the next, until none is left; the slope fits run
+once every shell is in.  So the memory in flight is about workers x
+cells, which the bound keeps within MAX_CELLS: a run at the cell cap is
+serial.  numpy's draws and ufuncs release the GIL, so the workers'
+shells overlap.
 
 All randomness flows from counter-based Philox streams keyed by (seed,
 shell), so estimates are bit-identical for a given config no matter how the
-(lambda, shell) work is scheduled.  Before anything is sampled, the array
-cells per shell and the integrand evaluations of a run are checked against
-MAX_CELLS and MAX_EVALUATIONS.  Results are test instruments only; no exact
-code path consumes them.
+(lambda, shell) work is scheduled, and a threaded run equals a serial one
+bit for bit.  Before anything is sampled, the array cells per shell and the
+integrand evaluations of a run are checked against MAX_CELLS and
+MAX_EVALUATIONS.  Results are test instruments only; no exact code path
+consumes them.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
+from functools import partial
 from numbers import Real
 
 import numpy as np
 
+from . import enumeration
 from .errors import InputError, ThresholdOutsideGrid, check_int, check_rational
 
 _MIN_SHELLS = 5
@@ -66,8 +81,9 @@ _MIN_SAMPLES = 1000
 _SEED_LIMIT = 2 ** 63
 # Work caps, checked before anything is sampled: array cells per shell
 # (samples x integrand width) and integrand evaluations (samples x shells x
-# probe points).  The defaults use 1.6e5 cells (bp n=4) and 6.1e6
-# evaluations.
+# probe points).  The shell workers are capped so that their cells in
+# flight (workers x cells) also stay within MAX_CELLS.  The defaults use
+# 1.6e5 cells (bp n=4) and 6.1e6 evaluations.
 MAX_CELLS = 4_000_000
 MAX_EVALUATIONS = 10 ** 9
 # No config with more probe points passes the evaluation cap.
@@ -76,6 +92,8 @@ MAX_GRID_POINTS = MAX_EVALUATIONS // (_MIN_SAMPLES * _MIN_SHELLS)
 # by |x|^4 and |w_j|^2, which underflow for eps below this (eps^4 is then
 # no longer a normal double).
 BP_MIN_CUTOFF = 2.0 ** -255
+# Columns per block of the binomial sampler's post-draw arithmetic.
+_BP_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -150,8 +168,8 @@ class ExponentEstimate:
             raise AssertionError("threshold estimate escaped the probed grid")
 
 
-def _check_work(cfg: OracleConfig, width: int) -> None:
-    """Reject a run whose arrays or evaluation count exceed the work caps."""
+def _check_work(cfg: OracleConfig, width: int) -> int:
+    """Array cells per shell of a run, once it is known to fit the work caps."""
     cells = cfg.samples_per_shell * width
     if cells > MAX_CELLS:
         raise InputError(
@@ -164,6 +182,7 @@ def _check_work(cfg: OracleConfig, width: int) -> None:
             f"samples_per_shell x cutoffs x lambda_grid = {evals} evaluations "
             f"exceeds the cap {MAX_EVALUATIONS}"
         )
+    return cells
 
 
 def _shell_rng(seed: int, shell: int) -> np.random.Generator:
@@ -227,38 +246,93 @@ def _extract_threshold(grid, slopes, ses, k_coeff) -> ExponentEstimate:
     )
 
 
-def _estimate(sample, k_coeff: float, cfg: OracleConfig) -> ExponentEstimate:
+def _shell_workers(cfg: OracleConfig, cells: int) -> int:
+    """Workers for a run: at most one per usable CPU and per shell, and few
+    enough that workers x cells stays within MAX_CELLS (so a run at the
+    cell cap is serial)."""
+    cpus = enumeration.usable_cpus() or 1
+    return max(1, min(cpus, len(cfg.cutoffs), MAX_CELLS // cells))
+
+
+def _integrate_shell(sample, cfg: OracleConfig, shell: int, lam_f, scratch, out) -> None:
+    """Sample one shell and write log I(eps, lambda) for every lambda into out.
+
+    scratch holds three rows of samples_per_shell: the masked log f, the
+    masked log w and the integration buffer.
+    """
+    eps = cfg.cutoffs[shell]
+    log_f, log_w, mask = sample(_shell_rng(cfg.seed, shell), eps)
+    kept = int(np.count_nonzero(mask))
+    if not kept:
+        raise InputError(
+            f"no admissible samples at cutoff {eps}: the cutoff neighborhood "
+            "covers the sampled domain or samples_per_shell is too small"
+        )
+    f, w, buf = (row[:kept] for row in scratch)
+    if kept < mask.size:
+        log_f = np.compress(mask, log_f, out=f)
+        log_w = np.compress(mask, log_w, out=w)
+    for j, lam in enumerate(lam_f):
+        np.multiply(log_f, -2.0 * lam, out=buf)
+        buf += log_w
+        out[j] = _log_mean_exp(buf, mask.size)
+
+
+def _estimate(make_sample, width: int, k_coeff: float, cfg: OracleConfig) -> ExponentEstimate:
     """Shared pipeline: sample each shell, integrate every lambda, fit, extract.
 
-    sample(rng, eps) returns (log_f, log_w, mask) for one shell's draws:
-    the log of |f|, the log importance weight (domain measure over sampling
-    density), and which draws lie in the cutoff domain.  Entries outside
-    the mask are ignored; the returned arrays are only read.
+    make_sample() builds a sampler with its own scratch; sample(rng, eps)
+    returns (log_f, log_w, mask) for one shell's draws: the log of |f|,
+    the log importance weight (domain measure over sampling density), and
+    which draws lie in the cutoff domain.  Entries outside the mask are
+    ignored.  The returned arrays may be the sampler's scratch: they are
+    only read, and only until the sampler is called again.
 
-    Each shell is integrated in place: log_f and log_w are masked once, and
-    every lambda reuses one buffer for -2 lambda log_f + log_w, its shift by
-    the maximum and its exponential.  The mean runs over all the shell's
-    draws, so masked-out draws count as zeros.
+    The work caps are checked first, for width cells per sample.  Then
+    _shell_workers(cfg, cells) workers, the calling thread and the rest
+    on threads of their own, each with one sampler and one set of
+    integration rows, take the shells in ladder order, one at a time, and
+    fill column `shell` of log I.  A shell is integrated in place: log_f
+    and log_w are masked once, and every lambda reuses one buffer for
+    -2 lambda log_f + log_w, its shift by the maximum and its exponential.
+    The mean runs over all the shell's draws, so masked-out draws count as
+    zeros.  A failing shell stops the workers from taking new shells; once
+    all have stopped, the failure of the earliest failing shell is
+    raised, as a serial run would raise it.
     """
+    cells = _check_work(cfg, width)
     lam_f = [float(l) for l in cfg.lambda_grid]
-    log_eps = np.empty(len(cfg.cutoffs))
+    log_eps = np.array([math.log(eps) for eps in cfg.cutoffs])
     log_i = np.empty((len(lam_f), len(cfg.cutoffs)))
-    scratch = np.empty(cfg.samples_per_shell)
-    for shell, eps in enumerate(cfg.cutoffs):
-        log_eps[shell] = math.log(eps)
-        log_f, log_w, mask = sample(_shell_rng(cfg.seed, shell), eps)
-        if not mask.any():
-            raise InputError(
-                f"no admissible samples at cutoff {eps}: the cutoff neighborhood "
-                "covers the sampled domain or samples_per_shell is too small"
-            )
-        if not mask.all():
-            log_f, log_w = log_f[mask], log_w[mask]
-        buf = scratch[:log_f.size]
-        for j, lam in enumerate(lam_f):
-            np.multiply(log_f, -2.0 * lam, out=buf)
-            buf += log_w
-            log_i[j, shell] = _log_mean_exp(buf, mask.size)
+    todo = iter(range(len(cfg.cutoffs)))
+    lock = threading.Lock()
+    failed = {}
+
+    def work(sample, scratch):
+        while not failed:
+            with lock:
+                shell = next(todo, None)
+            if shell is None:
+                return
+            try:
+                _integrate_shell(sample, cfg, shell, lam_f, scratch, log_i[:, shell])
+            except BaseException as exc:  # re-raised below, in ladder order
+                failed[shell] = exc
+
+    crews = [(make_sample(), np.empty((3, cfg.samples_per_shell)))
+             for _ in range(_shell_workers(cfg, cells))]
+    threads = []
+    try:
+        for crew in crews[1:]:
+            thread = threading.Thread(target=work, args=crew)
+            thread.start()
+            threads.append(thread)
+        work(*crews[0])
+    finally:
+        for thread in threads:
+            thread.join()
+    if failed:
+        raise failed[min(failed)]
     fits = [_slope_fit(log_eps, row) for row in log_i]
     return _extract_threshold(
         cfg.lambda_grid, [sl for sl, _ in fits], [se for _, se in fits], k_coeff
@@ -284,10 +358,10 @@ def estimate_monomial_threshold(exponents, cfg: OracleConfig) -> ExponentEstimat
     exps = tuple(check_int(a, "exponent", 1) for a in exponents)
     if not exps:
         raise InputError("exponent list must be nonempty")
-    _check_work(cfg, len(exps))
     a_max = max(exps)
     return _estimate(
-        _monomial_sampler(exps, cfg.samples_per_shell), 2.0 * a_max * exps.count(a_max), cfg
+        partial(_monomial_sampler, exps, cfg.samples_per_shell), len(exps),
+        2.0 * a_max * exps.count(a_max), cfg,
     )
 
 
@@ -338,7 +412,7 @@ def _monomial_sampler(exps, n_s):
 def _direction_times_radius(rng, size, radius):
     """Rows (Re u, Im u, Re v, Im v) of points of C^2 with uniform direction
     on S^3 and length radius(uniform)."""
-    g = np.ascontiguousarray(rng.standard_normal((size, 4)).T)
+    g = rng.standard_normal((size, 4)).T
     scale = radius(rng.random(size))
     norm2 = g[0] * g[0]
     for row in g[1:]:
@@ -385,15 +459,19 @@ def estimate_bp_threshold(n: int, cfg: OracleConfig) -> ExponentEstimate:
             f"cutoff {cfg.cutoffs[-1]} is below {BP_MIN_CUTOFF:.3g}, where the "
             "sampling density of u^n + v^n underflows"
         )
-    _check_work(cfg, n)
-    return _estimate(_bp_sampler(n, cfg.samples_per_shell), 2.0 * n, cfg)
+    return _estimate(partial(_bp_sampler, n, cfg.samples_per_shell), n, 2.0 * n, cfg)
 
 
 def _bp_sampler(n, n_s):
-    """sample(rng, eps) for the binomial integrand, one row per line.
+    """sample(rng, eps) for the binomial integrand, one row per real coordinate.
 
-    A point is four real rows (Re u, Im u, Re v, Im v), and every per-line
-    quantity is an (n, samples) array built from real multiply-adds.
+    A point is four real rows (Re u, Im u, Re v, Im v).  After the draws,
+    the arithmetic runs over blocks of _BP_BLOCK columns, and within a
+    block over the n lines one at a time: each line's distance row updates
+    running rows (log f, the tube density sum, every distance >= eps) in
+    place, so no (n, samples) array is ever held.  The running sums add
+    the lines in order, as a reduction along the line axis does, so every
+    value is bit-identical to the (n, samples) form.
     """
     # zeta_j = za_j + i zb_j.  Unit direction along line j is (zeta_j, 1)/sqrt(2);
     # unit normal is (1, -conj(zeta_j))/sqrt(2).  In those coordinates
@@ -404,16 +482,142 @@ def _bp_sampler(n, n_s):
     w_ball, w_origin, w_tube = 0.4, 0.3, 0.3
     vol_ball = math.pi ** 2 / 2
     area_s3 = 2 * math.pi ** 2
-    # Scratch reused by every shell: the point rows, three per-line arrays
-    # and four single rows.  Only log_f, log_w and mask are new each shell.
-    scratch = (
-        np.empty((4, n_s)), np.empty((n, n_s)), np.empty((n, n_s)),
-        np.empty((n, n_s), dtype=bool), np.empty((4, n_s)),
-    )
+    # Scratch reused by every shell: the point rows, each sample's tube line
+    # (n where it has none) and tube radius, the mask, and one block of
+    # eight real and four boolean rows.  A block's points are dead once it
+    # is weighed, so log f and log w overwrite point rows 0 and 1.
+    x = np.empty((4, n_s))
+    line = np.empty(n_s, dtype=np.int32)
+    rad = np.empty(n_s)
+    mask = np.empty(n_s, dtype=bool)
+    width = min(_BP_BLOCK, n_s)
+    reals = np.empty((8, width))
+    flags = np.empty((4, width), dtype=bool)
+
+    def draw_tubes(rng, idx, eps):
+        """Tube points at idx: c * direction + w * normal of a uniform line,
+        with c uniform on the unit disc and |w| log-uniform in [eps, 1].
+
+        The draws are combined in place, so a shell holds few arrays of its
+        tube samples at a time.
+        """
+        m = idx.size
+        lines = rng.integers(0, n, size=m)
+        c_rad = rng.random(m)
+        np.sqrt(c_rad, out=c_rad)
+        c_ang = rng.random(m)
+        c_ang *= 2
+        c_ang *= math.pi
+        w_rad = rng.random(m)
+        w_rad *= math.log(eps)
+        np.exp(w_rad, out=w_rad)
+        w_ang = rng.random(m)
+        w_ang *= 2
+        w_ang *= math.pi
+        line[idx] = lines
+        rad[idx] = w_rad
+        a, b = za[lines], zb[lines]
+        cr = np.cos(c_ang)
+        cr *= c_rad
+        ci = np.sin(c_ang, out=c_ang)
+        ci *= c_rad
+        wr = np.cos(w_ang)
+        wr *= w_rad
+        wi = np.sin(w_ang, out=w_ang)
+        wi *= w_rad
+        # x = c * direction + w * normal, in real rows, with two spent
+        # draws as scratch.
+        t, s = c_rad, w_rad
+        np.multiply(cr, a, out=t)
+        t -= np.multiply(ci, b, out=s)
+        t += wr
+        t *= inv_sqrt2
+        x[0, idx] = t
+        np.multiply(cr, b, out=t)
+        t += np.multiply(ci, a, out=s)
+        t += wi
+        t *= inv_sqrt2
+        x[1, idx] = t
+        np.multiply(wr, a, out=t)
+        t += np.multiply(wi, b, out=s)
+        np.subtract(cr, t, out=t)
+        t *= inv_sqrt2
+        x[2, idx] = t
+        np.multiply(wi, a, out=t)
+        t -= np.multiply(wr, b, out=s)
+        np.subtract(ci, t, out=t)
+        t *= inv_sqrt2
+        x[3, idx] = t
+
+    def weigh(lo, eps):
+        """log f, log w and mask for the block of points from column lo."""
+        cols = slice(lo, lo + width)
+        size = min(width, n_s - lo)
+        norm2, lim, p, q, t, w, tube_sum, lf = (row[:size] for row in reals)
+        ok, ge, far, inside = (row[:size] for row in flags)
+        ur, ui, vr, vi = x[:, cols]
+        np.multiply(ur, ur, out=norm2)
+        for row in (ui, vr, vi):
+            norm2 += np.multiply(row, row, out=t)
+        # The along-line coordinate c_j = (conj(zeta_j) u + v)/sqrt(2) has
+        # |c_j|^2 + |w_j|^2 = |x|^2 (parallelogram law), so the tube's
+        # along-line bound |c_j| <= 1 reads |w_j|^2 >= |x|^2 - 1.
+        np.subtract(norm2, 1.0, out=lim)
+        # The sums start at +0, and 0 + x is x for every term added: none
+        # is -0 (logs of distances, 0 or 1 over squares).
+        far.fill(True)
+        tube_sum.fill(0.0)
+        lf.fill(0.0)
+        for j in range(n):
+            # With zeta_j v = p + i q: 2|w_j|^2 = (ur - p)^2 + (ui - q)^2.
+            a, b = za[j], zb[j]
+            np.multiply(vr, a, out=p)
+            p -= np.multiply(vi, b, out=t)
+            np.multiply(vr, b, out=q)
+            q += np.multiply(vi, a, out=t)
+            np.subtract(ur, p, out=t)
+            np.multiply(t, t, out=w)
+            np.subtract(ui, q, out=t)
+            t *= t
+            w += t
+            w *= 0.5
+            np.greater_equal(w, lim, out=ok)
+            np.sqrt(w, out=w)
+            # A tube sample's distance to its own line is the sampled radius
+            # exactly; recomputing it as u - zeta*v cancels catastrophically
+            # once the radius is near float epsilon.
+            np.copyto(w, rad[cols], where=np.equal(line[cols], j, out=ge))
+            far &= np.greater_equal(w, eps, out=ge)
+            ok &= ge
+            ok &= np.less_equal(w, 1.0, out=ge)
+            # Tube j has density 1/(pi * 2 pi |w_j|^2 log(1/eps)): uniform on
+            # the unit disc along the line, log-uniform in the transverse radius.
+            np.multiply(w, w, out=t)
+            tube_sum += np.divide(ok, t, out=t)
+            # |u^n + v^n| is the product of the n line distances times
+            # sqrt(2)^n; summing logs of the patched distances stays stable
+            # arbitrarily close to the divisor.
+            lf += np.log(w, out=w)
+        np.less_equal(norm2, 1.0, out=inside)
+        outside = np.logical_not(np.logical_and(inside, far, out=mask[cols]), out=ge)
+        # Mixture density: ball + origin + the mean of the n tube densities.
+        log_inv_eps = math.log(1 / eps)
+        dens = p
+        np.multiply(norm2, norm2, out=t)
+        np.greater_equal(norm2, eps * eps, out=far)
+        far &= inside
+        np.divide(far, t, out=dens)
+        dens *= w_origin / (area_s3 * log_inv_eps)
+        dens += np.multiply(inside, w_ball / vol_ball, out=t)
+        tube_sum *= w_tube / (n * (math.pi * 2 * math.pi * log_inv_eps))
+        dens += tube_sum
+        log_f, log_w = x[0, cols], x[1, cols]
+        np.add(lf, n * math.log(math.sqrt(2)), out=log_f)
+        np.negative(np.log(dens, out=log_w), out=log_w)
+        np.copyto(log_f, 0.0, where=outside)
+        np.copyto(log_w, 0.0, where=outside)
 
     def sample(rng, eps):
-        x, w_abs, terms, tube_ok, (norm2, p, q, t) = scratch
-        log_inv_eps = math.log(1 / eps)
         ball, inner = _bp_components(rng, n_s, (w_ball, w_origin, w_tube))
         for idx, radius in (
             (np.flatnonzero(ball), lambda t: t ** 0.25),
@@ -422,87 +626,16 @@ def _bp_sampler(n, n_s):
             if idx.size:
                 for row, vals in zip(x, _direction_times_radius(rng, idx.size, radius)):
                     row[idx] = vals
-
+        line.fill(n)
         tube_idx = np.flatnonzero(~inner)
-        m = tube_idx.size
-        if m:
-            tube_line = rng.integers(0, n, size=m)
-            c_rad = np.sqrt(rng.random(m))
-            c_ang = rng.random(m) * 2 * math.pi
-            tube_rad = np.exp(rng.random(m) * math.log(eps))
-            s_ang = rng.random(m) * 2 * math.pi
-            cr, ci = c_rad * np.cos(c_ang), c_rad * np.sin(c_ang)
-            wr, wi = tube_rad * np.cos(s_ang), tube_rad * np.sin(s_ang)
-            a, b = za[tube_line], zb[tube_line]
-            # x = c * direction + w * normal, in real rows.
-            x[0, tube_idx] = (cr * a - ci * b + wr) * inv_sqrt2
-            x[1, tube_idx] = (cr * b + ci * a + wi) * inv_sqrt2
-            x[2, tube_idx] = (cr - (wr * a + wi * b)) * inv_sqrt2
-            x[3, tube_idx] = (ci - (wi * a - wr * b)) * inv_sqrt2
-
-        ur, ui, vr, vi = x
-        np.multiply(ur, ur, out=norm2)
-        for row in (ui, vr, vi):
-            np.multiply(row, row, out=t)
-            norm2 += t
-        # Per line j, with zeta_j v = p + i q: 2|w_j|^2 = (ur - p)^2 + (ui - q)^2.
-        for j in range(n):
-            a, b = za[j], zb[j]
-            np.multiply(vr, a, out=p)
-            np.multiply(vi, b, out=t)
-            p -= t
-            np.multiply(vr, b, out=q)
-            np.multiply(vi, a, out=t)
-            q += t
-            np.subtract(ur, p, out=t)
-            np.multiply(t, t, out=w_abs[j])
-            np.subtract(ui, q, out=t)
-            t *= t
-            w_abs[j] += t
-        w_abs *= 0.5
-        # The along-line coordinate c_j = (conj(zeta_j) u + v)/sqrt(2) has
-        # |c_j|^2 + |w_j|^2 = |x|^2 (parallelogram law), so the tube's
-        # along-line bound |c_j| <= 1 reads |w_j|^2 >= |x|^2 - 1.
-        np.subtract(norm2, 1.0, out=t)
-        np.greater_equal(w_abs, t, out=tube_ok)
-        np.sqrt(w_abs, out=w_abs)
-        if m:
-            # A tube sample's distance to its own line is the sampled radius
-            # exactly; recomputing it as u - zeta*v cancels catastrophically
-            # once the radius is near float epsilon.
-            w_abs[tube_line, tube_idx] = tube_rad
-        inside = norm2 <= 1.0
-        mask = inside & (np.minimum.reduce(w_abs, axis=0) >= eps)
-        tube_ok &= w_abs >= eps
-        tube_ok &= w_abs <= 1.0
-
-        # Mixture density: ball + origin + the mean of the n tube densities.
-        # A point on a line or at the origin divides by zero here; it lies
-        # outside the mask, whose entries are overwritten below.
+        if tube_idx.size:
+            draw_tubes(rng, tube_idx, eps)
+        # A point on a line or at the origin divides by zero or takes log 0;
+        # it lies outside the mask, and its log f and log w are set to 0.
         with np.errstate(divide="ignore", invalid="ignore"):
-            np.multiply(norm2, norm2, out=t)
-            dens = np.divide(inside & (norm2 >= eps * eps), t)
-            dens *= w_origin / (area_s3 * log_inv_eps)
-            np.multiply(inside, w_ball / vol_ball, out=t)
-            dens += t
-            # Tube j has density 1/(pi * 2 pi |w_j|^2 log(1/eps)): uniform on
-            # the unit disc along the line, log-uniform in the transverse radius.
-            np.multiply(w_abs, w_abs, out=terms)
-            np.divide(tube_ok, terms, out=terms)
-            tube_norm = math.pi * 2 * math.pi * log_inv_eps
-            dens += np.add.reduce(terms, axis=0) * (w_tube / (n * tube_norm))
-
-            # |u^n + v^n| equals the product of the n line distances times
-            # sqrt(2)^n; summing logs of the patched distances stays stable
-            # arbitrarily close to the divisor.
-            log_f = np.add.reduce(np.log(w_abs, out=w_abs), axis=0)
-            log_f += n * math.log(math.sqrt(2))
-            log_w = np.log(dens)
-        np.negative(log_w, out=log_w)
-        outside = ~mask
-        np.copyto(log_f, 0.0, where=outside)
-        np.copyto(log_w, 0.0, where=outside)
-        return log_f, log_w, mask
+            for lo in range(0, n_s, width):
+                weigh(lo, eps)
+        return x[0], x[1], mask
 
     return sample
 

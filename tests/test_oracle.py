@@ -9,7 +9,10 @@ agreement runs for every acceptance case live in test_acceptance.py.
 from __future__ import annotations
 
 import math
+import sys
+import threading
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -21,6 +24,7 @@ from orbke import (
     monomial_lct,
     verify_threshold,
 )
+from orbke import enumeration, oracle
 from orbke.errors import InputError, ThresholdOutsideGrid
 from orbke.oracle import (
     BP_MIN_CUTOFF,
@@ -33,6 +37,7 @@ from orbke.oracle import (
     _log_mean_exp,
     _monomial_sampler,
     _shell_rng,
+    _shell_workers,
 )
 
 # Shallower ladder + fewer samples: ~10x faster, still adequate for the
@@ -393,21 +398,38 @@ class TestInPlaceIntegration:
         (_bp_sampler, 3, 6.0, Fraction(2, 3)),
         (_monomial_sampler, (1, 2), 4.0, Fraction(1, 2)),
     ])
-    def test_estimate_leaves_sampler_arrays_alone(self, make, arg, k_coeff, analytic):
+    def test_estimate_leaves_sampler_arrays_alone(self, make, arg, k_coeff, analytic, monkeypatch):
+        # Two workers, each with its own sampler: before a spy samples again,
+        # and once the run is over, its last shell's arrays must be as the
+        # sampler returned them.
+        monkeypatch.setattr(enumeration, "usable_cpus", lambda: 2)
         cfg = OracleConfig(lambda_grid=grid_around(analytic), **FAST)
-        inner = make(arg, cfg.samples_per_shell)
-        seen = []
+        width = arg if isinstance(arg, int) else len(arg)
+        spies = []
 
-        def spy(rng, eps):
-            out = inner(rng, eps)
-            seen.append((out, tuple(a.copy() for a in out)))
-            return out
+        def untouched(last):
+            for out, copies in last:
+                for got, want in zip(out, copies):
+                    np.testing.assert_array_equal(got, want)
 
-        _estimate(spy, k_coeff, cfg)
-        assert len(seen) == len(cfg.cutoffs)
-        for out, copies in seen:
-            for got, want in zip(out, copies):
-                np.testing.assert_array_equal(got, want)
+        def factory():
+            inner = make(arg, cfg.samples_per_shell)
+            last = []
+            spies.append(last)
+
+            def spy(rng, eps):
+                untouched(last)
+                out = inner(rng, eps)
+                last[:] = [(out, tuple(a.copy() for a in out))]
+                return out
+
+            return spy
+
+        _estimate(factory, width, k_coeff, cfg)
+        assert len(spies) == 2
+        assert all(spies)
+        for last in spies:
+            untouched(last)
 
     @pytest.mark.parametrize("center", [800.0, -800.0])
     def test_log_mean_exp_is_stable_near_800(self, center):
@@ -420,3 +442,125 @@ class TestInPlaceIntegration:
         got = _log_mean_exp(arg.copy(), total)
         assert math.isfinite(got)
         assert got == pytest.approx(want, rel=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# The shell schedule: workers, bit-identity with a serial run, failures
+
+
+SMALL = dict(samples_per_shell=3000, cutoffs=FAST["cutoffs"])
+
+
+class TestShellWorkers:
+    def test_workers_follow_cpus_shells_and_cells(self, monkeypatch):
+        cfg = OracleConfig(lambda_grid=(1, 2, 3), **SMALL)
+        for cpus, cells, want in [
+            (None, 10, 1), (1, 10, 1), (2, 10, 2), (4, 10, 4), (64, 10, len(cfg.cutoffs)),
+            (4, MAX_CELLS // 3, 3), (4, MAX_CELLS // 2 + 1, 1),
+        ]:
+            monkeypatch.setattr(enumeration, "usable_cpus", lambda c=cpus: c)
+            assert _shell_workers(cfg, cells) == want, (cpus, cells)
+
+    def test_a_run_at_the_cell_cap_is_serial(self, monkeypatch):
+        # The cells in flight never exceed MAX_CELLS, so a config at the cap
+        # builds one sampler, and one at half the cap builds two.
+        monkeypatch.setattr(enumeration, "usable_cpus", lambda: 4)
+        cfg = OracleConfig(lambda_grid=grid_around(1), **SMALL)
+        for width, want in [(MAX_CELLS // cfg.samples_per_shell, 1),
+                            (MAX_CELLS // (2 * cfg.samples_per_shell), 2)]:
+            built = []
+
+            def factory():
+                built.append(None)
+                return _monomial_sampler((1,), cfg.samples_per_shell)
+
+            _estimate(factory, width, 2.0, cfg)
+            assert len(built) == want
+
+    @pytest.mark.parametrize("kind, arg, analytic", [
+        ("bp", 2, 1), ("bp", 3, Fraction(2, 3)), ("bp", 4, Fraction(1, 2)),
+        ("bp", 5, Fraction(2, 5)), ("monomial", (1,), 1),
+        ("monomial", (2, 2, 5), Fraction(1, 5)),
+    ])
+    def test_one_and_several_workers_agree_bit_for_bit(self, kind, arg, analytic, monkeypatch):
+        estimate = estimate_bp_threshold if kind == "bp" else estimate_monomial_threshold
+        cfg = OracleConfig(lambda_grid=grid_around(analytic), seed=5, **SMALL)
+        runs = {}
+        before = threading.active_count()
+        for cpus in (1, 4):
+            monkeypatch.setattr(enumeration, "usable_cpus", lambda c=cpus: c)
+            runs[cpus] = estimate(arg, cfg)
+        assert runs[4] == runs[1]
+        assert threading.active_count() == before
+
+    def test_several_blocks_match_one(self, monkeypatch):
+        # Blocks of 700 columns (the last one short) give the same arrays
+        # as one block over all 2000.
+        cfg = OracleConfig(lambda_grid=(1, 2, 3))
+        want = [_bp_sampler(3, 2000)(_shell_rng(3, s), cfg.cutoffs[s]) for s in (0, 8)]
+        want = [tuple(a.copy() for a in out) for out in want]
+        monkeypatch.setattr(oracle, "_BP_BLOCK", 700)
+        sample = _bp_sampler(3, 2000)
+        for s, ref in zip((0, 8), want):
+            for got, exp in zip(sample(_shell_rng(3, s), cfg.cutoffs[s]), ref):
+                assert got.tobytes() == exp.tobytes()
+
+    def test_failure_names_the_first_failing_cutoff(self, monkeypatch):
+        # Shells 2 and 3 admit no sample.  Shell 2's sampler waits until
+        # shell 3 has failed, so the later shell fails first in time; the
+        # run must still report cutoff 2, as a serial run does.
+        monkeypatch.setattr(enumeration, "usable_cpus", lambda: 4)
+        cfg = OracleConfig(lambda_grid=grid_around(1), **SMALL)
+        eps2, eps3 = cfg.cutoffs[2], cfg.cutoffs[3]
+        third_failed = threading.Event()
+
+        def factory():
+            inner = _monomial_sampler((1,), cfg.samples_per_shell)
+
+            def sample(rng, eps):
+                log_f, log_w, mask = inner(rng, eps)
+                if eps == eps2:
+                    third_failed.wait(timeout=10)
+                if eps in (eps2, eps3):
+                    mask = np.zeros_like(mask)
+                if eps == eps3:
+                    third_failed.set()
+                return log_f, log_w, mask
+
+            return sample
+
+        before = threading.active_count()
+        with pytest.raises(InputError, match=f"no admissible samples at cutoff {eps2}:"):
+            _estimate(factory, 1, 2.0, cfg)
+        assert third_failed.is_set()
+        assert threading.active_count() == before
+
+    def test_each_shell_runs_once_under_contention(self, monkeypatch):
+        # More workers than cores, switching threads every microsecond: a
+        # shell handed out twice or skipped would show in the spy's log, and
+        # any lost write in log I in the estimate.
+        cfg = OracleConfig(samples_per_shell=1000, cutoffs=tuple(10.0 ** -k for k in range(4, 16)),
+                           lambda_grid=grid_around(1), seed=9)
+        monkeypatch.setattr(enumeration, "usable_cpus", lambda: 1)
+        want = _estimate(partial(_monomial_sampler, (1,), 1000), 1, 2.0, cfg)
+        monkeypatch.setattr(enumeration, "usable_cpus", lambda: 8)
+        sampled = []
+
+        def factory():
+            inner = _monomial_sampler((1,), cfg.samples_per_shell)
+
+            def sample(rng, eps):
+                sampled.append(eps)
+                return inner(rng, eps)
+
+            return sample
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                sampled.clear()
+                assert _estimate(factory, 1, 2.0, cfg) == want
+                assert sorted(sampled, reverse=True) == list(cfg.cutoffs)
+        finally:
+            sys.setswitchinterval(interval)

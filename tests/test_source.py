@@ -175,3 +175,11 @@ def test_only_last_windows_clips_the_cut_points():
     # both read it, so a second caller of _cuts would be a second copy of
     # the clipping to keep in step with it.
     assert _users("_cuts") == {"_last_windows"}
+
+
+def test_only_usable_cpus_reads_the_cpu_count():
+    # enumeration.usable_cpus is the one reader of the CPU count: the pool
+    # and the oracle's shell threads both size themselves from it, so a
+    # second reader could let one of them see a different machine.
+    assert _users("sched_getaffinity") == {"usable_cpus"}
+    assert _users("cpu_count") == {"usable_cpus"}
