@@ -103,6 +103,12 @@ _TAIL_CLASSES = frozenset({"NoCriterion", "NotFano"})
 # 12,000 leaves (dimension 4 has 3,512).
 POOL_MIN_LEAVES = 16_000
 
+# Largest dimension a search accepts.  The walk recurses once per prefix
+# entry and each state holds its prefix, so a far larger n exhausts the
+# interpreter's recursion limit (dimension 20,000 does).  No search past
+# dimension 6 finishes today, so the bound rejects no work.
+MAX_SEARCH_DIM = 1_000
+
 
 # ---------------------------------------------------------------------------
 # Sylvester sequence and family
@@ -308,10 +314,11 @@ def admissible_last_interval(prefix, n: int) -> LastIntervals:
 class SearchConfig:
     """Parameters of one enumeration run.
 
-    classes is the set of classifications to emit/count.  Requesting any
-    class outside {OldKE, NewOnlyKE}, or admitting unit orders, requires
-    max_order: those classes are infinite, and after a unit order the
-    prefix sum is already 1, which every larger order can extend.
+    n, the dimension, lies in 1..MAX_SEARCH_DIM.  classes is the set of
+    classifications to emit/count.  Requesting any class outside {OldKE,
+    NewOnlyKE}, or admitting unit orders, requires max_order: those
+    classes are infinite, and after a unit order the prefix sum is already
+    1, which every larger order can extend.
     prefix_filter pins the leading orders (sorted, coprime).  node_cap
     bounds the number of search nodes; hitting it raises
     NodeBudgetExceeded carrying the partial result, and forces serial
@@ -333,7 +340,7 @@ class SearchConfig:
 
     def __post_init__(self):
         setattr_ = object.__setattr__
-        setattr_(self, "n", check_int(self.n, "dimension", 1))
+        setattr_(self, "n", check_int(self.n, "dimension", 1, MAX_SEARCH_DIM))
         setattr_(self, "min_order", check_int(self.min_order, "min_order", 1, 2))
         if self.mode not in ("materialize", "count"):
             raise InputError(f"mode must be materialize or count, got {self.mode!r}")

@@ -40,19 +40,19 @@ long rows in real arithmetic.  A point of C^2 is four real rows (Re u,
 Im u, Re v, Im v).  The monomial sampler holds one row per coordinate and
 reduces along axis 0; the binomial sampler takes its lines one at a time
 over blocks of columns and adds each line's row into running rows, in
-the order such a reduction adds them.  Each sampler keeps its scratch
-arrays from shell to shell.  The pipeline masks log f and log w once per
-shell, then integrates every lambda in place in one reused buffer.
+the order such a reduction adds them.  Samplers are stateless: each call
+allocates its own arrays and returns fresh ones.  The pipeline masks
+log f and log w once per shell, then integrates every lambda in place in
+one buffer.
 
-The shells run on up to min(usable CPUs, shells, MAX_CELLS // cells)
-workers: the calling thread and one thread per further worker.  Each
-worker owns a sampler built by the factory and its own integration rows.
-It takes the next shell of the ladder, writes that shell's log I for
-every lambda, and takes the next, until none is left; the slope fits run
-once every shell is in.  So the memory in flight is about workers x
-cells, which the bound keeps within MAX_CELLS: a run at the cell cap is
-serial.  numpy's draws and ufuncs release the GIL, so the workers'
-shells overlap.
+The shells run on a concurrent.futures thread pool of min(usable CPUs,
+shells, MAX_CELLS // cells) workers, whose map hands them out in ladder
+order and yields each shell's log I for every lambda in that order; the
+slope fits run once every shell is in.  A shell's arrays are allocated by
+its sampler call and die with it, and their size follows the shell's
+cells, so the memory in flight is about workers x cells, which the worker
+bound keeps within MAX_CELLS: a run at the cell cap is serial.  numpy's
+draws and ufuncs release the GIL, so the workers' shells overlap.
 
 All randomness flows from counter-based Philox streams keyed by (seed,
 shell), so estimates are bit-identical for a given config no matter how the
@@ -66,7 +66,7 @@ consumes them.
 from __future__ import annotations
 
 import math
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from numbers import Real
@@ -136,6 +136,17 @@ class OracleConfig:
             raise InputError("lambda_grid must be strictly increasing")
         if grid[0] <= 0:
             raise InputError("lambda_grid must be positive")
+        # The estimators probe the grid as floats, which can overflow,
+        # flush to zero or merge neighbors where the Fractions do not.
+        try:
+            floats = [float(l) for l in grid]
+        except OverflowError:
+            floats = [math.inf]
+        if not (all(math.isfinite(l) and l > 0 for l in floats)
+                and all(a < b for a, b in zip(floats, floats[1:]))):
+            raise InputError(
+                "lambda_grid must stay finite, positive and strictly increasing as floats"
+            )
         object.__setattr__(self, "seed", check_int(self.seed, "seed", 0, _SEED_LIMIT - 1))
         object.__setattr__(self, "tolerance", _check_tolerance(self.tolerance))
         object.__setattr__(self, "cutoffs", cuts)
@@ -254,11 +265,13 @@ def _shell_workers(cfg: OracleConfig, cells: int) -> int:
     return max(1, min(cpus, len(cfg.cutoffs), MAX_CELLS // cells))
 
 
-def _integrate_shell(sample, cfg: OracleConfig, shell: int, lam_f, scratch, out) -> None:
-    """Sample one shell and write log I(eps, lambda) for every lambda into out.
+def _integrate_shell(sample, cfg: OracleConfig, lam_f, shell: int) -> list:
+    """Sample one shell and return log I(eps, lambda) for every lambda.
 
-    scratch holds three rows of samples_per_shell: the masked log f, the
-    masked log w and the integration buffer.
+    log_f and log_w are masked once, and every lambda reuses one buffer
+    for -2 lambda log_f + log_w, its shift by the maximum and its
+    exponential.  The mean runs over all the shell's draws, so masked-out
+    draws count as zeros.
     """
     eps = cfg.cutoffs[shell]
     log_f, log_w, mask = sample(_shell_rng(cfg.seed, shell), eps)
@@ -268,72 +281,40 @@ def _integrate_shell(sample, cfg: OracleConfig, shell: int, lam_f, scratch, out)
             f"no admissible samples at cutoff {eps}: the cutoff neighborhood "
             "covers the sampled domain or samples_per_shell is too small"
         )
-    f, w, buf = (row[:kept] for row in scratch)
     if kept < mask.size:
-        log_f = np.compress(mask, log_f, out=f)
-        log_w = np.compress(mask, log_w, out=w)
-    for j, lam in enumerate(lam_f):
+        log_f, log_w = log_f[mask], log_w[mask]
+    buf = np.empty(kept)
+    row = []
+    for lam in lam_f:
         np.multiply(log_f, -2.0 * lam, out=buf)
         buf += log_w
-        out[j] = _log_mean_exp(buf, mask.size)
+        row.append(_log_mean_exp(buf, mask.size))
+    return row
 
 
 def _estimate(make_sample, width: int, k_coeff: float, cfg: OracleConfig) -> ExponentEstimate:
     """Shared pipeline: sample each shell, integrate every lambda, fit, extract.
 
-    make_sample() builds a sampler with its own scratch; sample(rng, eps)
-    returns (log_f, log_w, mask) for one shell's draws: the log of |f|,
-    the log importance weight (domain measure over sampling density), and
+    make_sample() builds the sampler; sample(rng, eps) returns fresh
+    arrays (log_f, log_w, mask) for one shell's draws: the log of |f|, the
+    log importance weight (domain measure over sampling density), and
     which draws lie in the cutoff domain.  Entries outside the mask are
-    ignored.  The returned arrays may be the sampler's scratch: they are
-    only read, and only until the sampler is called again.
+    ignored, and the arrays are only read.
 
-    The work caps are checked first, for width cells per sample.  Then
-    _shell_workers(cfg, cells) workers, the calling thread and the rest
-    on threads of their own, each with one sampler and one set of
-    integration rows, take the shells in ladder order, one at a time, and
-    fill column `shell` of log I.  A shell is integrated in place: log_f
-    and log_w are masked once, and every lambda reuses one buffer for
-    -2 lambda log_f + log_w, its shift by the maximum and its exponential.
-    The mean runs over all the shell's draws, so masked-out draws count as
-    zeros.  A failing shell stops the workers from taking new shells; once
-    all have stopped, the failure of the earliest failing shell is
-    raised, as a serial run would raise it.
+    The work caps are checked first, for width cells per sample, and only
+    then is the sampler built.  The shells run on a pool of
+    _shell_workers(cfg, cells) threads, whose map yields their rows of
+    log I in ladder order, raises the failure of the earliest failing
+    shell, as a serial run would, and cancels the shells not yet started.
     """
     cells = _check_work(cfg, width)
+    sample = make_sample()
     lam_f = [float(l) for l in cfg.lambda_grid]
+    with ThreadPoolExecutor(_shell_workers(cfg, cells)) as pool:
+        rows = list(pool.map(partial(_integrate_shell, sample, cfg, lam_f),
+                             range(len(cfg.cutoffs))))
     log_eps = np.array([math.log(eps) for eps in cfg.cutoffs])
-    log_i = np.empty((len(lam_f), len(cfg.cutoffs)))
-    todo = iter(range(len(cfg.cutoffs)))
-    lock = threading.Lock()
-    failed = {}
-
-    def work(sample, scratch):
-        while not failed:
-            with lock:
-                shell = next(todo, None)
-            if shell is None:
-                return
-            try:
-                _integrate_shell(sample, cfg, shell, lam_f, scratch, log_i[:, shell])
-            except BaseException as exc:  # re-raised below, in ladder order
-                failed[shell] = exc
-
-    crews = [(make_sample(), np.empty((3, cfg.samples_per_shell)))
-             for _ in range(_shell_workers(cfg, cells))]
-    threads = []
-    try:
-        for crew in crews[1:]:
-            thread = threading.Thread(target=work, args=crew)
-            thread.start()
-            threads.append(thread)
-        work(*crews[0])
-    finally:
-        for thread in threads:
-            thread.join()
-    if failed:
-        raise failed[min(failed)]
-    fits = [_slope_fit(log_eps, row) for row in log_i]
+    fits = [_slope_fit(log_eps, row) for row in zip(*rows)]
     return _extract_threshold(
         cfg.lambda_grid, [sl for sl, _ in fits], [se for _, se in fits], k_coeff
     )
@@ -369,11 +350,10 @@ def _monomial_sampler(exps, n_s):
     """sample(rng, eps) for the monomial integrand, one row per coordinate."""
     k = len(exps)
     a_col = np.array(exps, dtype=float)[:, None]
-    # Scratch reused by every shell; log_f, log_w and mask are new each shell.
-    scratch = tuple(np.empty((k, n_s)) for _ in range(3))
 
     def sample(rng, eps):
-        r, tmp, dens = scratch
+        # In-place arithmetic holds the temporaries to these three arrays.
+        r, tmp, dens = (np.empty((k, n_s)) for _ in range(3))
         # Draws keep their (samples, coordinates) shape; the transposes are
         # (coordinates, samples) rows.
         pick_log = rng.random((n_s, k)).T < 0.5
@@ -467,11 +447,11 @@ def _bp_sampler(n, n_s):
 
     A point is four real rows (Re u, Im u, Re v, Im v).  After the draws,
     the arithmetic runs over blocks of _BP_BLOCK columns, and within a
-    block over the n lines one at a time: each line's distance row updates
-    running rows (log f, the tube density sum, every distance >= eps) in
-    place, so no (n, samples) array is ever held.  The running sums add
-    the lines in order, as a reduction along the line axis does, so every
-    value is bit-identical to the (n, samples) form.
+    block over the n lines one at a time: each line's distance row adds
+    into running rows (log f, the tube density sum, every distance >= eps),
+    so no (n, samples) array is ever held.  The running sums add the lines
+    in order, as a reduction along the line axis does, so every value is
+    bit-identical to the (n, samples) form.
     """
     # zeta_j = za_j + i zb_j.  Unit direction along line j is (zeta_j, 1)/sqrt(2);
     # unit normal is (1, -conj(zeta_j))/sqrt(2).  In those coordinates
@@ -482,160 +462,86 @@ def _bp_sampler(n, n_s):
     w_ball, w_origin, w_tube = 0.4, 0.3, 0.3
     vol_ball = math.pi ** 2 / 2
     area_s3 = 2 * math.pi ** 2
-    # Scratch reused by every shell: the point rows, each sample's tube line
-    # (n where it has none) and tube radius, the mask, and one block of
-    # eight real and four boolean rows.  A block's points are dead once it
-    # is weighed, so log f and log w overwrite point rows 0 and 1.
-    x = np.empty((4, n_s))
-    line = np.empty(n_s, dtype=np.int32)
-    rad = np.empty(n_s)
-    mask = np.empty(n_s, dtype=bool)
-    width = min(_BP_BLOCK, n_s)
-    reals = np.empty((8, width))
-    flags = np.empty((4, width), dtype=bool)
 
-    def draw_tubes(rng, idx, eps):
-        """Tube points at idx: c * direction + w * normal of a uniform line,
-        with c uniform on the unit disc and |w| log-uniform in [eps, 1].
-
-        The draws are combined in place, so a shell holds few arrays of its
-        tube samples at a time.
-        """
-        m = idx.size
+    def draw_tubes(rng, m, eps):
+        """Line, transverse radius and point rows of m tube points:
+        c * direction + w * normal of a uniform line, with c uniform on the
+        unit disc and |w| log-uniform in [eps, 1]."""
         lines = rng.integers(0, n, size=m)
-        c_rad = rng.random(m)
-        np.sqrt(c_rad, out=c_rad)
-        c_ang = rng.random(m)
-        c_ang *= 2
-        c_ang *= math.pi
-        w_rad = rng.random(m)
-        w_rad *= math.log(eps)
-        np.exp(w_rad, out=w_rad)
-        w_ang = rng.random(m)
-        w_ang *= 2
-        w_ang *= math.pi
-        line[idx] = lines
-        rad[idx] = w_rad
+        c_rad = np.sqrt(rng.random(m))
+        c_ang = rng.random(m) * 2 * math.pi
+        w_rad = np.exp(rng.random(m) * math.log(eps))
+        w_ang = rng.random(m) * 2 * math.pi
+        cr, ci = np.cos(c_ang) * c_rad, np.sin(c_ang) * c_rad
+        wr, wi = np.cos(w_ang) * w_rad, np.sin(w_ang) * w_rad
         a, b = za[lines], zb[lines]
-        cr = np.cos(c_ang)
-        cr *= c_rad
-        ci = np.sin(c_ang, out=c_ang)
-        ci *= c_rad
-        wr = np.cos(w_ang)
-        wr *= w_rad
-        wi = np.sin(w_ang, out=w_ang)
-        wi *= w_rad
-        # x = c * direction + w * normal, in real rows, with two spent
-        # draws as scratch.
-        t, s = c_rad, w_rad
-        np.multiply(cr, a, out=t)
-        t -= np.multiply(ci, b, out=s)
-        t += wr
-        t *= inv_sqrt2
-        x[0, idx] = t
-        np.multiply(cr, b, out=t)
-        t += np.multiply(ci, a, out=s)
-        t += wi
-        t *= inv_sqrt2
-        x[1, idx] = t
-        np.multiply(wr, a, out=t)
-        t += np.multiply(wi, b, out=s)
-        np.subtract(cr, t, out=t)
-        t *= inv_sqrt2
-        x[2, idx] = t
-        np.multiply(wi, a, out=t)
-        t -= np.multiply(wr, b, out=s)
-        np.subtract(ci, t, out=t)
-        t *= inv_sqrt2
-        x[3, idx] = t
-
-    def weigh(lo, eps):
-        """log f, log w and mask for the block of points from column lo."""
-        cols = slice(lo, lo + width)
-        size = min(width, n_s - lo)
-        norm2, lim, p, q, t, w, tube_sum, lf = (row[:size] for row in reals)
-        ok, ge, far, inside = (row[:size] for row in flags)
-        ur, ui, vr, vi = x[:, cols]
-        np.multiply(ur, ur, out=norm2)
-        for row in (ui, vr, vi):
-            norm2 += np.multiply(row, row, out=t)
-        # The along-line coordinate c_j = (conj(zeta_j) u + v)/sqrt(2) has
-        # |c_j|^2 + |w_j|^2 = |x|^2 (parallelogram law), so the tube's
-        # along-line bound |c_j| <= 1 reads |w_j|^2 >= |x|^2 - 1.
-        np.subtract(norm2, 1.0, out=lim)
-        # The sums start at +0, and 0 + x is x for every term added: none
-        # is -0 (logs of distances, 0 or 1 over squares).
-        far.fill(True)
-        tube_sum.fill(0.0)
-        lf.fill(0.0)
-        for j in range(n):
-            # With zeta_j v = p + i q: 2|w_j|^2 = (ur - p)^2 + (ui - q)^2.
-            a, b = za[j], zb[j]
-            np.multiply(vr, a, out=p)
-            p -= np.multiply(vi, b, out=t)
-            np.multiply(vr, b, out=q)
-            q += np.multiply(vi, a, out=t)
-            np.subtract(ur, p, out=t)
-            np.multiply(t, t, out=w)
-            np.subtract(ui, q, out=t)
-            t *= t
-            w += t
-            w *= 0.5
-            np.greater_equal(w, lim, out=ok)
-            np.sqrt(w, out=w)
-            # A tube sample's distance to its own line is the sampled radius
-            # exactly; recomputing it as u - zeta*v cancels catastrophically
-            # once the radius is near float epsilon.
-            np.copyto(w, rad[cols], where=np.equal(line[cols], j, out=ge))
-            far &= np.greater_equal(w, eps, out=ge)
-            ok &= ge
-            ok &= np.less_equal(w, 1.0, out=ge)
-            # Tube j has density 1/(pi * 2 pi |w_j|^2 log(1/eps)): uniform on
-            # the unit disc along the line, log-uniform in the transverse radius.
-            np.multiply(w, w, out=t)
-            tube_sum += np.divide(ok, t, out=t)
-            # |u^n + v^n| is the product of the n line distances times
-            # sqrt(2)^n; summing logs of the patched distances stays stable
-            # arbitrarily close to the divisor.
-            lf += np.log(w, out=w)
-        np.less_equal(norm2, 1.0, out=inside)
-        outside = np.logical_not(np.logical_and(inside, far, out=mask[cols]), out=ge)
-        # Mixture density: ball + origin + the mean of the n tube densities.
-        log_inv_eps = math.log(1 / eps)
-        dens = p
-        np.multiply(norm2, norm2, out=t)
-        np.greater_equal(norm2, eps * eps, out=far)
-        far &= inside
-        np.divide(far, t, out=dens)
-        dens *= w_origin / (area_s3 * log_inv_eps)
-        dens += np.multiply(inside, w_ball / vol_ball, out=t)
-        tube_sum *= w_tube / (n * (math.pi * 2 * math.pi * log_inv_eps))
-        dens += tube_sum
-        log_f, log_w = x[0, cols], x[1, cols]
-        np.add(lf, n * math.log(math.sqrt(2)), out=log_f)
-        np.negative(np.log(dens, out=log_w), out=log_w)
-        np.copyto(log_f, 0.0, where=outside)
-        np.copyto(log_w, 0.0, where=outside)
+        rows = ((cr * a - ci * b + wr) * inv_sqrt2, (cr * b + ci * a + wi) * inv_sqrt2,
+                (cr - (wr * a + wi * b)) * inv_sqrt2, (ci - (wi * a - wr * b)) * inv_sqrt2)
+        return lines, w_rad, rows
 
     def sample(rng, eps):
+        x = np.empty((4, n_s))
+        # Each sample's tube line (n where it has none) and tube radius.
+        line = np.full(n_s, n, dtype=np.int32)
+        rad = np.empty(n_s)
         ball, inner = _bp_components(rng, n_s, (w_ball, w_origin, w_tube))
         for idx, radius in (
             (np.flatnonzero(ball), lambda t: t ** 0.25),
             (np.flatnonzero(inner & ~ball), lambda t: np.exp(t * math.log(eps))),
         ):
             if idx.size:
-                for row, vals in zip(x, _direction_times_radius(rng, idx.size, radius)):
-                    row[idx] = vals
-        line.fill(n)
+                x[:, idx] = _direction_times_radius(rng, idx.size, radius)
         tube_idx = np.flatnonzero(~inner)
         if tube_idx.size:
-            draw_tubes(rng, tube_idx, eps)
+            line[tube_idx], rad[tube_idx], x[:, tube_idx] = draw_tubes(rng, tube_idx.size, eps)
+        log_f, log_w = np.empty(n_s), np.empty(n_s)
+        mask = np.empty(n_s, dtype=bool)
+        log_inv_eps = math.log(1 / eps)
         # A point on a line or at the origin divides by zero or takes log 0;
         # it lies outside the mask, and its log f and log w are set to 0.
         with np.errstate(divide="ignore", invalid="ignore"):
-            for lo in range(0, n_s, width):
-                weigh(lo, eps)
-        return x[0], x[1], mask
+            for lo in range(0, n_s, _BP_BLOCK):
+                cols = slice(lo, lo + _BP_BLOCK)
+                ur, ui, vr, vi = x[:, cols]
+                norm2 = ur * ur + ui * ui + vr * vr + vi * vi
+                # The along-line coordinate c_j = (conj(zeta_j) u + v)/sqrt(2)
+                # has |c_j|^2 + |w_j|^2 = |x|^2 (parallelogram law), so the
+                # tube's along-line bound |c_j| <= 1 reads |w_j|^2 >= |x|^2 - 1.
+                lim = norm2 - 1.0
+                # The sums start at +0, and 0 + x is x for every term added:
+                # none is -0 (logs of distances, 0 or 1 over squares).
+                far, tube_sum, lf = True, 0.0, 0.0
+                for j in range(n):
+                    # With zeta_j v = p + i q: 2|w_j|^2 = (ur - p)^2 + (ui - q)^2.
+                    p = vr * za[j] - vi * zb[j]
+                    q = vr * zb[j] + vi * za[j]
+                    w = ((ur - p) ** 2 + (ui - q) ** 2) * 0.5
+                    ok = w >= lim
+                    w = np.sqrt(w)
+                    # A tube sample's distance to its own line is the sampled
+                    # radius exactly; recomputing it as u - zeta*v cancels
+                    # catastrophically once the radius is near float epsilon.
+                    np.copyto(w, rad[cols], where=line[cols] == j)
+                    far &= w >= eps
+                    ok &= (w >= eps) & (w <= 1.0)
+                    # Tube j has density 1/(pi * 2 pi |w_j|^2 log(1/eps)): uniform
+                    # on the unit disc along the line, log-uniform in the
+                    # transverse radius.
+                    tube_sum += ok / (w * w)
+                    # |u^n + v^n| is the product of the n line distances times
+                    # sqrt(2)^n; summing logs of the patched distances stays
+                    # stable arbitrarily close to the divisor.
+                    lf += np.log(w)
+                inside = norm2 <= 1.0
+                keep = mask[cols] = inside & far
+                # Mixture density: ball + origin + the mean of the n tube densities.
+                dens = ((norm2 >= eps * eps) & inside) / (norm2 * norm2)
+                dens *= w_origin / (area_s3 * log_inv_eps)
+                dens += inside * (w_ball / vol_ball)
+                dens += tube_sum * (w_tube / (n * (math.pi * 2 * math.pi * log_inv_eps)))
+                log_f[cols] = np.where(keep, lf + n * math.log(math.sqrt(2)), 0.0)
+                log_w[cols] = np.where(keep, -np.log(dens), 0.0)
+        return log_f, log_w, mask
 
     return sample
 

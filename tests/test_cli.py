@@ -17,6 +17,7 @@ import pytest
 
 import orbke
 from orbke import SearchConfig, __version__, cli
+from orbke.enumeration import MAX_SEARCH_DIM
 from orbke.orbifold import CLASSIFICATIONS
 
 from conftest import json_records, reference_items
@@ -118,6 +119,19 @@ class TestEnumerate:
         code, _, err = run_cli("count", "--dim", "3", "--max-nodes", "20")
         assert code == 2
         assert "node" in err.lower()
+
+    def test_dimension_above_the_bound_exits_one(self, run_cli):
+        code, out, err = run_cli("count", "--dim", str(MAX_SEARCH_DIM + 1), "--max-nodes", "1000")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: dimension must be in 1..")
+
+    def test_dimension_at_the_bound_reaches_the_node_cap(self, run_cli):
+        # The walk recurses once per prefix entry; at the bound it must run
+        # into the node cap, not the recursion limit.
+        code, _, err = run_cli("count", "--dim", str(MAX_SEARCH_DIM), "--max-nodes", "1000")
+        assert code == 2
+        assert err.startswith("error: node cap 1000 exceeded")
 
     def test_unit_orders_need_max_order(self, run_cli):
         code, _, err = run_cli("count", "--dim", "2", "--allow-unit-orders")
@@ -367,6 +381,16 @@ class TestOracleCommands:
         assert code == 1
         assert out == ""
         assert err.startswith("error:") and message in err
+
+    @pytest.mark.parametrize("grid", ["1e400:3e400:1e400", "1e-400:3e-400:1e-400"])
+    @pytest.mark.parametrize("target", [("monomial", "--exponents", "1"), ("bp", "--n", "2")])
+    def test_grid_that_breaks_as_floats_exits_one(self, target, grid):
+        # Exact Fractions that overflow or flush to zero as floats.
+        code, out, err = _fresh_cli("oracle", *target, "--grid", grid)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: lambda_grid must stay finite")
+        assert "Traceback" not in err
 
     def test_bp_deep_cutoffs_above_the_floor(self, run_cli):
         code, out, _ = run_cli(

@@ -68,6 +68,11 @@ class TestOracleConfigValidation:
             dict(lambda_grid=(1, 2)),
             dict(lambda_grid=(2, 1, 3)),
             dict(lambda_grid=(0, 1, 2)),
+            # Grids that the Fractions order but the floats do not: they
+            # overflow, flush to zero or merge neighbors.
+            dict(lambda_grid=tuple(k * Fraction(10 ** 400) for k in (1, 2, 3))),
+            dict(lambda_grid=tuple(Fraction(k, 10 ** 400) for k in (1, 2, 3))),
+            dict(lambda_grid=tuple(1 + Fraction(k, 10 ** 30) for k in (0, 1, 2))),
             dict(seed=-1),
             dict(seed=1.5),
             dict(seed=2**63),
@@ -86,6 +91,16 @@ class TestWorkCaps:
     # Every config here is one unit over a cap; the estimators must refuse
     # it before sampling, so none of these tests allocates a large array.
     CUTS = (0.5, 0.25, 0.125, 0.0625, 0.03125)
+
+    @pytest.fixture(autouse=True)
+    def no_sampler(self, monkeypatch):
+        # The caps are checked before the sampler is built, so building one
+        # here fails the test instead of raising the cap's InputError.
+        def build(*args):
+            raise AssertionError("sampler built before the work caps were checked")
+
+        monkeypatch.setattr(oracle, "_bp_sampler", build)
+        monkeypatch.setattr(oracle, "_monomial_sampler", build)
 
     def test_monomial_cells_cap(self):
         cfg = OracleConfig(
@@ -349,8 +364,7 @@ DEFAULT_CUTOFFS = OracleConfig(lambda_grid=(1, 2, 3)).cutoffs
 
 
 def _assert_same_integrand(sampler, reference, seed):
-    # One sampler serves every shell, as in _estimate, so its reused scratch
-    # is exercised across shells.
+    # One sampler serves every shell, as in _estimate.
     for shell in REFERENCE_SHELLS:
         eps = DEFAULT_CUTOFFS[shell]
         log_f, log_w, mask = sampler(_shell_rng(seed, shell), eps)
@@ -399,37 +413,25 @@ class TestInPlaceIntegration:
         (_monomial_sampler, (1, 2), 4.0, Fraction(1, 2)),
     ])
     def test_estimate_leaves_sampler_arrays_alone(self, make, arg, k_coeff, analytic, monkeypatch):
-        # Two workers, each with its own sampler: before a spy samples again,
-        # and once the run is over, its last shell's arrays must be as the
-        # sampler returned them.
+        # Two workers share one sampler: once the run is over, every shell's
+        # arrays must be as the sampler returned them, so neither the
+        # pipeline nor a later shell wrote over them.
         monkeypatch.setattr(enumeration, "usable_cpus", lambda: 2)
         cfg = OracleConfig(lambda_grid=grid_around(analytic), **FAST)
         width = arg if isinstance(arg, int) else len(arg)
-        spies = []
+        inner = make(arg, cfg.samples_per_shell)
+        shells = []
 
-        def untouched(last):
-            for out, copies in last:
-                for got, want in zip(out, copies):
-                    np.testing.assert_array_equal(got, want)
+        def spy(rng, eps):
+            out = inner(rng, eps)
+            shells.append((out, tuple(a.copy() for a in out)))
+            return out
 
-        def factory():
-            inner = make(arg, cfg.samples_per_shell)
-            last = []
-            spies.append(last)
-
-            def spy(rng, eps):
-                untouched(last)
-                out = inner(rng, eps)
-                last[:] = [(out, tuple(a.copy() for a in out))]
-                return out
-
-            return spy
-
-        _estimate(factory, width, k_coeff, cfg)
-        assert len(spies) == 2
-        assert all(spies)
-        for last in spies:
-            untouched(last)
+        _estimate(lambda: spy, width, k_coeff, cfg)
+        assert len(shells) == len(cfg.cutoffs)
+        for out, copies in shells:
+            for got, want in zip(out, copies):
+                np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("center", [800.0, -800.0])
     def test_log_mean_exp_is_stable_near_800(self, center):
@@ -463,19 +465,23 @@ class TestShellWorkers:
 
     def test_a_run_at_the_cell_cap_is_serial(self, monkeypatch):
         # The cells in flight never exceed MAX_CELLS, so a config at the cap
-        # builds one sampler, and one at half the cap builds two.
+        # runs on a pool of one worker, and one at half the cap on two.
         monkeypatch.setattr(enumeration, "usable_cpus", lambda: 4)
         cfg = OracleConfig(lambda_grid=grid_around(1), **SMALL)
+        pools = []
+        executor = oracle.ThreadPoolExecutor
+
+        def spy(max_workers):
+            pools.append(max_workers)
+            return executor(max_workers)
+
+        monkeypatch.setattr(oracle, "ThreadPoolExecutor", spy)
+        sampler = partial(_monomial_sampler, (1,), cfg.samples_per_shell)
         for width, want in [(MAX_CELLS // cfg.samples_per_shell, 1),
                             (MAX_CELLS // (2 * cfg.samples_per_shell), 2)]:
-            built = []
-
-            def factory():
-                built.append(None)
-                return _monomial_sampler((1,), cfg.samples_per_shell)
-
-            _estimate(factory, width, 2.0, cfg)
-            assert len(built) == want
+            pools.clear()
+            _estimate(sampler, width, 2.0, cfg)
+            assert pools == [want]
 
     @pytest.mark.parametrize("kind, arg, analytic", [
         ("bp", 2, 1), ("bp", 3, Fraction(2, 3)), ("bp", 4, Fraction(1, 2)),
@@ -513,25 +519,21 @@ class TestShellWorkers:
         cfg = OracleConfig(lambda_grid=grid_around(1), **SMALL)
         eps2, eps3 = cfg.cutoffs[2], cfg.cutoffs[3]
         third_failed = threading.Event()
+        inner = _monomial_sampler((1,), cfg.samples_per_shell)
 
-        def factory():
-            inner = _monomial_sampler((1,), cfg.samples_per_shell)
-
-            def sample(rng, eps):
-                log_f, log_w, mask = inner(rng, eps)
-                if eps == eps2:
-                    third_failed.wait(timeout=10)
-                if eps in (eps2, eps3):
-                    mask = np.zeros_like(mask)
-                if eps == eps3:
-                    third_failed.set()
-                return log_f, log_w, mask
-
-            return sample
+        def sample(rng, eps):
+            log_f, log_w, mask = inner(rng, eps)
+            if eps == eps2:
+                third_failed.wait(timeout=10)
+            if eps in (eps2, eps3):
+                mask = np.zeros_like(mask)
+            if eps == eps3:
+                third_failed.set()
+            return log_f, log_w, mask
 
         before = threading.active_count()
         with pytest.raises(InputError, match=f"no admissible samples at cutoff {eps2}:"):
-            _estimate(factory, 1, 2.0, cfg)
+            _estimate(lambda: sample, 1, 2.0, cfg)
         assert third_failed.is_set()
         assert threading.active_count() == before
 
@@ -545,22 +547,20 @@ class TestShellWorkers:
         want = _estimate(partial(_monomial_sampler, (1,), 1000), 1, 2.0, cfg)
         monkeypatch.setattr(enumeration, "usable_cpus", lambda: 8)
         sampled = []
+        inner = _monomial_sampler((1,), cfg.samples_per_shell)
 
-        def factory():
-            inner = _monomial_sampler((1,), cfg.samples_per_shell)
-
-            def sample(rng, eps):
-                sampled.append(eps)
-                return inner(rng, eps)
-
-            return sample
+        def sample(rng, eps):
+            sampled.append(eps)
+            return inner(rng, eps)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
+        before = threading.active_count()
         try:
             for _ in range(5):
                 sampled.clear()
-                assert _estimate(factory, 1, 2.0, cfg) == want
+                assert _estimate(lambda: sample, 1, 2.0, cfg) == want
                 assert sorted(sampled, reverse=True) == list(cfg.cutoffs)
         finally:
             sys.setswitchinterval(interval)
+        assert threading.active_count() == before
