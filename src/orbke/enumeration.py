@@ -26,11 +26,14 @@ inclusion-exclusion walk over the primes of v and those of R outside a
 coprime-count table for R's smallest primes (`coprime_table`, which keeps
 its last table, so a table is built only when those primes change).
 Materialize mode lists the coprime last coordinates of each interval
-instead.  Its row generator `_Search.rows` yields each tuple once, as
-integers: its orders and its `fano_fields`, re-derived from the orders
-and checked against the label of the interval the last order was solved
-into.  `iter_rows` streams those
-rows, and the `enumerate` command writes its items straight from them;
+instead, by a sieve over the primes of the head (the prefix and v, with
+v's primes from the leaf sieve; `coprime_in_range`).  Its row generator
+`_Search.rows` yields each tuple once, as integers: its orders and its
+`verdict_fields`, derived in O(1) per row from the product and
+reciprocal-sum numerator of the head's own orders, and checked against
+the label of the interval the last order was solved into.  `iter_rows`
+streams those rows, and the `enumerate` command writes its items
+straight from them;
 `iter_tuples` and `enumerate_tuples` wrap each row into a (RamTuple,
 FanoReport) pair.
 
@@ -87,8 +90,8 @@ from .orbifold import (
     RamTuple,
     check_orders,
     classify,
-    fano_fields,
     make_tuple,
+    verdict_fields,
 )
 
 # Classes whose members form a finite set without any order cap.
@@ -522,24 +525,34 @@ class _Search:
         """Yield (orders, fields) of every requested tuple, in lexicographic order.
 
         The one traversal of materialize mode.  The leaves v of each plan
-        slice come from the sieve, one node each, and the coprime last
-        coordinates of each class window follow.  orders is the sorted
-        tuple and fields its `fano_fields` (m_max, D, P, fano, old_ok,
-        new_ok, label), re-derived from the orders alone; a label that
-        differs from the class window the last order was solved into raises
+        slice come from the sieve with their primes, one node each, and
+        the last coordinates m of each class window are sieved by the
+        primes of the head (prefix + v).  orders is the sorted tuple and
+        fields its `verdict_fields` (m_max, D, P, fano, old_ok, new_ok,
+        label).  Those come from the head's own orders, not from the
+        search's (N, P): a head with a window takes Ph = prod(head) and
+        Nh = sum(Ph/x for x in head) once, and each m gives P = Ph*m and
+        D = Nh*m + Ph - P, so a row costs O(1).  A label that differs from
+        the class window the last order was solved into raises
         AssertionError, under `python -O` too.
         """
         n, counts, order_cap = self.n, self.counts, self.cap
         old, new, tails = self.old, self.new, self.tails
         for (prefix, N, P, primes), lo, hi in self.plan():
-            for v, _ in coprime_factorizations(lo, hi, primes):
+            for v, v_primes in coprime_factorizations(lo, hi, primes):
                 self._bump()
+                windows = _last_windows(N * v + P, P * v, n, v, order_cap, old, new, tails)
+                if not windows:
+                    continue
                 head = prefix + (v,)
-                Nv, Pv = N * v + P, P * v
-                for label, a, b in _last_windows(Nv, Pv, n, v, order_cap, old, new, tails):
-                    for m in coprime_in_range(a, b - 1, Pv):
+                head_primes = primes + tuple(v_primes)
+                Ph = math.prod(head)
+                Nh = sum(Ph // x for x in head)
+                for label, a, b in windows:
+                    for m in coprime_in_range(a, b - 1, head_primes):
                         orders = head + (m,)
-                        fields = fano_fields(n, orders)
+                        Pm = Ph * m
+                        fields = verdict_fields(n, m, Nh * m + Ph - Pm, Pm)
                         if fields[-1] != label:
                             raise AssertionError(f"{orders} solved into {label} but "
                                                  f"classifies as {fields[-1]}")
@@ -554,11 +567,12 @@ class _Search:
 
 
 def iter_rows(cfg: SearchConfig):
-    """Stream the integer rows (orders, fano_fields) of materialize mode.
+    """Stream the integer rows (orders, fields) of materialize mode.
 
-    The form the `enumerate` command writes its items from: no RamTuple,
-    FanoReport or Fraction is built.  Same order, counts, node cap and
-    cross-check as iter_tuples, which wraps these rows.
+    fields equals `orbifold.fano_fields(n, orders)`.  The form the
+    `enumerate` command writes its items from: no RamTuple, FanoReport or
+    Fraction is built.  Same order, counts, node cap and cross-check as
+    iter_tuples, which wraps these rows.
     """
     return _Search(cfg).rows()
 

@@ -25,7 +25,9 @@ primes differ from the last prefix's.
 
 `coprime_factorizations` gives the distinct primes of every integer in a
 window by a segmented sieve (Bays-Hudson), for the search's orders at
-every depth.
+every depth.  `coprime_in_range` lists the integers of a window coprime
+to given primes by the same keep-mask (`_keep_mask`), for the search's
+last coordinates.
 """
 
 from __future__ import annotations
@@ -46,7 +48,8 @@ _TRIAL_BOUND = 10_000
 # Largest modulus of a coprime-count table (see coprime_table).
 TABLE_CAP = 4096
 
-# Sizes of the first and of the largest block of coprime_factorizations.
+# Sizes of the first and of the largest block of coprime_factorizations;
+# coprime_in_range sieves blocks of the largest size.
 _BLOCK_FIRST = 256
 _BLOCK_CAP = 8192
 
@@ -267,6 +270,15 @@ def count_coprime_in_range(lo: int, hi: int, primes) -> int:
     )
 
 
+def _keep_mask(start: int, width: int, primes) -> bytearray:
+    """Keep-mask of [start, start + width): entry j is 0 when a prime divides start + j, else 1."""
+    keep = bytearray([1]) * width
+    for p in primes:
+        first = -start % p
+        keep[first::p] = bytes(len(range(first, width, p)))
+    return keep
+
+
 def _primes_upto(top: int) -> list[int]:
     """All primes p <= top, by the sieve of Eratosthenes."""
     marks = bytearray([1]) * (top + 1)
@@ -283,15 +295,15 @@ def coprime_factorizations(lo: int, hi: int, skip: tuple[int, ...] = ()):
     The v come ascending, and the primes of v are its distinct primes,
     ascending: the same as `factorize(v).primes`.  A segmented sieve:
     each block [start, end) first drops the multiples of the `skip`
-    primes, then its kept entries are sieved by the other primes
-    p <= isqrt(end - 1), and dividing out every power of them leaves each
-    kept entry a cofactor of 1 or a prime above isqrt(end - 1).  Blocks
-    start at _BLOCK_FIRST entries and double up to _BLOCK_CAP, so a short
-    window costs a short sieve and a long one a bounded amount of memory.
-    The sieving primes grow with the blocks: when isqrt(end - 1) passes
-    their limit, the limit becomes the larger of that root and twice the
-    old limit, so the primes held are bounded by the orders reached, not
-    by hi.
+    primes by one keep-mask (`_keep_mask`), then its kept entries are
+    sieved by the other primes p <= isqrt(end - 1), and dividing out
+    every power of them leaves each kept entry a cofactor of 1 or a prime
+    above isqrt(end - 1).  Blocks start at _BLOCK_FIRST entries and
+    double up to _BLOCK_CAP, so a short window costs a short sieve and a
+    long one a bounded amount of memory.  The sieving primes grow with
+    the blocks: when isqrt(end - 1) passes their limit, the limit becomes
+    the larger of that root and twice the old limit, so the primes held
+    are bounded by the orders reached, not by hi.
     """
     sieving = []
     limit = 0
@@ -300,9 +312,7 @@ def coprime_factorizations(lo: int, hi: int, skip: tuple[int, ...] = ()):
     while start < hi:
         end = min(start + size, hi)
         width = end - start
-        keep = bytearray([1]) * width
-        for p in skip:
-            keep[-start % p::p] = bytes(len(range(-start % p, width, p)))
+        keep = _keep_mask(start, width, skip)
         factors = [[] for _ in range(width)]
         rest = list(range(start, end))
         top = math.isqrt(end - 1)
@@ -330,8 +340,16 @@ def coprime_factorizations(lo: int, hi: int, skip: tuple[int, ...] = ()):
         size = min(2 * size, _BLOCK_CAP)
 
 
-def coprime_in_range(lo: int, hi: int, modulus: int):
-    """Yield k in [lo, hi] with gcd(k, modulus) == 1, ascending."""
-    for k in range(lo, hi + 1):
-        if math.gcd(k, modulus) == 1:
-            yield k
+def coprime_in_range(lo: int, hi: int, primes):
+    """Yield the k in [lo, hi] divisible by none of the `primes`, ascending.
+
+    A sieve, block by block: each block of at most _BLOCK_CAP entries is
+    one keep-mask (`_keep_mask`), and its kept entries are yielded.  An
+    empty range (lo > hi) yields nothing, 0 is yielded only for no primes,
+    and a prime wider than a block marks at most one entry of it.
+    """
+    start = lo
+    while start <= hi:
+        end = min(start + _BLOCK_CAP, hi + 1)
+        yield from compress(range(start, end), _keep_mask(start, end - start, primes))
+        start = end

@@ -59,8 +59,10 @@ shell), so estimates are bit-identical for a given config no matter how the
 (lambda, shell) work is scheduled, and a threaded run equals a serial one
 bit for bit.  Before anything is sampled, the array cells per shell and the
 integrand evaluations of a run are checked against MAX_CELLS and
-MAX_EVALUATIONS.  Results are test instruments only; no exact code path
-consumes them.
+MAX_EVALUATIONS.  While a run integrates and fits, -2 lambda log f, each
+log I and each fit's residual sum must stay finite floats, or the run
+raises InputError: a grid that large cannot place the threshold.  Results
+are test instruments only; no exact code path consumes them.
 """
 
 from __future__ import annotations
@@ -201,16 +203,27 @@ def _shell_rng(seed: int, shell: int) -> np.random.Generator:
 
 
 def _slope_fit(log_eps, log_i):
-    """Least-squares slope of log I against log eps, with its standard error."""
+    """Least-squares slope of log I against log eps, with its standard error.
+
+    A residual sum that is not finite (log I so large that the fit leaves
+    the float range) raises InputError.
+    """
     x = np.asarray(log_eps)
     y = np.asarray(log_i)
     m = len(x)
-    xm = x - x.mean()
-    sxx = float(xm @ xm)
-    slope = float(xm @ (y - y.mean())) / sxx
-    resid = y - y.mean() - slope * xm
+    with np.errstate(over="ignore", invalid="ignore"):
+        xm = x - x.mean()
+        sxx = float(xm @ xm)
+        slope = float(xm @ (y - y.mean())) / sxx
+        resid = y - y.mean() - slope * xm
+        rss = float(resid @ resid)
+    if not math.isfinite(rss):
+        raise InputError(
+            f"the slope fit of log I (up to {float(np.abs(y).max()):.3g}) against "
+            "log eps overflows a float; probe a smaller lambda_grid"
+        )
     dof = max(m - 2, 1)
-    se = math.sqrt(max(float(resid @ resid), 0.0) / dof / sxx)
+    se = math.sqrt(max(rss, 0.0) / dof / sxx)
     return slope, se
 
 
@@ -271,7 +284,11 @@ def _integrate_shell(sample, cfg: OracleConfig, lam_f, shell: int) -> list:
     log_f and log_w are masked once, and every lambda reuses one buffer
     for -2 lambda log_f + log_w, its shift by the maximum and its
     exponential.  The mean runs over all the shell's draws, so masked-out
-    draws count as zeros.
+    draws count as zeros.  A lambda for which -2 lambda log_f or log I is
+    not a finite float raises InputError: a grid that large says nothing
+    about the threshold.  Float products round monotonically, so
+    -2 lambda log_f is finite for every draw exactly when 2 lambda times
+    the largest |log_f| is.
     """
     eps = cfg.cutoffs[shell]
     log_f, log_w, mask = sample(_shell_rng(cfg.seed, shell), eps)
@@ -283,12 +300,25 @@ def _integrate_shell(sample, cfg: OracleConfig, lam_f, shell: int) -> list:
         )
     if kept < mask.size:
         log_f, log_w = log_f[mask], log_w[mask]
+    span = max(float(log_f.max()), -float(log_f.min()))
     buf = np.empty(kept)
     row = []
     for lam in lam_f:
+        if not math.isfinite(2.0 * lam * span):
+            raise InputError(
+                f"-2 lambda log|f| overflows a float at lambda = {lam:.3g}, cutoff {eps}; "
+                "probe a smaller lambda_grid"
+            )
         np.multiply(log_f, -2.0 * lam, out=buf)
-        buf += log_w
-        row.append(_log_mean_exp(buf, mask.size))
+        with np.errstate(over="ignore", invalid="ignore"):
+            buf += log_w
+            log_i = _log_mean_exp(buf, mask.size)
+        if not math.isfinite(log_i):
+            raise InputError(
+                f"log I is not a finite float at lambda = {lam:.3g}, cutoff {eps}; "
+                "probe a smaller lambda_grid"
+            )
+        row.append(log_i)
     return row
 
 

@@ -168,20 +168,16 @@ def make_tuple(n: int, orders, min_order: int = 2) -> RamTuple:
     return RamTuple(n, check_orders(sorted(orders), min_order))
 
 
-def fano_fields(n: int, orders: tuple[int, ...]) -> tuple:
+def verdict_fields(n: int, m_max: int, D: int, P: int) -> tuple:
     """The fields of a FanoReport after n: (m_max, D, P, fano, old_ok, new_ok, label).
 
-    orders must be sorted.  min over i of 1/mi is 1/(largest order), so
-    both right-hand sides use the last entry.  With P = prod(mi) the first
-    Chern class is D/P for the integer D = sum(P/mi) - P, so each
-    comparison is one integer inequality: c1 > 0 iff D > 0,
-    c1 < (n+1)/(n*m_max) iff n*m_max*D < (n+1)*P, and c1 < (n+1)/m_max iff
-    m_max*D < (n+1)*P.  This is the one place a verdict is decided:
-    `classify` wraps it, and the search's rows carry it unwrapped.
+    m_max is the largest order, P the product of the orders and D/P the
+    first Chern class.  Each comparison is one integer inequality:
+    c1 > 0 iff D > 0, c1 < (n+1)/(n*m_max) iff n*m_max*D < (n+1)*P, and
+    c1 < (n+1)/m_max iff m_max*D < (n+1)*P.  This is the one place a
+    label is decided: `fano_fields` calls it for a tuple of orders, and
+    the search's rows call it with the sums of each row's own orders.
     """
-    m_max = orders[-1]
-    P = math.prod(orders)
-    D = sum(map(P.__floordiv__, orders)) - P
     fano = D > 0
     old_ok = n * m_max * D < (n + 1) * P
     new_ok = m_max * D < (n + 1) * P
@@ -194,6 +190,18 @@ def fano_fields(n: int, orders: tuple[int, ...]) -> tuple:
     else:
         label = "NoCriterion"
     return m_max, D, P, fano, old_ok, new_ok, label
+
+
+def fano_fields(n: int, orders: tuple[int, ...]) -> tuple:
+    """The `verdict_fields` of sorted orders: m_max, P and D computed from the orders.
+
+    min over i of 1/mi is 1/(largest order), so both right-hand sides use
+    the last entry.  With P = prod(mi) the first Chern class is D/P for
+    the integer D = sum(P/mi) - P.  `classify` wraps these fields in a
+    FanoReport.
+    """
+    P = math.prod(orders)
+    return verdict_fields(n, orders[-1], sum(map(P.__floordiv__, orders)) - P, P)
 
 
 def classify(t: RamTuple) -> FanoReport:

@@ -392,6 +392,20 @@ class TestOracleCommands:
         assert err.startswith("error: lambda_grid must stay finite")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("grid, message", [
+        ("1e307:3e307:1e307", "error: -2 lambda log|f| overflows a float"),
+        ("1e160:3e160:1e160", "error: the slope fit of log I"),
+    ])
+    @pytest.mark.parametrize("target", [("monomial", "--exponents", "1"), ("bp", "--n", "2")])
+    def test_grid_too_large_for_the_estimate_exits_one(self, target, grid, message):
+        # Finite float grids whose -2 lambda log|f| or slope fit leaves the
+        # float range: one error line, no numpy warning, no direction.
+        code, out, err = _fresh_cli("oracle", *target, "--grid", grid, "--samples", "2000")
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith(message) and "probe a smaller lambda_grid" in err
+
     def test_bp_deep_cutoffs_above_the_floor(self, run_cli):
         code, out, _ = run_cli(
             "oracle", "bp", "--n", "2", "--samples", "4000", "--seed", "1",

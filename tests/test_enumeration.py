@@ -25,7 +25,7 @@ from orbke import (
     sylvester_family,
     sylvester_seq,
 )
-from orbke import enumeration, exactmath
+from orbke import enumeration, exactmath, orbifold
 from orbke.enumeration import _TAIL_CLASSES, _last_windows, _Search, pool_workers, usable_cpus
 from orbke.errors import InputError, NodeBudgetExceeded, WrongLength
 from orbke.exactmath import TABLE_CAP, count_coprime_in_range, factorize
@@ -802,3 +802,32 @@ class TestCountNew:
     def test_dim1(self):
         assert enumerate_tuples(SearchConfig(n=1, mode="count")).counts == {"NewOnlyKE": 0}
 
+
+
+# (n, max_order, min_order, labels absent) of the searches whose every row
+# TestRowFields re-derives.  Dimension 1 has no NewOnlyKE tuple, and with
+# orders >= 2 no NoCriterion one; dimension 2 has its first NoCriterion
+# tuple past 60.
+_ROW_SEARCHES = [(1, 60, 2, {"NewOnlyKE", "NoCriterion"}), (2, 40, 2, {"NoCriterion"}),
+                 (3, 30, 2, set()), (4, 24, 2, set()), (1, 30, 1, {"NewOnlyKE"}),
+                 (2, 30, 1, set()), (3, 20, 1, set()), (4, 16, 1, set())]
+
+
+class TestRowFields:
+    """Each row's fields are its orders' own: rows reads nothing of the search's (N, P)."""
+
+    @staticmethod
+    def _labels(cfg):
+        rows = list(enumeration.iter_rows(cfg))
+        for orders, fields in rows:
+            assert fields == orbifold.fano_fields(cfg.n, orders), orders
+        return {fields[-1] for _, fields in rows}
+
+    @pytest.mark.parametrize("n, cap, min_order, absent", _ROW_SEARCHES)
+    def test_every_class_with_a_cap(self, n, cap, min_order, absent):
+        cfg = SearchConfig(n=n, classes=ALL_CLASSES, max_order=cap, min_order=min_order)
+        assert self._labels(cfg) == set(ALL_CLASSES) - absent
+
+    def test_bounded_classes_dim3(self):
+        assert self._labels(SearchConfig(n=3, classes=("OldKE", "NewOnlyKE"))) == {
+            "OldKE", "NewOnlyKE"}

@@ -231,7 +231,7 @@ class TestCountCoprimeInRange:
         assert count_coprime_in_range(-1, 1, (7,)) == 2
 
     def test_generator_agrees_with_count(self):
-        vals = list(coprime_in_range(6, 59, 30))
+        vals = list(coprime_in_range(6, 59, (2, 3, 5)))
         assert vals == sorted(vals)
         assert len(vals) == 15
         assert vals[0] == 7 and vals[-1] == 59
@@ -289,6 +289,64 @@ class TestCoprimeFactorizations:
         monkeypatch.setattr(exactmath, "_primes_upto", lambda top: tops.append(top) or primes_upto(top))
         assert next(coprime_factorizations(3, 10**14, (2,))) == (3, [3])
         assert tops and max(tops) <= 100
+
+
+def _gcd_scan(lo, hi, primes):
+    """Reference: the k in [lo, hi] with gcd(k, prod(primes)) == 1, one gcd each."""
+    modulus = math.prod(primes)
+    return [k for k in range(lo, hi + 1) if math.gcd(k, modulus) == 1]
+
+
+class TestCoprimeInRange:
+    """The block sieve of coprime_in_range against a plain gcd scan."""
+
+    PRIMES = [(), (2,), (2, 3, 5), (2, 3, 7, 43), (2, 3, 5, 7, 19, 43), (3, 10007),
+              (1009, 1013), (5, 13, 1_000_003)]
+
+    def test_is_a_generator(self):
+        gen = coprime_in_range(1, 10, (2,))
+        assert iter(gen) is gen
+        assert list(gen) == [1, 3, 5, 7, 9]
+
+    def test_seeded_windows_match_gcd_scan(self):
+        rng = random.Random(20261019)
+        for _ in range(200):
+            lo = rng.randrange(1, 10**9)
+            hi = lo + rng.randrange(-2, 3 * _BLOCK_CAP // 4)
+            primes = rng.choice(self.PRIMES)
+            assert list(coprime_in_range(lo, hi, primes)) == _gcd_scan(lo, hi, primes), (
+                lo, hi, primes)
+
+    @pytest.mark.parametrize("lo, hi", [
+        (1, _BLOCK_CAP),
+        (1, _BLOCK_CAP + 1),
+        (_BLOCK_CAP - 5, _BLOCK_CAP + 5),
+        (10**6 - 7, 10**6 + 2 * _BLOCK_CAP + 11),
+        (3, 3 * _BLOCK_CAP + 1),
+    ])
+    def test_windows_across_block_edges(self, lo, hi):
+        for primes in self.PRIMES:
+            assert list(coprime_in_range(lo, hi, primes)) == _gcd_scan(lo, hi, primes), primes
+
+    def test_primes_wider_than_the_window(self):
+        # Each prime marks at most one entry of the window, or none.
+        for lo, hi in [(1, 5), (10006, 10008), (10007, 10007), (20015, 20020), (1, 1)]:
+            for primes in [(10007,), (3, 10007), (1_000_003,), (10007, 1_000_003)]:
+                assert list(coprime_in_range(lo, hi, primes)) == _gcd_scan(lo, hi, primes)
+        assert list(coprime_in_range(10006, 10008, (10007,))) == [10006, 10008]
+
+    def test_empty_windows(self):
+        for primes in self.PRIMES:
+            assert list(coprime_in_range(7, 6, primes)) == []
+            assert list(coprime_in_range(100, 1, primes)) == []
+        assert list(coprime_in_range(6, 6, (2, 3))) == []
+
+    def test_lo_one(self):
+        # 1 is coprime to everything, so it leads every window from 1.
+        for primes in self.PRIMES:
+            got = list(coprime_in_range(1, 500, primes))
+            assert got[0] == 1 and got == _gcd_scan(1, 500, primes)
+        assert list(coprime_in_range(1, 1, (2, 3))) == [1]
 
 
 def harmonic_sum(orders):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import sys
 import threading
+import warnings
 from fractions import Fraction
 from functools import partial
 
@@ -38,6 +39,7 @@ from orbke.oracle import (
     _monomial_sampler,
     _shell_rng,
     _shell_workers,
+    _slope_fit,
 )
 
 # Shallower ladder + fewer samples: ~10x faster, still adequate for the
@@ -148,6 +150,52 @@ class TestNoAdmissibleSamples:
         )
         with pytest.raises(InputError, match="no admissible samples at cutoff 0.9"):
             estimate_bp_threshold(2, cfg)
+
+
+class TestHugeGrids:
+    """A lambda grid too large for float arithmetic is an input error, not a direction."""
+
+    @staticmethod
+    def _grid(scale):
+        return tuple(Fraction(k * 10**scale) for k in (1, 2, 3))
+
+    @pytest.mark.parametrize("estimate, arg", [
+        (estimate_monomial_threshold, (1,)), (estimate_bp_threshold, 2),
+    ])
+    @pytest.mark.parametrize("scale, message", [
+        (307, "-2 lambda log|f| overflows a float at lambda = 1e+307"),
+        (160, "the slope fit of log I"),
+    ])
+    def test_rejected_without_warnings(self, estimate, arg, scale, message):
+        cfg = OracleConfig(samples_per_shell=2000, lambda_grid=self._grid(scale), seed=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError) as info:
+                estimate(arg, cfg)
+        assert str(info.value).startswith(message)
+
+    def test_log_i_overflow_is_rejected(self):
+        # -2 lambda log f = 1e308 is finite, but adding log w = 1.7e308 is not.
+        def sample(rng, eps):
+            return np.full(1000, -1.0), np.full(1000, 1.7e308), np.ones(1000, dtype=bool)
+
+        cfg = OracleConfig(samples_per_shell=1000,
+                           lambda_grid=tuple(Fraction(k * 10**307) for k in (5, 6, 7)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match="log I is not a finite float at lambda = 5e"):
+                _estimate(lambda: sample, 1, 2.0, cfg)
+
+    def test_slope_fit_overflow_is_rejected(self):
+        log_eps = np.log(OracleConfig(lambda_grid=(1, 2, 3)).cutoffs)
+        log_i = [k * 1e160 * (-1) ** k for k in range(len(log_eps))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match="the slope fit of log I"):
+                _slope_fit(log_eps, log_i)
+            # Just inside the float range the fit goes through.
+            slope, se = _slope_fit(log_eps, [v * 1e-10 for v in log_i])
+        assert math.isfinite(slope) and math.isfinite(se)
 
 
 class TestBpCutoffFloor:

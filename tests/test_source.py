@@ -183,3 +183,13 @@ def test_only_usable_cpus_reads_the_cpu_count():
     # second reader could let one of them see a different machine.
     assert _users("sched_getaffinity") == {"usable_cpus"}
     assert _users("cpu_count") == {"usable_cpus"}
+
+
+def test_verdict_fields_decides_every_label():
+    # orbifold.verdict_fields is the one place a label is decided:
+    # fano_fields calls it for a tuple of orders and the search's rows with
+    # each row's own sums.  rows re-derives no tuple through fano_fields
+    # and sieves its last coordinates rather than taking a gcd per one.
+    assert _users("verdict_fields") == {"fano_fields", "rows"}
+    assert "rows" not in _users("fano_fields")
+    assert "rows" not in _users("gcd")
