@@ -271,11 +271,16 @@ def count_coprime_in_range(lo: int, hi: int, primes) -> int:
 
 
 def _keep_mask(start: int, width: int, primes) -> bytearray:
-    """Keep-mask of [start, start + width): entry j is 0 when a prime divides start + j, else 1."""
+    """Keep-mask of [start, start + width): entry j is 0 when a prime divides start + j, else 1.
+
+    A prime whose first multiple lies past the window marks nothing, so it
+    costs one remainder and no slice assignment.
+    """
     keep = bytearray([1]) * width
     for p in primes:
         first = -start % p
-        keep[first::p] = bytes(len(range(first, width, p)))
+        if first < width:
+            keep[first::p] = bytes(len(range(first, width, p)))
     return keep
 
 

@@ -24,12 +24,16 @@ Poincare homology sphere.  The verdict counts orbifold
 structures; the metric correspondence can fail in the presence of a
 holomorphic contact structure, which this package does not attempt to
 detect (reports carry the caveat).
+
+A tuple is a `RamTuple` (n, orders) and its evaluation a `FanoReport`;
+both are immutable named tuples, each built by one tuple construction.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -39,21 +43,34 @@ from .exactmath import Rat
 CLASSIFICATIONS = ("NotFano", "OldKE", "NewOnlyKE", "NoCriterion")
 
 
-@dataclass(frozen=True, init=False)
-class RamTuple:
+class _Frozen:
+    """Immutable attributes, as on a frozen dataclass: no name can be set or deleted."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class RamTuple(_Frozen, namedtuple("RamTuple", "n orders")):
     """Sorted ramification indices of an n-dimensional arrangement orbifold.
 
-    Construction checks structure only (integer entries, dimension, length,
-    sorted, first order >= 1): the search builds one per tuple from coprime
-    orders, and outside input goes through `make_tuple` and `check_orders`.
-    Orders are stored as a tuple of plain ints, whatever sequence of
-    Integral entries (numpy integers, say) they came as.
+    A tuple (n, orders).  Construction checks structure only (integer
+    entries, dimension, length, sorted, first order >= 1): the search
+    builds one per tuple from coprime orders, and outside input goes
+    through `make_tuple` and `check_orders`.  Orders are stored as a tuple
+    of plain ints, whatever sequence of Integral entries (numpy integers,
+    say) they came as.  Every way to build one runs these checks: `_make`
+    and `_replace` call the constructor, and copy and pickle rebuild
+    through `__new__`.
     """
 
-    n: int
-    orders: tuple[int, ...]
+    __slots__ = ()
 
-    def __init__(self, n, orders):
+    def __new__(cls, n, orders):
         if type(n) is not int:
             n = check_int(n, "dimension")
         if type(orders) is not tuple or set(map(type, orders)) - {int}:
@@ -66,49 +83,27 @@ class RamTuple:
             raise InputError("orders must be sorted; use make_tuple to canonicalize")
         if orders[0] < 1:
             raise OrderBelowMinimum(f"order {orders[0]} is below 1")
-        # Each field is set once, after the checks (see FanoReport.__init__).
-        set_ = object.__setattr__
-        set_(self, "n", n)
-        set_(self, "orders", orders)
+        return tuple.__new__(cls, (n, orders))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
-@dataclass(frozen=True, init=False)
-class FanoReport:
+class FanoReport(_Frozen, namedtuple(
+        "FanoReport", "n m_max D P fano old_ok new_ok classification")):
     """Exact evaluation of the positivity and both existence bounds.
 
-    The fields are integers, three flags and the verdict: c1 = D/P with P
-    the product of the orders, and m_max the largest order; old_ok and
-    new_ok are the raw strict inequalities, independent of positivity.
-    The rational sides of the inequalities are derived attributes, each
-    built as a Fraction on its first read: c1, old_lhs (equal to c1, as
-    both bounds share the left-hand side), old_rhs = (n+1)/(n*m_max) and
-    new_rhs = (n+1)/m_max.  Equality and hashing see the fields only.
+    A tuple of the fields: integers, three flags and the verdict:
+    c1 = D/P with P the product of the orders, and m_max the largest
+    order; old_ok and new_ok are the raw strict inequalities, independent
+    of positivity.  The rational sides of the inequalities are derived
+    attributes, each built as a Fraction on its first read: c1, old_lhs
+    (equal to c1, as both bounds share the left-hand side),
+    old_rhs = (n+1)/(n*m_max) and new_rhs = (n+1)/m_max.  They are cached
+    in the report's `__dict__`, which exists only once one is read.
+    Equality and hashing see the fields only.
     """
-
-    n: int
-    m_max: int
-    D: int
-    P: int
-    fano: bool
-    old_ok: bool
-    new_ok: bool
-    classification: str
-
-    def __init__(self, n, m_max, D, P, fano, old_ok, new_ok, classification):
-        # The generated frozen __init__ looks object.__setattr__ up again for
-        # every field; binding it once makes a report about a third cheaper,
-        # and iter_tuples builds one per tuple.  Filling self.__dict__
-        # directly would be cheaper still, but it gives every report a dict
-        # object of its own, about 180 bytes more per report.
-        set_ = object.__setattr__
-        set_(self, "n", n)
-        set_(self, "m_max", m_max)
-        set_(self, "D", D)
-        set_(self, "P", P)
-        set_(self, "fano", fano)
-        set_(self, "old_ok", old_ok)
-        set_(self, "new_ok", new_ok)
-        set_(self, "classification", classification)
 
     @cached_property
     def c1(self) -> Rat:

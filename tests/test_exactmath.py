@@ -20,6 +20,7 @@ from orbke.exactmath import (
     TABLE_CAP,
     FactoredInt,
     _count_positive,
+    _keep_mask,
     coprime_factorizations,
     coprime_in_range,
     coprime_table,
@@ -347,6 +348,39 @@ class TestCoprimeInRange:
             got = list(coprime_in_range(1, 500, primes))
             assert got[0] == 1 and got == _gcd_scan(1, 500, primes)
         assert list(coprime_in_range(1, 1, (2, 3))) == [1]
+
+
+def _slice_mask(start, width, primes):
+    """Reference keep-mask: one slice assignment per prime, wide primes included."""
+    keep = bytearray([1]) * width
+    for p in primes:
+        first = -start % p
+        keep[first::p] = bytes(len(range(first, width, p)))
+    return keep
+
+
+class TestKeepMask:
+    """_keep_mask skips primes that miss the window; the mask must not change."""
+
+    def test_seeded_windows_match_slice_mask(self):
+        rng = random.Random(20261020)
+        for _ in range(500):
+            start = rng.randrange(1, 10**7)
+            width = rng.randrange(0, 64)
+            pool = [2, 3, 5, 7, 11, 13, 31, 61, 67, 127, 10007]
+            primes = sorted(rng.sample(pool, rng.randrange(6)))
+            assert _keep_mask(start, width, primes) == _slice_mask(start, width, primes), (
+                start, width, primes)
+
+    @pytest.mark.parametrize("width", [0, 1, 2, 5])
+    def test_primes_wider_than_the_window(self, width):
+        # first multiple at the window's last entry, just past it, and far past it.
+        for start in range(10001, 10012):
+            for primes in [(10007,), (7, 10007), (10007, 1_000_003), (2, 3, 10007)]:
+                got = _keep_mask(start, width, primes)
+                assert got == _slice_mask(start, width, primes), (start, width, primes)
+                assert list(got) == [int(all((start + j) % p for p in primes))
+                                     for j in range(width)]
 
 
 def harmonic_sum(orders):

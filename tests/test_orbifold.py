@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import gc
+import pickle
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
@@ -10,11 +13,34 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbke import SearchConfig, classify, iter_tuples, link_weights, make_tuple, orbifold
+from orbke import (
+    SearchConfig, classify, enumeration, enumerate_tuples, iter_tuples, link_weights, make_tuple,
+    orbifold)
 from orbke.errors import InputError, OrderBelowMinimum, PairwiseCoprimeViolation, WrongLength
 from orbke.orbifold import CLASSIFICATIONS, RamTuple, check_orders
 
 from conftest import assert_pairwise_coprime, coprime_orders
+
+
+_REBUILDS = [copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))]
+_REBUILD_IDS = ["copy", "deepcopy", "pickle"]
+
+# RamTuple fields the constructor rejects: unsorted orders, a wrong length,
+# bool entries.
+_BAD_FIELDS = [
+    (2, (2, 5, 3, 17)),
+    (2, (2, 3, 5)),
+    (1, (2, 3, 5, 7)),
+    (2, (True, 3, 5, 17)),
+    (True, (2, 3, 5)),
+]
+
+
+def _constructor_error(n, orders):
+    """The exception type RamTuple(n, orders) raises."""
+    with pytest.raises(InputError) as exc:
+        RamTuple(n, orders)
+    return type(exc.value)
 
 
 class TestMakeTuple:
@@ -75,6 +101,60 @@ class TestRamTuple:
         with pytest.raises(InputError, match="sorted"):
             RamTuple(2, orders)
 
+    def test_is_a_tuple(self):
+        t = RamTuple(2, (2, 3, 5, 17))
+        n, orders = t
+        assert (n, orders) == (t.n, t.orders) == (t[0], t[1]) == (2, (2, 3, 5, 17))
+        assert len(t) == 2 and t == (2, (2, 3, 5, 17)) and hash(t) == hash((2, (2, 3, 5, 17)))
+
+    def test_is_frozen(self):
+        t = RamTuple(2, (2, 3, 5, 17))
+        for name in ("n", "orders", "other"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(t, name, 3)
+            with pytest.raises(FrozenInstanceError):
+                delattr(t, name)
+        assert t == (2, (2, 3, 5, 17))
+
+    @pytest.mark.parametrize("rebuild", _REBUILDS, ids=_REBUILD_IDS)
+    def test_copy_and_pickle_round_trip(self, rebuild):
+        t = RamTuple(3, (2, 3, 7, 43, 1811))
+        u = rebuild(t)
+        assert type(u) is RamTuple and u == t and hash(u) == hash(t)
+        assert type(u.orders) is tuple and all(type(m) is int for m in u.orders)
+
+    @pytest.mark.parametrize("rebuild", _REBUILDS, ids=_REBUILD_IDS)
+    @pytest.mark.parametrize("n, orders", _BAD_FIELDS)
+    def test_copy_and_pickle_run_the_checks(self, rebuild, n, orders):
+        # A record smuggled past __new__ fails to rebuild with the constructor's error.
+        bad = tuple.__new__(RamTuple, (n, orders))
+        with pytest.raises(_constructor_error(n, orders)):
+            rebuild(bad)
+
+    @pytest.mark.parametrize("n, orders", _BAD_FIELDS)
+    def test_make_and_replace_run_the_checks(self, n, orders):
+        error = _constructor_error(n, orders)
+        t = RamTuple(2, (2, 3, 5, 17))
+        with pytest.raises(error):
+            RamTuple._make((n, orders))
+        with pytest.raises(error):
+            t._replace(n=n, orders=orders)
+        if n == 2:
+            with pytest.raises(error):
+                t._replace(orders=orders)
+        assert RamTuple._make((2, [2, 3, 5, 17])) == t._replace(n=2) == t
+        assert type(t._replace(orders=(2, 3, 5, 19))) is RamTuple
+
+    def test_search_rows_run_the_checks(self, monkeypatch):
+        # materialize builds every RamTuple through the constructor.
+        fields = orbifold.fano_fields(2, (2, 3, 5, 17))
+        monkeypatch.setattr(enumeration._Search, "rows",
+                            lambda self: iter([((2, 5, 3, 17), fields)]))
+        with pytest.raises(InputError, match="sorted"):
+            list(iter_tuples(SearchConfig(n=2)))
+        with pytest.raises(InputError, match="sorted"):
+            enumerate_tuples(SearchConfig(n=2))
+
 
 class TestFirstChern:
     # c1 = sum(1/mi) - 1, as classify reports it.
@@ -127,6 +207,40 @@ class TestClassify:
         r = classify(make_tuple(2, [2, 3, 5, 17]))
         with pytest.raises(FrozenInstanceError):
             r.D = 1
+
+    def test_report_is_a_tuple_of_its_fields(self):
+        r = classify(make_tuple(2, [2, 3, 5, 17]))
+        fields = (2, 17, 47, 510, True, False, True, "NewOnlyKE")
+        assert r == fields and tuple(r) == fields and hash(r) == hash(fields)
+        n, m_max, D, P, *_, label = r
+        assert (n, m_max, D, P, label, len(r)) == (r.n, r.m_max, r.D, r.P, r[-1], 8)
+
+    def test_report_is_frozen_after_a_read(self):
+        r = classify(make_tuple(2, [2, 3, 5, 17]))
+        assert r.c1 == Fraction(47, 510)
+        for name in ("n", "classification", "c1", "new_rhs", "other"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(r, name, 1)
+            with pytest.raises(FrozenInstanceError):
+                delattr(r, name)
+        assert r.c1 == Fraction(47, 510) and r.D == 47
+
+    def test_dict_only_after_a_read(self):
+        # The cache of the derived Fractions is made by the first read.
+        r = classify(make_tuple(2, [2, 3, 5, 17]))
+        assert not [x for x in gc.get_referents(r) if type(x) is dict]
+        r.new_rhs
+        assert [x for x in gc.get_referents(r) if type(x) is dict] == [
+            {"new_rhs": Fraction(3, 17)}]
+
+    @pytest.mark.parametrize("rebuild", _REBUILDS, ids=_REBUILD_IDS)
+    def test_round_trip_after_reading_c1(self, rebuild):
+        r = classify(make_tuple(3, [2, 3, 7, 43, 1811]))
+        sides = (r.c1, r.old_lhs, r.old_rhs, r.new_rhs)
+        u = rebuild(r)
+        assert type(u) is type(r) and u == r and hash(u) == hash(r)
+        assert (u.c1, u.old_lhs, u.old_rhs, u.new_rhs) == sides
+        assert all(type(x) is Fraction for x in (u.c1, u.old_lhs, u.old_rhs, u.new_rhs))
 
 
 def _spy_fractions(monkeypatch):
@@ -181,6 +295,21 @@ class TestDerivedFractions:
             seen.add(r.classification)
         # dimension 2 below 61 has no NoCriterion tuple; dimension 3 has all four.
         assert seen == set(CLASSIFICATIONS) - ({"NoCriterion"} if n == 2 else set())
+
+    @pytest.mark.parametrize("min_order", [1, 2])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_materialized_pairs_equal_make_tuple_and_classify(self, n, min_order):
+        cfg = SearchConfig(n=n, classes=CLASSIFICATIONS, max_order=30, min_order=min_order)
+        result = enumerate_tuples(cfg)
+        assert any(t.orders[0] == 1 for t, _ in result.tuples) == (min_order == 1)
+        labels = []
+        for t, r in result.tuples:
+            expected = make_tuple(n, t.orders, min_order)
+            assert (type(t), type(r)) == (RamTuple, orbifold.FanoReport)
+            assert (t, r) == (expected, classify(expected)), t.orders
+            assert all(type(x) is int for x in (t.n, *t.orders, r.n, r.m_max, r.D, r.P))
+            labels.append(r.classification)
+        assert result.counts == {label: labels.count(label) for label in CLASSIFICATIONS}
 
     def test_sides_match_definition_on_non_coprime_tuple(self):
         t = RamTuple(2, (2, 4, 6, 8))
