@@ -49,15 +49,9 @@ from .enumeration import (
     sylvester_family,
     sylvester_seq,
 )
-from .errors import (
-    InputError,
-    ResourceLimitExceeded,
-    ThresholdOutsideGrid,
-    check_int,
-)
+from .errors import InputError, ResourceLimitExceeded, check_int
 from .exactmath import count_coprime_in_range
 from .lct import (
-    INF,
     DelPezzo2,
     DelPezzo4,
     SncFanoData,
@@ -104,17 +98,8 @@ _ASSUMPTION_NOTES = {
 # Serialization
 
 
-def _rat(x) -> str:
-    """Exact string form: "p/q" (or "p"), with the infinity sentinel as "inf".
-
-    Every exact value reaching it is an int or a Fraction, and both already
-    print in that form.
-    """
-    return "inf" if x is INF else str(x)
-
-
 def _ineq(name: str, lhs, rhs, holds: bool) -> dict:
-    return {"name": name, "lhs": _rat(lhs), "rhs": _rat(rhs), "holds": bool(holds)}
+    return {"name": name, "lhs": str(lhs), "rhs": str(rhs), "holds": bool(holds)}
 
 
 def _scalar(value) -> str:
@@ -253,10 +238,13 @@ class _OutFile:
     A run rejected before it writes a record leaves an existing file
     untouched.  A path that cannot be written is rejected up front, before
     the run: an existing file is opened for appending and closed, so its
-    bytes stay, and a new one is created and removed again.
+    bytes stay, and a new one is created and removed again.  A write or
+    close that fails later (a full disk) raises the same InputError.
     """
 
     def __init__(self, path: str):
+        self.path = path
+        self.file = None
         try:
             if os.path.exists(path):
                 open(path, "a").close()
@@ -264,18 +252,25 @@ class _OutFile:
                 open(path, "x").close()
                 os.remove(path)
         except OSError as exc:
-            raise InputError(f"cannot write --out {path}: {exc.strerror or exc}") from None
-        self.path = path
-        self.file = None
+            raise self._cannot_write(exc) from None
+
+    def _cannot_write(self, exc: OSError) -> InputError:
+        return InputError(f"cannot write --out {self.path}: {exc.strerror or exc}")
 
     def write(self, text: str):
-        if self.file is None:
-            self.file = open(self.path, "w")
-        return self.file.write(text)
+        try:
+            if self.file is None:
+                self.file = open(self.path, "w")
+            return self.file.write(text)
+        except OSError as exc:
+            raise self._cannot_write(exc) from None
 
     def close(self):
-        if self.file is not None:
-            self.file.close()
+        try:
+            if self.file is not None:
+                self.file.close()
+        except OSError as exc:
+            raise self._cannot_write(exc) from None
 
 
 # ---------------------------------------------------------------------------
@@ -296,9 +291,9 @@ def _ke_record(command: str, input_echo: dict, report) -> dict:
         "command": command,
         "input": input_echo,
         "derived": {
-            "delta": _rat(report.delta),
-            "beta": None if report.beta is None else _rat(report.beta),
-            "c": _rat(report.c),
+            "delta": str(report.delta),
+            "beta": None if report.beta is None else str(report.beta),
+            "c": str(report.c),
             "method": report.method,
         },
         "inequalities": [_ineq(*row) for row in report.conditions],
@@ -323,9 +318,9 @@ def _cmd_check(args, emit: Emitter) -> dict:
         "command": "check",
         "input": {"dim": t.n, "orders": list(t.orders), "min_order": min_order},
         "derived": {
-            "c1": _rat(report.c1),
-            "old_bound": _rat(report.old_rhs),
-            "new_bound": _rat(report.new_rhs),
+            "c1": str(report.c1),
+            "old_bound": str(report.old_rhs),
+            "new_bound": str(report.new_rhs),
             "link_order_product": link.M,
             "link_weights": list(link.weights),
         },
@@ -453,9 +448,9 @@ def _cmd_lct_monomial(args, emit: Emitter) -> dict:
     return {
         "command": "lct-monomial",
         "input": {"exponents": list(args.exponents)},
-        "derived": {"threshold": _rat(threshold)},
+        "derived": {"threshold": str(threshold)},
         "inequalities": [],
-        "verdict": _rat(threshold),
+        "verdict": str(threshold),
         "caveats": [],
     }
 
@@ -492,7 +487,7 @@ def _parse_lambdas(text: str):
 def _cmd_dp4(args, emit: Emitter) -> dict:
     lambdas = _parse_lambdas(args.lambdas)
     report = dp4_check(DelPezzo4(lambdas))
-    return _ke_record("delpezzo-deg4", {"lambdas": [_rat(l) for l in lambdas]}, report)
+    return _ke_record("delpezzo-deg4", {"lambdas": [str(l) for l in lambdas]}, report)
 
 
 def _parse_grid(text: str):
@@ -538,7 +533,7 @@ def _oracle_record(command, input_echo, cfg, est, analytic) -> dict:
         "seed": cfg.seed,
         "samples_per_shell": cfg.samples_per_shell,
         "cutoffs": list(cfg.cutoffs),
-        "lambda_grid": [_rat(l) for l in cfg.lambda_grid],
+        "lambda_grid": [str(l) for l in cfg.lambda_grid],
         "tolerance": cfg.tolerance,
     })
     return {
@@ -547,9 +542,9 @@ def _oracle_record(command, input_echo, cfg, est, analytic) -> dict:
         "estimate": {
             "threshold": est.threshold_estimate,
             "confidence_halfwidth": est.confidence_halfwidth,
-            "per_lambda_slopes": [[_rat(l), s] for l, s in est.per_lambda_slopes],
+            "per_lambda_slopes": [[str(l), s] for l, s in est.per_lambda_slopes],
         },
-        "analytic": _rat(analytic),
+        "analytic": str(analytic),
         "inequalities": [],
         "verdict": "within-tolerance" if ok else "outside-tolerance",
         "caveats": ["stochastic: estimates are Monte-Carlo instruments, not certificates"],
@@ -691,30 +686,29 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     out = None
     try:
-        out = _OutFile(args.out) if args.out else None
-        emit = Emitter(args.format, out or sys.stdout)
-        started = time.perf_counter()
-        body = args.func(args, emit)
-        elapsed = time.perf_counter() - started
-        record = {"command": body.pop("command"), "version": __version__}
-        for key, value in body.items():
-            record[key] = value
-            if key == "caveats":
-                record["elapsed_s"] = elapsed
-        emit.write(record)
+        # --out closes inside the handled region: a failed last flush exits 1 too.
+        try:
+            out = _OutFile(args.out) if args.out else None
+            emit = Emitter(args.format, out or sys.stdout)
+            started = time.perf_counter()
+            body = args.func(args, emit)
+            elapsed = time.perf_counter() - started
+            record = {"command": body.pop("command"), "version": __version__}
+            for key, value in body.items():
+                record[key] = value
+                if key == "caveats":
+                    record["elapsed_s"] = elapsed
+            emit.write(record)
+        finally:
+            if out is not None:
+                out.close()
         return 0
     except ResourceLimitExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ThresholdOutsideGrid as exc:
-        print(f"error: threshold outside grid ({exc.direction}): {exc}", file=sys.stderr)
-        return 1
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    finally:
-        if out is not None:
-            out.close()
 
 
 def entry():

@@ -323,9 +323,10 @@ class SearchConfig:
     classes are infinite, and after a unit order the prefix sum is already
     1, which every larger order can extend.
     prefix_filter pins the leading orders (sorted, coprime).  node_cap
-    bounds the number of search nodes; hitting it raises
-    NodeBudgetExceeded carrying the partial result, and forces serial
-    execution so the partial result is deterministic.  Without a cap,
+    bounds the number of search nodes, not of records (one node can carry
+    millions of leaves); hitting it raises NodeBudgetExceeded carrying the
+    partial result, and forces serial execution so the partial result is
+    deterministic.  Without a cap,
     parallel_width > 1 lists count mode's plan as exact-weight slices of
     the leaves and counts them in-process below POOL_MIN_LEAVES leaves,
     else over up to parallel_width worker processes (no more than the CPUs
@@ -690,7 +691,11 @@ def enumerate_tuples(cfg: SearchConfig) -> EnumResult:
     label against the interval that produced it, and runs serially.
     Output order, counts and nodes_visited are independent of
     parallel_width; a node_cap keeps a count serial, so the partial
-    result is deterministic.
+    result is deterministic.  Materialize mode holds every pair in memory,
+    and node_cap does not bound that: dimension 2 with all classes up to
+    max_order 200 gives 7,438,894 pairs from 387,638 nodes, gigabytes of
+    records.  iter_tuples and iter_rows stream the same records in bounded
+    memory.
     """
     search = _Search(cfg)
     tuples = None

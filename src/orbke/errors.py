@@ -1,8 +1,10 @@
 """Error taxonomy shared across modules, and the input validators.
 
-Two families matter to callers (and to the CLI exit-code policy):
-InputError for rejected input, ResourceLimitExceeded for aborted work.
-Everything else is a plain bug and should surface as-is.
+Two families matter to callers, and they alone make the CLI exit-code
+policy: InputError for rejected input (exit 1), ResourceLimitExceeded for
+aborted work (exit 2).  Every package error that a caller should handle
+subclasses one of them; everything else is a plain bug and should surface
+as-is.
 
 Each kind of input has one validator, called by every public entry point:
 `check_int` for an integer in a range, `check_rational` for an exact
@@ -44,15 +46,16 @@ class InvalidQuadricPencil(InputError):
     """A quadric-pencil eigenvalue is zero; the pencil is degenerate."""
 
 
-class ThresholdOutsideGrid(OrbkeError):
+class ThresholdOutsideGrid(InputError):
     """Every probed lambda sits on one side of the integrability threshold.
 
     `direction` is "above" when the threshold lies above the grid (all
-    slopes flat) and "below" when it lies below (all slopes supercritical).
+    slopes flat) and "below" when it lies below (all slopes supercritical);
+    the message names it: "threshold outside grid (<direction>): <detail>".
     """
 
-    def __init__(self, direction: str, message: str):
-        super().__init__(message)
+    def __init__(self, direction: str, detail: str):
+        super().__init__(f"threshold outside grid ({direction}): {detail}")
         self.direction = direction
 
 

@@ -35,10 +35,11 @@ from .exactmath import Rat
 class Unbounded:
     """Singleton sentinel for an infinite integrability threshold.
 
-    Callers test for it with `is INF`; it equals only itself and has no
-    ordering, so comparing it with a rational raises TypeError rather than
-    silently ranking it.  1/INF is treated as exact zero where a reciprocal
-    is recorded.  repr/str is "inf" for serialization.
+    Callers test for it with `is INF`: it equals and hashes by identity,
+    and copy, deepcopy and pickle return it (it reduces to the name INF).
+    It has no ordering, so comparing it with a rational raises TypeError
+    rather than silently ranking it.  1/INF is treated as exact zero where
+    a reciprocal is recorded.  repr/str is "inf" for serialization.
     """
 
     _instance = None
@@ -53,11 +54,8 @@ class Unbounded:
 
     __str__ = __repr__
 
-    def __eq__(self, other):
-        return other is self
-
-    def __hash__(self):
-        return hash("orbke-inf")
+    def __reduce__(self):
+        return "INF"
 
 
 INF = Unbounded()
@@ -98,7 +96,7 @@ class KeReport:
     """Outcome of one KE criterion evaluation.
 
     conditions rows are (name, lhs, rhs, holds) with every row meaning the
-    strict inequality lhs < rhs; passes holds exactly when every row does.
+    strict inequality lhs < rhs; passes, a property, is their conjunction.
     beta is None when delta lies outside (0,1) (no Fano normalization
     exists, so the criterion fails on the delta rows alone).  assumptions
     carries input hypotheses that were asserted rather than verified.
@@ -107,7 +105,6 @@ class KeReport:
     delta: Rat
     beta: object
     c: object
-    passes: bool
     conditions: tuple
     method: str
     assumptions: tuple = ()
@@ -115,11 +112,13 @@ class KeReport:
     def __post_init__(self):
         if self.method not in METHODS:
             raise InputError(f"method must be one of {METHODS}, got {self.method!r}")
-        if self.passes != all(holds for _, _, _, holds in self.conditions):
-            raise AssertionError("passes must equal the conjunction of conditions")
         if self.beta is not None and 0 < self.delta < 1:
             if self.beta != self.delta / (1 - self.delta):  # pragma: no cover
                 raise AssertionError("beta inconsistent with delta")
+
+    @property
+    def passes(self) -> bool:
+        return all(holds for *_, holds in self.conditions)
 
 
 @dataclass(frozen=True)
@@ -225,25 +224,21 @@ def snc_ke_check(data: SncFanoData) -> KeReport:
     ]
     beta = None
     if 0 < delta < 1:
+        # 0 < delta needs a divisor, so c = 1/(max_order - 1) is finite here.
         beta = beta_of_delta(delta)
-        if data.entries:
-            m_max = max(data.orders)
-            theorem_form = Fraction(m_max - 1) < beta
-            example_form = m_max * (1 - delta) < 1
-            if theorem_form != example_form:
-                raise AssertionError(f"criterion forms disagree for {data}, delta={delta}")
-            conditions.append(
-                ("max-order-minus-one-below-beta", Fraction(m_max - 1), beta, theorem_form)
-            )
-            conditions.append(
-                ("scaled-complement-below-one", m_max * (1 - delta), Fraction(1), example_form)
-            )
-    passes = all(h for *_, h in conditions)
+        m_max = max(data.orders)
+        theorem_form = ke_criterion(c, beta)
+        example_form = m_max * (1 - delta) < 1
+        if theorem_form != example_form:
+            raise AssertionError(f"criterion forms disagree for {data}, delta={delta}")
+        conditions.append(("max-order-minus-one-below-beta", 1 / c, beta, theorem_form))
+        conditions.append(
+            ("scaled-complement-below-one", m_max * (1 - delta), Fraction(1), example_form)
+        )
     return KeReport(
         delta=delta,
         beta=beta,
         c=c,
-        passes=passes,
         conditions=tuple(conditions),
         method="identity-cover",
         assumptions=("snc-arrangement-asserted-not-verified",),
@@ -260,12 +255,10 @@ def dp2_check(s: DelPezzo2) -> KeReport:
     """
     delta = Fraction(2, 3)
     beta = Fraction(2)
+    c = min((Fraction(2, k + 1) for k in s.singularities), default=INF)
     conditions = []
-    c = INF
     for k in sorted(s.singularities):
         local_c = Fraction(2, k + 1)
-        if c is INF or local_c < c:
-            c = local_c
         conditions.append(
             (f"A{k}-local-threshold", 1 / local_c, beta, 1 / local_c < beta)
         )
@@ -275,7 +268,6 @@ def dp2_check(s: DelPezzo2) -> KeReport:
         delta=delta,
         beta=beta,
         c=c,
-        passes=all(h for *_, h in conditions),
         conditions=tuple(conditions),
         method="quotient-cover",
     )
@@ -303,7 +295,6 @@ def dp4_check(s: DelPezzo4) -> KeReport:
         delta=delta,
         beta=beta,
         c=c,
-        passes=all(h for *_, h in conditions),
         conditions=conditions,
         method=method,
         assumptions=("pencil-diagonalizability-asserted-not-verified",),

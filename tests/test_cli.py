@@ -356,6 +356,21 @@ class TestOracleCommands:
         assert code == 1
         assert "below" in err
 
+    @pytest.mark.parametrize("grid, line", [
+        ("2:4:1", "error: threshold outside grid (below): every probed lambda is "
+                  "supercritical (slopes <= -1); the threshold lies below the grid"),
+        ("1/10:3/10:1/10", "error: threshold outside grid (above): no probed lambda is "
+                           "supercritical (slopes > -0.1); the threshold lies above the grid"),
+    ])
+    def test_grid_miss_stderr_is_one_pinned_line(self, grid, line):
+        code, out, err = _fresh_cli(
+            "oracle", "monomial", "--exponents", "1", "--samples", "1000",
+            "--cutoffs", "1e-2,1e-3,1e-4,1e-5,1e-6", "--grid", grid,
+        )
+        assert code == 1
+        assert out == ""
+        assert err == line + "\n"
+
     @pytest.mark.parametrize(
         "argv, message",
         [
@@ -494,6 +509,18 @@ class TestFormats:
         assert out == ""
         assert err.startswith("error: cannot write --out")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("argv", [
+        ("check", "--dim", "2", "2", "3", "5", "17"),
+        ("enumerate", "--dim", "3"),
+    ])
+    def test_failed_out_write_exits_one_without_traceback(self, run_cli, argv):
+        # /dev/full accepts the up-front probe and fails every write: one
+        # error line and exit 1, in-process and from a fresh interpreter.
+        line = "error: cannot write --out /dev/full: No space left on device\n"
+        assert run_cli(*argv, "--out", "/dev/full") == (1, "", line)
+        assert _fresh_cli(*argv, "--out", "/dev/full") == (1, "", line)
 
     def test_rejected_run_creates_no_out_file(self, run_cli, tmp_path):
         target = tmp_path / "cert.jsonl"

@@ -3,6 +3,10 @@ normal-crossing check, and the two low-degree del Pezzo case analyses."""
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import pickle
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,6 +17,7 @@ from orbke import (
     INF,
     DelPezzo2,
     DelPezzo4,
+    KeReport,
     SncFanoData,
     beta_of_delta,
     classify,
@@ -47,6 +52,15 @@ class TestUnboundedSentinel:
 
     def test_hashable(self):
         assert len({INF, INF}) == 1
+
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_copies_are_the_sentinel(self, protocol):
+        # Callers test `is INF`, so every copy must be the one object.
+        assert copy.copy(INF) is INF
+        assert copy.deepcopy(INF) is INF
+        assert pickle.loads(pickle.dumps(INF, protocol)) is INF
+        assert copy.deepcopy(dp2_check(DelPezzo2(()))).c is INF
 
 
 class TestSncFanoData:
@@ -294,3 +308,48 @@ class TestDelPezzo4:
         )
         assert rep.method == expected
         assert "pencil-diagonalizability-asserted-not-verified" in rep.assumptions
+
+
+def _assert_rows_decide_the_verdict(rep):
+    for name, lhs, rhs, holds in rep.conditions:
+        assert isinstance(name, str)
+        assert holds == (lhs < rhs)
+    assert rep.passes == all(holds for *_, holds in rep.conditions)
+
+
+class TestReportInvariants:
+    def test_dp2_rows(self):
+        rng = random.Random(2501)
+        lists = [()] + [
+            tuple(rng.randint(1, 8) for _ in range(rng.randint(0, 6))) for _ in range(200)
+        ]
+        for sings in lists:
+            rep = dp2_check(DelPezzo2(sings))
+            _assert_rows_decide_the_verdict(rep)
+            assert len(rep.conditions) == len(sings) + 1
+
+    @pytest.mark.parametrize("lambdas", [
+        (1, 2, 3), (Fraction(1, 2), Fraction(2, 3), 5), (-1, 1, 2),
+        (1, 1, 2), (3, 1, 3), (2, 2, 2),
+    ])
+    def test_dp4_rows(self, lambdas):
+        rep = dp4_check(DelPezzo4(lambdas))
+        _assert_rows_decide_the_verdict(rep)
+        assert rep.passes
+
+    @pytest.mark.parametrize("entries", [
+        (), ((4, 2),), ((4, 5),), ((1, 2), (1, 3), (1, 5), (1, 17)),
+        ((1, 2), (1, 3), (1, 7), (1, 43)),
+    ])
+    def test_snc_rows(self, entries):
+        _assert_rows_decide_the_verdict(snc_ke_check(SncFanoData(2, entries)))
+
+    def test_passes_is_derived_not_stored(self):
+        rep = dp2_check(DelPezzo2((1, 2)))
+        assert "passes" not in {f.name for f in dataclasses.fields(KeReport)}
+        assert "passes" not in dataclasses.asdict(rep)
+        with pytest.raises(TypeError):
+            KeReport(
+                delta=rep.delta, beta=rep.beta, c=rep.c, passes=True,
+                conditions=rep.conditions, method=rep.method,
+            )

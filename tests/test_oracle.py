@@ -273,6 +273,14 @@ class TestMonomialThreshold:
             estimate_monomial_threshold((1,), cfg)
         assert exc.value.direction == "above"
 
+    def test_grid_miss_is_an_input_error_naming_its_direction(self):
+        # One of the two error families, so the CLI exits 1 on it with no
+        # clause of its own, and its message carries the direction.
+        exc = ThresholdOutsideGrid("below", "the threshold lies below the grid")
+        assert isinstance(exc, InputError) and isinstance(exc, ValueError)
+        assert exc.direction == "below"
+        assert str(exc) == "threshold outside grid (below): the threshold lies below the grid"
+
     def test_rejects_bad_exponents(self):
         cfg = OracleConfig(lambda_grid=grid_around(1), **FAST)
         with pytest.raises(InputError):

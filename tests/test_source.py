@@ -75,6 +75,22 @@ def test_cli_envelope_is_stamped_only_in_main():
     assert used and all(line in inside or line in version_flag for line in used)
 
 
+def test_cli_main_catches_only_the_two_error_families():
+    # The exit-code policy comes from the two error families (InputError
+    # exits 1, ResourceLimitExceeded 2) plus argparse's SystemExit; a new
+    # error type joins a family rather than growing its own clause in main.
+    tree = ast.parse((SRC / "cli.py").read_text())
+    main = next(
+        node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "main"
+    )
+    caught = [
+        ast.unparse(node.type) if node.type else "<bare except>"
+        for node in ast.walk(main)
+        if isinstance(node, ast.ExceptHandler)
+    ]
+    assert sorted(caught) == ["InputError", "ResourceLimitExceeded", "SystemExit"]
+
+
 def test_exact_modules_have_no_floats():
     # Counts and verdicts are exact: the search and its arithmetic use no
     # true division, float literal, float() call or numpy.
