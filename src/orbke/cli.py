@@ -10,12 +10,20 @@ a certificate's echoed input reproduces the record bit-for-bit except for
 the timing field.  Handlers build only the body of their record; `main`
 stamps every record with the package `version` and with `elapsed_s`, the
 time the handler took, and writes it.  `enumerate` also writes one
-`enumerate-item` record per tuple as it streams: each is rendered straight
-from the search's integer rows (`enumeration.iter_rows`) by the
-`Emitter`'s fixed line template for its format, with the text of its order
-prefix joined once per prefix and c1 = D/P reduced by one gcd.  No dict or
-Fraction is built for an item, and the bytes are those the generic path
-writes for the item's dict.
+`enumerate-item` record per tuple as it streams, one sieve block at a
+time (`enumeration.iter_row_blocks`): the tuples of a block share their
+head, the orders but the last, and their verdict.  The `Emitter`'s fixed
+line template for the format gets the head's text once per head and the
+label and the two bools once per block, so an item fills in only its last
+order m and c1 = D/P, with D = Ph + (Nh - Ph)*m and P = Ph*m from the
+head's product Ph and reciprocal-sum numerator Nh.  The verdict is the
+block's because each of the three predicates is affine in m and the
+search checks it at the block's two ends.  D/P needs no gcd: the command
+checks gcd(Nh, Ph) = 1 once per head, and with gcd(m, Ph) = 1 from the
+sieve no prime of m or of Ph divides D.  Only the all-unit item, with
+P = 1, writes c1 as an integer.  Each block's lines go out in one write.
+No dict or Fraction is built for an item, and the bytes are those the
+generic path writes for the item's dict.
 
 Exit codes separate computation from verdict: 0 means a verdict was
 computed (pass or fail alike, read the payload), 1 means the input was
@@ -45,7 +53,7 @@ from . import __version__
 from .enumeration import (
     SearchConfig,
     enumerate_tuples,
-    iter_rows,
+    iter_row_blocks,
     sylvester_family,
     sylvester_seq,
 )
@@ -184,10 +192,10 @@ class Emitter:
     `write` renders any record dict.  `item_format(head)` gives the line
     template of the enumerate-items whose orders begin with head: the
     format's fixed item template with head's text in place, so `enumerate`
-    joins an order prefix once for all its items and fills in the last
-    order, the label, c1 and the two bools per item, the same bytes as
-    `write` on the item's dict.  `enumerate` writes the lines to `out`
-    itself.
+    joins an order prefix once for all its items, fills in the label and
+    the two bools once per block and the last order and c1 per item, the
+    same bytes as `write` on the item's dict.  `enumerate` writes the lines
+    to `out` itself.
 
     csv emits a header row whenever the record shape changes, so a stream
     of homogeneous rows (enumerate items) forms one table and the trailing
@@ -338,7 +346,7 @@ _CLASS_CHOICES = {
 
 
 def _cmd_enumerate(args, emit: Emitter) -> dict:
-    """`count` counts in closed form; `enumerate` streams every tuple, serially."""
+    """`count` counts in closed form; `enumerate` streams every tuple, serially, a block per write."""
     counting = args.subcommand == "count"
     cfg = SearchConfig(
         n=args.dim,
@@ -371,13 +379,24 @@ def _cmd_enumerate(args, emit: Emitter) -> dict:
         return summary
     counts = summary["counts"]
     item_format, write = emit.item_format, emit.out.write
-    head = line = None
-    for orders, (_, D, P, _, old_ok, new_ok, label) in iter_rows(cfg):
-        counts[label] += 1
-        # Rows of one prefix come together: join its text once, at its first row.
-        if (prefix := orders[:-1]) != head:
-            head, line = prefix, item_format(prefix)
-        write(line % (orders[-1], label, _ratio(D, P), _BOOL[old_ok], _BOOL[new_ok]))
+    head = None
+    for block_head, Ph, Nh, (_, old_ok, new_ok, label), ms in iter_row_blocks(cfg):
+        # The blocks of one head come together: join its text once, at its first block.
+        if block_head != head:
+            head = block_head
+            if math.gcd(Nh, Ph) != 1:
+                raise AssertionError(f"{head} has reciprocal sum {Nh}/{Ph} "
+                                     f"out of lowest terms")
+            line, K = item_format(head), Nh - Ph
+        counts[label] += len(ms)
+        bools = _BOOL[old_ok], _BOOL[new_ok]
+        row = line % ("%d", label, "%d/%d", *bools)
+        # gcd(Nh, Ph) = 1 and gcd(m, Ph) = 1 make D/P = (Ph + K*m)/(Ph*m) lowest terms.
+        lines = [row % (m, Ph + K * m, Ph * m) for m in ms]
+        if Ph * ms[0] == 1:
+            # The all-unit row has P = 1, and its c1 is written as the integer D.
+            lines[0] = line % (1, label, _ratio(Nh, 1), *bools)
+        write("".join(lines))
     return summary
 
 
@@ -711,17 +730,34 @@ def main(argv=None) -> int:
         return 1
 
 
+def _raised_here(exc: BaseException) -> bool:
+    """Whether exc was raised in a frame of this module, whose only unhandled I/O is stdout's."""
+    tb = exc.__traceback__
+    while tb.tb_next is not None:
+        tb = tb.tb_next
+    return tb.tb_frame.f_globals is globals()
+
+
 def entry():
-    """Console entry point: exit with main's code, and with 1 when stdout closes early.
+    """Console entry point: exit with main's code, and with 1 when stdout fails.
 
     A reader that stops early (`orbke enumerate ... | head -1`) closes the
-    pipe; the rest of the output is dropped into os.devnull, so that the
-    flush at interpreter exit does not fail again.
+    pipe, and the run ends quietly.  Any other failed write to stdout (a
+    full disk) prints one error line, as a failed `--out` write does.
+    Either way the rest of the output is dropped into os.devnull, so that
+    the flush at interpreter exit does not fail again.  No write is
+    wrapped on its own: an OSError that reaches here is stdout's when it
+    was raised in this module, and any other (a process pool that cannot
+    start) surfaces as is.
     """
     try:
         code = main()
         sys.stdout.flush()
-    except BrokenPipeError:
+    except OSError as exc:
+        if not _raised_here(exc):
+            raise
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: cannot write stdout: {exc.strerror or exc}", file=sys.stderr)
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 1
     sys.exit(code)

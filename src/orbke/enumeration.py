@@ -27,15 +27,19 @@ coprime-count table for R's smallest primes (`coprime_table`, which keeps
 its last table, so a table is built only when those primes change).
 Materialize mode lists the coprime last coordinates of each interval
 instead, by a sieve over the primes of the head (the prefix and v, with
-v's primes from the leaf sieve; `coprime_in_range`).  Its row generator
-`_Search.rows` yields each tuple once, as integers: its orders and its
-`verdict_fields`, derived in O(1) per row from the product and
-reciprocal-sum numerator of the head's own orders, and checked against
-the label of the interval the last order was solved into.  `iter_rows`
-streams those rows, and the `enumerate` command writes its items
-straight from them;
-`iter_tuples` and `enumerate_tuples` wrap each row into a (RamTuple,
-FanoReport) pair.
+v's primes from the leaf sieve; `coprime_blocks`).  Its generator
+`_Search.blocks` yields each sieve block of a class window once, as
+integers: the head, its product Ph and reciprocal-sum numerator Nh, the
+verdict the block shares and the block's last orders m.  A block's
+verdict is settled once: the three predicates fano, old_ok and new_ok
+are each affine in m (after dividing by m > 0), so each is constant on a
+block when it agrees at the block's two ends, and `verdict_fields` is
+checked there against the label of the window the last order was solved
+into.  The `enumerate` command writes its items straight from the blocks
+(`iter_row_blocks`); `_Search.rows` flattens them into one (orders,
+fields) row per tuple, each derived in O(1), which `iter_rows` streams
+and `iter_tuples` and `enumerate_tuples` wrap into (RamTuple, FanoReport)
+pairs.
 
 A parallel count lists the plan first and weighs each slice by its number
 of leaves, the v in range coprime to the prefix, one inclusion-exclusion
@@ -79,8 +83,8 @@ from functools import partial
 from .errors import InputError, NodeBudgetExceeded, WrongLength, check_int
 from .exactmath import (
     _count_positive,
+    coprime_blocks,
     coprime_factorizations,
-    coprime_in_range,
     coprime_table,
     factorize,
 )
@@ -522,20 +526,37 @@ class _Search:
                                                  old, new, tails):
                     counts[label] += _count_positive(a, b - 1, v_primes, phi)
 
-    def rows(self):
-        """Yield (orders, fields) of every requested tuple, in lexicographic order.
+    def blocks(self):
+        """Yield (head, Ph, Nh, verdict, ms): every requested tuple, one sieve block at a time.
 
-        The one traversal of materialize mode.  The leaves v of each plan
-        slice come from the sieve with their primes, one node each, and
-        the last coordinates m of each class window are sieved by the
-        primes of the head (prefix + v).  orders is the sorted tuple and
-        fields its `verdict_fields` (m_max, D, P, fano, old_ok, new_ok,
-        label).  Those come from the head's own orders, not from the
-        search's (N, P): a head with a window takes Ph = prod(head) and
-        Nh = sum(Ph/x for x in head) once, and each m gives P = Ph*m and
-        D = Nh*m + Ph - P, so a row costs O(1).  A label that differs from
-        the class window the last order was solved into raises
-        AssertionError, under `python -O` too.
+        The one traversal of materialize mode, in lexicographic order.
+        The leaves v of each plan slice come from the sieve with their
+        primes, one node each, and the last coordinates m of each class
+        window are sieved by the primes of the head (prefix + v), at most
+        _BLOCK_CAP values of m to a block (`coprime_blocks`).  The tuples
+        of a block are head + (m,) for the m in the list ms.  Ph =
+        prod(head) and Nh = sum(Ph/x for x in head) are the head's own,
+        taken once per head, not the search's (N, P): each m gives P =
+        Ph*m and D = Ph + (Nh - Ph)*m.  verdict is (fano, old_ok, new_ok,
+        label), the tail of every row's `verdict_fields`, which the block
+        shares.
+
+        With m the largest order, D is affine in m and so are the three
+        predicates: fano is D > 0, and the bounds n*m*D < (n+1)*P and
+        m*D < (n+1)*P, divided by m > 0, are n*D < (n+1)*Ph and D <
+        (n+1)*Ph.  So each predicate holds on a run of m or off it, and
+        is constant on a block when it agrees at the block's two ends.
+        And the label fixes
+        the three flags (NotFano has D <= 0, so both bounds hold; old_ok
+        implies new_ok).  So verdict_fields is evaluated at the first and
+        the last m of each block, before it is yielded; a label there that
+        differs from the class window the last order was solved into
+        raises AssertionError naming that tuple, under `python -O` too.
+
+        Each D/P is in lowest terms when gcd(Nh, Ph) = 1, as it is for
+        pairwise-coprime orders.  The sieve keeps gcd(m, Ph) = 1, so
+        modulo a prime of m, D is Ph, and modulo a prime of Ph, D is
+        Nh*m: neither is 0.
         """
         n, counts, order_cap = self.n, self.counts, self.cap
         old, new, tails = self.old, self.new, self.tails
@@ -550,15 +571,22 @@ class _Search:
                 Ph = math.prod(head)
                 Nh = sum(Ph // x for x in head)
                 for label, a, b in windows:
-                    for m in coprime_in_range(a, b - 1, head_primes):
-                        orders = head + (m,)
-                        Pm = Ph * m
-                        fields = verdict_fields(n, m, Nh * m + Ph - Pm, Pm)
-                        if fields[-1] != label:
-                            raise AssertionError(f"{orders} solved into {label} but "
-                                                 f"classifies as {fields[-1]}")
-                        counts[label] += 1
-                        yield orders, fields
+                    for ms in coprime_blocks(a, b - 1, head_primes):
+                        for m in (ms[0], ms[-1]) if len(ms) > 1 else ms:
+                            Pm = Ph * m
+                            fields = verdict_fields(n, m, Nh * m + Ph - Pm, Pm)
+                            if fields[-1] != label:
+                                raise AssertionError(f"{head + (m,)} solved into {label} "
+                                                     f"but classifies as {fields[-1]}")
+                        counts[label] += len(ms)
+                        yield head, Ph, Nh, fields[3:], ms
+
+    def rows(self):
+        """Yield the blocks' tuples one at a time, as (orders, fields) with fields their verdict_fields."""
+        for head, Ph, Nh, verdict, ms in self.blocks():
+            K = Nh - Ph
+            for m in ms:
+                yield head + (m,), (m, Ph + K * m, Ph * m, *verdict)
 
     def materialize(self):
         """Yield the rows wrapped as (RamTuple, FanoReport) pairs."""
@@ -567,11 +595,23 @@ class _Search:
             yield RamTuple(n, orders), FanoReport(n, *fields)
 
 
+def iter_row_blocks(cfg: SearchConfig):
+    """Stream materialize mode one sieve block at a time, as (head, Ph, Nh, verdict, ms).
+
+    The form the `enumerate` command writes its items from; see
+    `_Search.blocks`.  Memory is bounded by one block, at most _BLOCK_CAP
+    last orders.
+    """
+    return _Search(cfg).blocks()
+
+
 def iter_rows(cfg: SearchConfig):
     """Stream the integer rows (orders, fields) of materialize mode.
 
-    fields equals `orbifold.fano_fields(n, orders)`.  The form the
-    `enumerate` command writes its items from: no RamTuple, FanoReport or
+    fields equals `orbifold.fano_fields(n, orders)`: the blocks of
+    `iter_row_blocks` flattened, each row's (m, D, P) computed in O(1) and
+    its verdict the block's, which the block's two end rows proved for
+    every row between (see `_Search.blocks`).  No RamTuple, FanoReport or
     Fraction is built.  Same order, counts, node cap and cross-check as
     iter_tuples, which wraps these rows.
     """

@@ -52,11 +52,16 @@ class ThresholdOutsideGrid(InputError):
     `direction` is "above" when the threshold lies above the grid (all
     slopes flat) and "below" when it lies below (all slopes supercritical);
     the message names it: "threshold outside grid (<direction>): <detail>".
+    args holds (direction, detail), so copies and pickles rebuild the error.
     """
 
     def __init__(self, direction: str, detail: str):
-        super().__init__(f"threshold outside grid ({direction}): {detail}")
+        super().__init__(direction, detail)
         self.direction = direction
+        self.detail = detail
+
+    def __str__(self):
+        return f"threshold outside grid ({self.direction}): {self.detail}"
 
 
 class ResourceLimitExceeded(OrbkeError, RuntimeError):
@@ -64,11 +69,18 @@ class ResourceLimitExceeded(OrbkeError, RuntimeError):
 
 
 class NodeBudgetExceeded(ResourceLimitExceeded):
-    """Enumeration hit the node cap; carries the partial result."""
+    """Enumeration hit the node cap; carries the partial result.
+
+    args holds (message, partial), so copies and pickles rebuild the error;
+    its str is the message.
+    """
 
     def __init__(self, message: str, partial):
-        super().__init__(message)
+        super().__init__(message, partial)
         self.partial = partial
+
+    def __str__(self):
+        return self.args[0]
 
 
 def check_int(value, what: str, lo=None, hi=None, error=InputError) -> int:

@@ -25,9 +25,10 @@ primes differ from the last prefix's.
 
 `coprime_factorizations` gives the distinct primes of every integer in a
 window by a segmented sieve (Bays-Hudson), for the search's orders at
-every depth.  `coprime_in_range` lists the integers of a window coprime
-to given primes by the same keep-mask (`_keep_mask`), for the search's
-last coordinates.
+every depth.  `coprime_blocks` lists the integers of a window coprime
+to given primes by the same keep-mask (`_keep_mask`), one list per sieve
+block, for the search's last coordinates; `coprime_in_range` yields
+them one at a time.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ _TRIAL_BOUND = 10_000
 TABLE_CAP = 4096
 
 # Sizes of the first and of the largest block of coprime_factorizations;
-# coprime_in_range sieves blocks of the largest size.
+# coprime_blocks sieves blocks of the largest size.
 _BLOCK_FIRST = 256
 _BLOCK_CAP = 8192
 
@@ -345,16 +346,25 @@ def coprime_factorizations(lo: int, hi: int, skip: tuple[int, ...] = ()):
         size = min(2 * size, _BLOCK_CAP)
 
 
-def coprime_in_range(lo: int, hi: int, primes):
-    """Yield the k in [lo, hi] divisible by none of the `primes`, ascending.
+def coprime_blocks(lo: int, hi: int, primes):
+    """Yield the k in [lo, hi] divisible by none of the `primes` as ascending lists, one per block.
 
     A sieve, block by block: each block of at most _BLOCK_CAP entries is
-    one keep-mask (`_keep_mask`), and its kept entries are yielded.  An
-    empty range (lo > hi) yields nothing, 0 is yielded only for no primes,
-    and a prime wider than a block marks at most one entry of it.
+    one keep-mask (`_keep_mask`), and the list of its kept entries is
+    yielded unless it is empty.  An empty range (lo > hi) yields nothing,
+    0 is kept only for no primes, and a prime wider than a block marks at
+    most one entry of it.
     """
     start = lo
     while start <= hi:
         end = min(start + _BLOCK_CAP, hi + 1)
-        yield from compress(range(start, end), _keep_mask(start, end - start, primes))
+        kept = list(compress(range(start, end), _keep_mask(start, end - start, primes)))
+        if kept:
+            yield kept
         start = end
+
+
+def coprime_in_range(lo: int, hi: int, primes):
+    """Yield the k in [lo, hi] divisible by none of the `primes`, ascending (see coprime_blocks)."""
+    for block in coprime_blocks(lo, hi, primes):
+        yield from block

@@ -522,6 +522,25 @@ class TestFormats:
         assert run_cli(*argv, "--out", "/dev/full") == (1, "", line)
         assert _fresh_cli(*argv, "--out", "/dev/full") == (1, "", line)
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("argv", [
+        ("check", "--dim", "2", "2", "3", "5", "17"),
+        ("enumerate", "--dim", "3"),
+    ])
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    def test_full_stdout_exits_one_without_traceback(self, argv, buffered):
+        # A full stdout ends the run as a failed --out write does: one error
+        # line and exit 1, whether the failure shows at a write or at the
+        # last flush.
+        env = _fresh_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        flags = [] if buffered else ["-u"]
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([sys.executable, *flags, "-m", "orbke.cli", *argv],
+                                  stdout=full, stderr=subprocess.PIPE, text=True, env=env)
+        assert (proc.returncode, proc.stderr) == (
+            1, "error: cannot write stdout: No space left on device\n")
+
     def test_rejected_run_creates_no_out_file(self, run_cli, tmp_path):
         target = tmp_path / "cert.jsonl"
         code, _, err = run_cli("check", "--dim", "2", "2", "3", "4", "5", "--out", str(target))
@@ -704,6 +723,16 @@ class TestExitPolicy:
         code, out, _ = _fresh_cli("--version")
         assert code == 0
         assert __version__ in out
+
+    def test_oserror_from_elsewhere_surfaces(self, monkeypatch):
+        # Only an OSError raised writing stdout is folded into exit 1; one
+        # from another module (a pool that cannot start) is a plain failure.
+        def failing_main():
+            raise OSError(38, "Function not implemented")
+
+        monkeypatch.setattr(cli, "main", failing_main)
+        with pytest.raises(OSError, match="Function not implemented"):
+            cli.entry()
 
     @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
     def test_closed_output_exits_one_without_traceback(self, fmt):

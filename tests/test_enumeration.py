@@ -831,3 +831,22 @@ class TestRowFields:
     def test_bounded_classes_dim3(self):
         assert self._labels(SearchConfig(n=3, classes=("OldKE", "NewOnlyKE"))) == {
             "OldKE", "NewOnlyKE"}
+
+    # (class, pinned head, m per block) of heads whose one class window up
+    # to 20,000 spans three sieve blocks: (2, 3) sums below 1, so every m
+    # from 7 on is NotFano; (2, 3, 5) sums above 1 and is NoCriterion from
+    # m = 60 on.
+    LONG_WINDOWS = [("NotFano", (2, 3), [2731, 2730, 1204]),
+                    ("NoCriterion", (2, 3, 5), [2185, 2184, 949])]
+
+    @pytest.mark.parametrize("label, head, lengths", LONG_WINDOWS)
+    def test_one_window_over_several_blocks(self, label, head, lengths):
+        cfg = SearchConfig(n=len(head) - 1, classes=(label,), prefix_filter=head,
+                           max_order=20000)
+        blocks = list(enumeration.iter_row_blocks(cfg))
+        assert [len(ms) for *_, ms in blocks] == lengths
+        assert {(h, verdict[-1]) for h, _, _, verdict, _ in blocks} == {(head, label)}
+        assert self._labels(cfg) == {label}
+        flat = [(head + (m,), fields) for *_, ms in blocks for m in ms
+                for fields in [orbifold.fano_fields(cfg.n, head + (m,))]]
+        assert list(enumeration.iter_rows(cfg)) == flat

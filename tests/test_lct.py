@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import itertools
+import math
 import pickle
 import random
 from fractions import Fraction
@@ -226,6 +228,24 @@ class TestSncKeCheck:
         report = classify(make_tuple(n, orders))
         snc = snc_ke_check(SncFanoData(n, tuple((1, m) for m in orders)))
         assert snc.passes == (report.fano and report.new_ok)
+
+    # (n, largest order) of the exhaustive runs: 2,979 tuples in all.
+    EXHAUSTIVE = ((1, 40), (2, 20))
+
+    def test_hyperplane_specialization_on_every_small_tuple(self):
+        # One criterion, two codes: the snc check on the n + 2 degree-1
+        # hyperplanes passes exactly when classify finds the tuple Fano and
+        # within the new bound, on every pairwise-coprime tuple in range.
+        checked = 0
+        for n, top in self.EXHAUSTIVE:
+            for orders in itertools.combinations(range(2, top + 1), n + 2):
+                if any(math.gcd(a, b) != 1 for a, b in itertools.combinations(orders, 2)):
+                    continue
+                report = classify(make_tuple(n, orders))
+                snc = snc_ke_check(SncFanoData(n, tuple((1, m) for m in orders)))
+                assert snc.passes == (report.fano and report.new_ok), (n, orders)
+                checked += 1
+        assert checked == 2979
 
 
 class TestDelPezzo2:

@@ -203,9 +203,10 @@ def test_only_usable_cpus_reads_the_cpu_count():
 
 def test_verdict_fields_decides_every_label():
     # orbifold.verdict_fields is the one place a label is decided:
-    # fano_fields calls it for a tuple of orders and the search's rows with
-    # each row's own sums.  rows re-derives no tuple through fano_fields
-    # and sieves its last coordinates rather than taking a gcd per one.
-    assert _users("verdict_fields") == {"fano_fields", "rows"}
-    assert "rows" not in _users("fano_fields")
-    assert "rows" not in _users("gcd")
+    # fano_fields calls it for a tuple of orders and the search's blocks
+    # with the sums of each block's end rows.  Neither blocks nor the rows
+    # flattened from them re-derive a tuple through fano_fields, and both
+    # sieve their last coordinates rather than taking a gcd per one.
+    assert _users("verdict_fields") == {"fano_fields", "blocks"}
+    assert {"blocks", "rows"}.isdisjoint(_users("fano_fields"))
+    assert {"blocks", "rows"}.isdisjoint(_users("gcd"))

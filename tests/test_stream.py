@@ -246,6 +246,88 @@ class TestCrossCheck:
         assert proc.stdout.splitlines() == ["1", MISFILED, MISFILED]
 
 
+def _shift_new_cut(N, P, n, cuts=enumeration._cuts):
+    """_cuts with the NewOnlyKE cut of a sum above 1 moved up by one: the NoCriterion cut order joins the window."""
+    a, b, tail = cuts(N, P, n)
+    return a, b + (tail == "NoCriterion"), tail
+
+
+def _lower_old_cut(N, P, n, cuts=enumeration._cuts):
+    """_cuts with the OldKE cut moved down by one, so the last OldKE order opens the next window."""
+    a, b, tail = cuts(N, P, n)
+    return a - 1, b, tail
+
+
+# The head (2, 3, 7, 11, 23) has NewOnlyKE last orders 25, 29 and 31, one
+# block, and its NoCriterion cut 37 is coprime to it: the shifted cut adds
+# 37 at the end of the window.
+NEW_HEAD = (2, 3, 7, 11, 23)
+NEW_MISFILED = "(2, 3, 7, 11, 23, 37) solved into NewOnlyKE but classifies as NoCriterion"
+
+
+class TestBlockCrossCheck:
+    """Each block is checked at both ends before it is yielded."""
+
+    def test_last_row_of_a_window(self, monkeypatch):
+        cfg = SearchConfig(n=4, prefix_filter=NEW_HEAD)
+        blocks = list(enumeration.iter_row_blocks(cfg))
+        assert [(head, ms) for head, *_, ms in blocks] == [(NEW_HEAD, [25, 29, 31])]
+        monkeypatch.setattr(enumeration, "_cuts", _shift_new_cut)
+        for run in (enumeration.iter_row_blocks, enumeration.iter_rows, iter_tuples):
+            got = []
+            with pytest.raises(AssertionError) as info:
+                got.extend(run(cfg))
+            assert str(info.value) == NEW_MISFILED
+            # The misfiled block reaches no consumer, not even its good rows.
+            assert got == []
+
+    def test_cli_raises_on_a_shifted_new_cut(self, run_cli, monkeypatch):
+        monkeypatch.setattr(enumeration, "_cuts", _shift_new_cut)
+        with pytest.raises(AssertionError) as info:
+            run_cli("enumerate", "--dim", "4", "--max-order", "60")
+        assert str(info.value) == ("(2, 3, 5, 11, 19, 23) solved into NewOnlyKE but "
+                                   "classifies as NoCriterion")
+
+    def test_first_row_of_a_window(self, monkeypatch):
+        monkeypatch.setattr(enumeration, "_cuts", _lower_old_cut)
+        with pytest.raises(AssertionError) as info:
+            list(enumeration.iter_rows(SearchConfig(n=3, classes=("OldKE", "NewOnlyKE"))))
+        assert str(info.value) == ("(2, 3, 7, 29, 31) solved into NewOnlyKE but "
+                                   "classifies as OldKE")
+
+    def test_cli_checks_each_head_in_lowest_terms(self, run_cli, monkeypatch):
+        # A head whose reciprocal sum 6/8 is not in lowest terms would print
+        # unreduced c1 values; the command refuses it before its first item.
+        block = ((2, 4), 8, 6, (True, False, True, "NewOnlyKE"), [5])
+        monkeypatch.setattr(cli, "iter_row_blocks", lambda cfg: iter([block]))
+        with pytest.raises(AssertionError) as info:
+            run_cli("enumerate", "--dim", "1")
+        assert str(info.value) == "(2, 4) has reciprocal sum 6/8 out of lowest terms"
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_one_write_per_block(self, monkeypatch, fmt):
+        cfg = SearchConfig(n=4, max_order=180)
+        blocks = sum(1 for _ in enumeration.iter_row_blocks(cfg))
+        out = _CountingOut()
+        monkeypatch.setattr(cli.sys, "stdout", out)
+        assert cli.main(["enumerate", "--dim", "4", "--max-order", "180", "--format", fmt]) == 0
+        assert out.getvalue().count("enumerate-item") == 9032
+        # The items come in one write per block.
+        assert sum("enumerate-item" in text for text in out.writes) == blocks
+
+
+class _CountingOut(io.StringIO):
+    """A StringIO that keeps the text of each write."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return super().write(text)
+
+
 def _ratio_pairs(seed):
     """Seeded (D, P) pairs of c1 = D/P with P > 0, from order tuples and built at the edges.
 

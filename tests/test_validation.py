@@ -8,7 +8,9 @@ later or a silent truncation.
 
 from __future__ import annotations
 
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -21,6 +23,7 @@ from orbke import (
     SncFanoData,
     admissible_last_interval,
     classify,
+    enumerate_tuples,
     count_coprime_in_range,
     estimate_bp_threshold,
     estimate_monomial_threshold,
@@ -34,8 +37,10 @@ from orbke import (
 )
 from orbke.errors import (
     InputError,
+    NodeBudgetExceeded,
     OrderBelowMinimum,
     PairwiseCoprimeViolation,
+    ThresholdOutsideGrid,
     check_int,
     check_rational,
 )
@@ -185,3 +190,41 @@ def test_cutoffs_accept_real_numbers():
     cfg = OracleConfig(lambda_grid=GRID, cutoffs=(
         Fraction(1, 10**8), np.float64(1e-9), 1e-10, np.float32(1e-11), 1e-12))
     assert all(type(e) is float for e in cfg.cutoffs)
+
+
+def _node_cap_error():
+    try:
+        enumerate_tuples(SearchConfig(n=3, mode="count", node_cap=20))
+    except NodeBudgetExceeded as exc:
+        return exc
+    raise AssertionError("the node cap did not stop the search")
+
+
+_COPIES = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    **{f"pickle-{p}": (lambda exc, p=p: pickle.loads(pickle.dumps(exc, p)))
+       for p in range(pickle.HIGHEST_PROTOCOL + 1)},
+}
+
+
+class TestErrorCopies:
+    """An error that carries data survives copy and pickle (a pool worker's error is pickled)."""
+
+    @pytest.mark.parametrize("how", list(_COPIES))
+    def test_node_budget_exceeded(self, how):
+        exc = _node_cap_error()
+        got = _COPIES[how](exc)
+        assert type(got) is NodeBudgetExceeded
+        assert str(got) == str(exc) == "node cap 20 exceeded (progress: {'NewOnlyKE': 50})"
+        assert got.partial == exc.partial
+        assert got.partial.counts == {"NewOnlyKE": 50}
+
+    @pytest.mark.parametrize("how", list(_COPIES))
+    def test_threshold_outside_grid(self, how):
+        exc = ThresholdOutsideGrid("above", "every probed lambda has a flat slope")
+        got = _COPIES[how](exc)
+        assert type(got) is ThresholdOutsideGrid
+        assert str(got) == str(exc) == (
+            "threshold outside grid (above): every probed lambda has a flat slope")
+        assert (got.direction, got.detail) == ("above", "every probed lambda has a flat slope")
