@@ -31,10 +31,13 @@ invalid, 2 means a resource cap stopped the run.
 
 `main(argv)` returns that code instead of exiting, so it can be called
 repeatedly in one process (batch scripts, tests).  It builds the argparse
-tree once per process, at the first call, and parses every later call with
-it: building the tree costs a few milliseconds, more than a one-shot
-certificate itself.  numpy is still imported with the package (the oracle
-commands need it), so a fresh process's start-up is mostly that import.
+tree once per process, at the first call, and reuses it: building the tree
+costs a few milliseconds, more than a one-shot certificate itself.  A call
+is parsed by its own subcommand's parser, picked by argv's leading command
+words (`_parse_args`), not by every parser above it as well; the namespace,
+usage text and exit codes are argparse's own.  numpy is still imported with
+the package (the oracle commands need it), so a fresh process's start-up is
+mostly that import.
 """
 
 from __future__ import annotations
@@ -161,6 +164,7 @@ _ITEM_CSV_HEADER = ",".join(ITEM_KEYS) + "\n"
 _BOOL = ("false", "true")
 
 
+@functools.cache
 def _item_template(fmt: str) -> tuple:
     """(line template, orders separator) of an enumerate-item record in fmt.
 
@@ -590,13 +594,30 @@ def _cmd_oracle_bp(args, emit: Emitter) -> dict:
 # Parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose help and version text fails loudly on a failed stdout write.
+
+    argparse drops an OSError from any message it prints, so `--help` to a
+    full stdout would exit 0 with nothing written.  A write to stdout
+    raises here instead, and `entry` reports it; usage errors go to stderr
+    as before.
+    """
+
+    def _print_message(self, message, file=None):
+        if file is sys.stdout:
+            file.write(message)
+        else:
+            super()._print_message(message, file)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The whole argparse tree, built at the first `main` call and then reused.
 
     Parsing leaves the parser untouched (every call gets a fresh Namespace
     and copies of list defaults), so one parser serves every call in the
-    process.
+    process.  `_parse_args` walks it to the parser of the subcommand argv
+    names and parses there.
     """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "csv", "text"), default="json",
@@ -604,7 +625,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", metavar="FILE", default=None,
                         help="write records to FILE instead of stdout")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="orbke",
         description="Exact Kähler-Einstein existence certificates for "
                     "boundary-divisor orbifolds, with enumeration and "
@@ -697,9 +718,57 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _subcommands(parser: argparse.ArgumentParser) -> dict:
+    """{word: (dest, subparser)} for the subcommands parser hands the rest of argv to."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return {word: (action.dest, sub) for word, sub in action.choices.items()}
+    return {}
+
+
+def _parse_args(argv=None) -> argparse.Namespace:
+    """argv parsed as `_build_parser().parse_args(argv)` parses it, with one parser pass.
+
+    argparse parses a subcommand's words twice: each parser above it scans
+    and classifies every word, then hands all the words after the command
+    name to the subcommand's parser.  Here the leading words that name
+    subcommands (`check`, `lct snc`) only pick that parser, which parses
+    the rest with `parse_known_args`, as the hand-off does, and words it
+    leaves over are reported by the top parser, as argparse reports them.
+    The namespace gets each level's command name, as the hand-off sets it.
+    When argv names no subcommand first (`--version`, `-h`, an unknown
+    word), the top parser parses it all.  So does it when a word begins
+    with "--=": the top parser's scan rejects that word as an abbreviation
+    of both --help and --version before any hand-off.
+    """
+    top = _build_parser()
+    words = sys.argv[1:] if argv is None else list(argv)
+    names, parser = {}, top
+    for word in words:
+        found = _subcommands(parser).get(word)
+        if found is None:
+            break
+        dest, parser = found
+        names[dest] = word
+    if parser is top or any(word.startswith("--=") for word in words):
+        return top.parse_args(words)
+    parsed, extras = parser.parse_known_args(words[len(names):])
+    if extras:
+        top.error("unrecognized arguments: " + " ".join(extras))
+    args = argparse.Namespace(**names)
+    vars(args).update(vars(parsed))
+    return args
+
+
 def main(argv=None) -> int:
+    """Run one command line (sys.argv[1:] when argv is None) and return its exit code.
+
+    A usage error exits 1 and help or version text 0, as argparse prints
+    them; see the module docstring for the other codes.
+    """
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors; fold that into the invalid-input code.
         return 0 if exc.code in (0, None) else 1

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import os
+import random
 import re
 import subprocess
 import sys
@@ -526,12 +528,15 @@ class TestFormats:
     @pytest.mark.parametrize("argv", [
         ("check", "--dim", "2", "2", "3", "5", "17"),
         ("enumerate", "--dim", "3"),
+        ("--version",),
+        ("--help",),
+        ("check", "--help"),
     ])
     @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
     def test_full_stdout_exits_one_without_traceback(self, argv, buffered):
         # A full stdout ends the run as a failed --out write does: one error
         # line and exit 1, whether the failure shows at a write or at the
-        # last flush.
+        # last flush, for help and version text as for records.
         env = _fresh_env()
         env.pop("PYTHONUNBUFFERED", None)
         flags = [] if buffered else ["-u"]
@@ -842,6 +847,15 @@ class TestParserReuse:
         ("lct", "monomial", "2", "3"),
         ("oracle", "bp", "--n", "2", "--seed", "5", "--samples", "1000"),
         ("oracle", "bp", "--n", "2", "--samples", "1000"),
+        # Usage errors and help at every depth of the subcommand dispatch.
+        ("check", "--dim", "2", "2", "3", "5", "17", "--bogus"),
+        ("lct",),
+        ("lct", "bogus"),
+        ("check", "--version"),
+        ("-h",),
+        ("lct", "-h"),
+        ("lct", "snc", "-h"),
+        ("check", "-h"),
     ]
 
     def test_reused_parser_matches_fresh_processes(self, run_cli, monkeypatch):
@@ -855,4 +869,126 @@ class TestParserReuse:
                 self.SEQUENCE, reused, fresh):
             assert (code, _blank_elapsed(out), err) == (
                 fresh_code, _blank_elapsed(fresh_out), fresh_err), argv
-        assert [code for code, _, _ in reused] == [0, 0, 0, 0, 1, 0, 0, 0, 0, 0]
+        assert [code for code, _, _ in reused] == [0, 0, 0, 0, 1, 0, 0, 0, 0, 0,
+                                                   1, 1, 1, 1, 0, 0, 0, 0]
+        top_usage = run_cli("frobnicate")[2].split("orbke: error:")[0]
+        assert reused[10][2] == top_usage + (
+            "orbke: error: unrecognized arguments: --bogus\n")
+
+
+# The one-shot certificate kinds of the benchmark's certify workload, in its
+# order; _one_shot_argv draws an argv of each kind as the workload does.
+ONE_SHOT_PATTERN = (
+    "check", "lct-snc", "check", "sylvester", "check", "lct-monomial",
+    "check", "delpezzo-deg2", "lct-snc", "check", "delpezzo-deg4", "check",
+    "family", "check", "lct-snc", "lct-monomial", "check", "delpezzo-deg2",
+    "sylvester", "delpezzo-deg4",
+)
+_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
+
+
+def _one_shot_argv(kind, rng):
+    def orders(n):
+        return [str(p ** rng.randint(1, 2)) for p in rng.sample(_PRIMES, n + 2)]
+
+    if kind == "check":
+        n = rng.randint(1, 4)
+        return ["check", "--dim", str(n), *orders(n)]
+    if kind == "lct-snc":
+        n = rng.randint(1, 4)
+        argv = ["lct", "snc", "--dim", str(n)]
+        for m in orders(n):
+            argv += ["--divisor", f"{rng.randint(1, 2)}:{m}"]
+        return argv
+    if kind == "lct-monomial":
+        return ["lct", "monomial", *(str(rng.randint(1, 9)) for _ in range(rng.randint(1, 4)))]
+    if kind == "delpezzo-deg2":
+        sings = (f"A{rng.randint(1, 4)}" for _ in range(rng.randint(0, 3)))
+        return ["delpezzo", "deg2", "--sing", ",".join(sings)]
+    if kind == "delpezzo-deg4":
+        lams = (f"{rng.choice((-6, -1, 1, 2, 5))}/{rng.randint(1, 4)}" for _ in range(3))
+        return ["delpezzo", "deg4", "--lambda=" + ",".join(lams)]
+    if kind == "family":
+        return ["family", "--dim", str(rng.randint(2, 3))]
+    return ["sylvester", "--k", str(rng.randint(1, 8))]
+
+
+# Words for random argvs: command names, options of every parser, their
+# abbreviations and --opt=value forms, "--", help and version, and words
+# no parser knows ("--=x" reads as an abbreviation of two top options).
+_WORDS = (
+    "check", "enumerate", "count", "family", "sylvester", "lct", "snc",
+    "monomial", "delpezzo", "deg2", "deg4", "oracle", "bp", "frobnicate",
+    "2", "3", "5", "17", "-1", "", "a b", "--dim", "--di", "--dim=2",
+    "--format", "--fo", "--format=csv", "text", "--out", "--", "-", "-h",
+    "-hx", "--help", "--he", "--version", "--ver", "--=x", "--bogus", "-x",
+    "--k", "--sing", "A1,A2", "--lambda", "--lambda=1,1,2", "1,2,3",
+    "--divisor", "1:3", "--exponents", "--n", "--seed", "--samples",
+    "--class", "all", "--max-order", "--jobs", "--allow-unit-orders",
+)
+_HEADS = (
+    (), ("check",), ("lct",), ("lct", "snc"), ("lct", "monomial"),
+    ("delpezzo",), ("delpezzo", "deg2"), ("delpezzo", "deg4"), ("oracle",),
+    ("oracle", "bp"), ("oracle", "monomial"), ("count",), ("enumerate",),
+    ("family",), ("sylvester",),
+)
+
+
+def _parse_outcome(parse, argv):
+    """(namespace dict or exit code, stdout, stderr) of parse(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parse(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+class TestDispatch:
+    """`main` parses with its subcommand's parser what the whole tree parses."""
+
+    def _assert_parity(self, argvs):
+        reference = cli._build_parser().parse_args
+        for argv in argvs:
+            want = _parse_outcome(reference, list(argv))
+            assert _parse_outcome(cli._parse_args, argv) == want, argv
+            assert _parse_outcome(cli._parse_args, tuple(argv)) == want, argv
+
+    def test_one_shot_corpus(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        rng = random.Random(27)
+        argvs = [_one_shot_argv(ONE_SHOT_PATTERN[i % len(ONE_SHOT_PATTERN)], rng)
+                 for i in range(1200)]
+        self._assert_parity(argvs)
+        assert all(isinstance(_parse_outcome(cli._parse_args, a)[0], dict) for a in argvs)
+
+    def test_every_subcommand_and_option_form(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        self._assert_parity([
+            *TestParserReuse.CALLS,
+            ("check", "--dim=2", "2", "3", "5", "17", "--format=csv"),
+            ("check", "--di", "2", "2", "3", "5", "17", "--fo", "text", "--allow"),
+            ("check", "--dim", "2", "--", "2", "3", "5", "17"),
+            ("lct", "monomial", "--", "-1", "2"),
+            ("lct", "snc", "--dim", "2", "--div", "1:3", "--divisor=1:5"),
+            ("delpezzo", "deg4", "--lam", "1,1,2", "--out=cert.jsonl"),
+            ("oracle", "monomial", "--exp", "1", "2", "--seed=3", "--tol", "0.5"),
+            ("count", "--dim", "3", "--cl", "all", "--max-o", "30", "--jobs=2"),
+            ("enumerate", "--dim", "3", "--jobs", "2"),
+            ("check", "--dim", "2", "2", "3", "5", "17", "--=x"),
+            ("lct", "--", "snc", "--dim", "2"),
+        ])
+
+    def test_random_argvs(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        rng = random.Random(2701)
+        self._assert_parity(
+            [*rng.choice(_HEADS), *rng.choices(_WORDS, k=rng.randint(0, 6))]
+            for _ in range(1500)
+        )
+
+    def test_argv_none_reads_sys_argv(self, monkeypatch):
+        for argv in (["lct", "snc", "--dim", "2", "--divisor", "1:3"], ["sylvester", "--k", "2"]):
+            monkeypatch.setattr(sys, "argv", ["orbke", *argv])
+            assert vars(cli._parse_args()) == vars(cli._build_parser().parse_args())
