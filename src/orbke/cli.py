@@ -738,21 +738,21 @@ def _parse_args(argv=None) -> argparse.Namespace:
     leaves over are reported by the top parser, as argparse reports them.
     The namespace gets each level's command name, as the hand-off sets it.
     When argv names no subcommand first (`--version`, `-h`, an unknown
-    word), the top parser parses it all.  So does it when a word begins
-    with "--=": the top parser's scan rejects that word as an abbreviation
-    of both --help and --version before any hand-off.
+    word), the top parser is the one reached and parses it all, which is
+    what `parse_args` does.  The words are not walked when one begins with
+    "--=": the top parser's scan rejects that word as an abbreviation of
+    both --help and --version before any hand-off.
     """
     top = _build_parser()
     words = sys.argv[1:] if argv is None else list(argv)
     names, parser = {}, top
-    for word in words:
-        found = _subcommands(parser).get(word)
-        if found is None:
-            break
-        dest, parser = found
-        names[dest] = word
-    if parser is top or any(word.startswith("--=") for word in words):
-        return top.parse_args(words)
+    if not any(word.startswith("--=") for word in words):
+        for word in words:
+            found = _subcommands(parser).get(word)
+            if found is None:
+                break
+            dest, parser = found
+            names[dest] = word
     parsed, extras = parser.parse_known_args(words[len(names):])
     if extras:
         top.error("unrecognized arguments: " + " ".join(extras))
