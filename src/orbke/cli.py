@@ -428,15 +428,13 @@ def _cmd_family(args, emit: Emitter) -> dict:
 def _cmd_sylvester(args, emit: Emitter) -> dict:
     seq = sylvester_seq(args.k)
     rows = []
-    prod = 1
-    partial = Fraction(0)
+    N, prod = 0, 1
     for i, c in enumerate(seq, start=1):
-        prod *= c
-        partial += Fraction(1, c)
-        # c_{i+1} = prod + 1, so the identity closes with 1/prod.
+        # The partial sum of 1/c_j is N/prod, kept in integers.
+        N, prod = N * c + prod, prod * c
+        # c_{i+1} = prod + 1, so the identity closes with 1/prod: (N + 1)/prod = 1.
         rows.append(_ineq(
-            f"reciprocal-sum-identity-{i}", partial + Fraction(1, prod), 1,
-            partial + Fraction(1, prod) == 1,
+            f"reciprocal-sum-identity-{i}", Fraction(N + 1, prod), 1, N + 1 == prod,
         ))
     return {
         "command": "sylvester",

@@ -85,9 +85,10 @@ class NodeBudgetExceeded(ResourceLimitExceeded):
 
 def check_int(value, what: str, lo=None, hi=None, error=InputError) -> int:
     """Plain int of an Integral but bool (else InputError) in [lo, hi] (else `error`)."""
-    if isinstance(value, bool) or not isinstance(value, Integral):
-        raise InputError(f"{what} must be an integer, got {value!r}")
-    value = int(value)
+    if type(value) is not int:  # a plain int needs no ABC check
+        if isinstance(value, bool) or not isinstance(value, Integral):
+            raise InputError(f"{what} must be an integer, got {value!r}")
+        value = int(value)
     if lo is not None and value < lo or hi is not None and value > hi:
         bounds = f">= {lo}" if hi is None else f"<= {hi}" if lo is None else f"in {lo}..{hi}"
         raise error(f"{what} must be {bounds}, got {value}")
@@ -95,7 +96,9 @@ def check_int(value, what: str, lo=None, hi=None, error=InputError) -> int:
 
 
 def check_rational(value, what: str) -> Fraction:
-    """value as a Fraction: any Rational but bool, else InputError."""
+    """value as a plain Fraction: any Rational but bool, else InputError."""
+    if type(value) is Fraction:
+        return value
     if isinstance(value, bool) or not isinstance(value, Rational):
         raise InputError(f"{what} must be rational, got {value!r}")
     return Fraction(value)

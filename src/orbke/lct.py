@@ -1,7 +1,8 @@
 """Arithmetic Kähler-Einstein criteria via integrability thresholds.
 
 Everything here reduces KE existence checks to exact rational
-inequalities.  Ingredients:
+inequalities, decided in integers by cross-multiplication: a Fraction is
+built only for a value a report records or a function returns.  Ingredients:
 
   delta  volume-weighted boundary mass, (sum d_i (1 - 1/m_i)) / (n+1)
   beta   delta / (1 - delta), defined for 0 < delta < 1
@@ -97,9 +98,11 @@ class KeReport:
 
     conditions rows are (name, lhs, rhs, holds) with every row meaning the
     strict inequality lhs < rhs; passes, a property, is their conjunction.
+    delta, beta and the row sides are Fractions, c a Fraction or INF.
     beta is None when delta lies outside (0,1) (no Fano normalization
-    exists, so the criterion fails on the delta rows alone).  assumptions
-    carries input hypotheses that were asserted rather than verified.
+    exists, so the criterion fails on the delta rows alone); otherwise it
+    must equal delta/(1 - delta), or AssertionError (under python -O too).
+    assumptions carries input hypotheses asserted rather than verified.
     """
 
     delta: Rat
@@ -112,8 +115,9 @@ class KeReport:
     def __post_init__(self):
         if self.method not in METHODS:
             raise InputError(f"method must be one of {METHODS}, got {self.method!r}")
-        if self.beta is not None and 0 < self.delta < 1:
-            if self.beta != self.delta / (1 - self.delta):  # pragma: no cover
+        if self.beta is not None:
+            a, b = self.delta.numerator, self.delta.denominator
+            if 0 < a < b and self.beta.numerator * (b - a) != self.beta.denominator * a:
                 raise AssertionError("beta inconsistent with delta")
 
     @property
@@ -155,19 +159,22 @@ class DelPezzo4:
 
 
 def delta_pn(data: SncFanoData) -> Rat:
-    """Exact delta = (sum of d_i (1 - 1/m_i)) / (n + 1); 0 for no boundary."""
-    total = sum((Fraction(d) * (1 - Fraction(1, m)) for d, m in data.entries), Fraction(0))
-    return total / (data.n + 1)
+    """Exact delta = (sum of d_i (1 - 1/m_i)) / (n + 1), the sum kept in integers; 0 if empty."""
+    N, P = 0, 1
+    for d, m in data.entries:
+        N, P = N * m + d * (m - 1) * P, P * m
+    return Fraction(N, P * (data.n + 1))
 
 
 def beta_of_delta(delta) -> Rat:
     """beta = delta / (1 - delta), requiring 0 < delta < 1."""
     delta = check_rational(delta, "delta")
-    if not 0 < delta < 1:
+    a, b = delta.numerator, delta.denominator
+    if not 0 < a < b:
         raise NotFanoOrbifold(
             f"beta needs 0 < delta < 1 (got {delta}): boundary empty or not Fano"
         )
-    return delta / (1 - delta)
+    return Fraction(a, b - a)
 
 
 def snc_threshold(orders):
@@ -189,18 +196,19 @@ def monomial_lct(exponents) -> Rat:
 def ke_criterion(c, beta) -> bool:
     """The sufficient KE test: strict 1/c < beta (always true for c = INF)."""
     beta = check_rational(beta, "beta")
-    if beta <= 0:
+    if beta.numerator <= 0:
         raise InputError(f"beta must be positive, got {beta}")
     if c is INF:
         return True
     c = check_rational(c, "threshold c")
-    if c <= 0:
+    if c.numerator <= 0:
         raise InputError(f"threshold must be positive, got {c}")
-    return 1 / c < beta
+    # With c = p/q and beta = r/s, all positive: 1/c < beta iff q*s < r*p.
+    return c.denominator * beta.denominator < beta.numerator * c.numerator
 
 
-def _reciprocal(c) -> Rat:
-    return Fraction(0) if c is INF else 1 / c
+_ZERO, _ONE = Fraction(0), Fraction(1)
+_DP2_DELTA, _DP2_BETA = Fraction(2, 3), Fraction(2)
 
 
 # ---------------------------------------------------------------------------
@@ -217,24 +225,25 @@ def snc_ke_check(data: SncFanoData) -> KeReport:
     raises AssertionError if they disagree.
     """
     delta = delta_pn(data)
+    a, b = delta.numerator, delta.denominator
     c = snc_threshold(data.orders)
     conditions = [
-        ("zero-below-delta", Fraction(0), delta, 0 < delta),
-        ("delta-below-one", delta, Fraction(1), delta < 1),
+        ("zero-below-delta", _ZERO, delta, 0 < a),
+        ("delta-below-one", delta, _ONE, a < b),
     ]
     beta = None
-    if 0 < delta < 1:
+    if 0 < a < b:
         # 0 < delta needs a divisor, so c = 1/(max_order - 1) is finite here.
         beta = beta_of_delta(delta)
         m_max = max(data.orders)
         theorem_form = ke_criterion(c, beta)
-        example_form = m_max * (1 - delta) < 1
+        example_form = m_max * (b - a) < b  # m_max * (1 - delta) < 1
         if theorem_form != example_form:
             raise AssertionError(f"criterion forms disagree for {data}, delta={delta}")
-        conditions.append(("max-order-minus-one-below-beta", 1 / c, beta, theorem_form))
-        conditions.append(
-            ("scaled-complement-below-one", m_max * (1 - delta), Fraction(1), example_form)
-        )
+        conditions += [
+            ("max-order-minus-one-below-beta", Fraction(m_max - 1), beta, theorem_form),
+            ("scaled-complement-below-one", Fraction(m_max * (b - a), b), _ONE, example_form),
+        ]
     return KeReport(
         delta=delta,
         beta=beta,
@@ -253,20 +262,18 @@ def dp2_check(s: DelPezzo2) -> KeReport:
     smooth) and the strict test 1/c < 2 passes exactly when every k <= 2.
     A_3 lands on equality and fails.
     """
-    delta = Fraction(2, 3)
-    beta = Fraction(2)
-    c = min((Fraction(2, k + 1) for k in s.singularities), default=INF)
+    ks = sorted(s.singularities)
+    c = Fraction(2, ks[-1] + 1) if ks else INF
     conditions = []
-    for k in sorted(s.singularities):
-        local_c = Fraction(2, k + 1)
-        conditions.append(
-            (f"A{k}-local-threshold", 1 / local_c, beta, 1 / local_c < beta)
-        )
-    overall = ke_criterion(c, beta)
-    conditions.append(("reciprocal-threshold-below-beta", _reciprocal(c), beta, overall))
+    reciprocal = _ZERO  # 1/c: the largest k's (k+1)/2, or exact zero when smooth
+    for k in ks:
+        reciprocal = Fraction(k + 1, 2)  # 1/(2/(k+1)), below beta = 2 iff k + 1 < 4
+        conditions.append((f"A{k}-local-threshold", reciprocal, _DP2_BETA, k + 1 < 4))
+    overall = ke_criterion(c, _DP2_BETA)
+    conditions.append(("reciprocal-threshold-below-beta", reciprocal, _DP2_BETA, overall))
     return KeReport(
-        delta=delta,
-        beta=beta,
+        delta=_DP2_DELTA,
+        beta=_DP2_BETA,
         c=c,
         conditions=tuple(conditions),
         method="quotient-cover",
@@ -285,16 +292,13 @@ def dp4_check(s: DelPezzo4) -> KeReport:
     l2, l3, l4 = s.lambdas
     distinct = l2 != l3 and l2 != l4 and l3 != l4
     method = "disjoint-ramification" if distinct else "quotient-of-quadric"
-    delta = Fraction(0)
-    beta = Fraction(1)
-    c = INF
     conditions = (
-        ("reciprocal-threshold-below-beta", _reciprocal(c), beta, ke_criterion(c, beta)),
+        ("reciprocal-threshold-below-beta", _ZERO, _ONE, ke_criterion(INF, _ONE)),
     )
     return KeReport(
-        delta=delta,
-        beta=beta,
-        c=c,
+        delta=_ZERO,
+        beta=_ONE,
+        c=INF,
         conditions=conditions,
         method=method,
         assumptions=("pencil-diagonalizability-asserted-not-verified",),

@@ -136,7 +136,11 @@ def check_orders(orders, min_order: int) -> tuple[int, ...]:
     One gcd scan against the product of the earlier orders finds the first
     order sharing a prime, and PairwiseCoprimeViolation names that pair.
     """
-    orders = tuple(check_int(m, "order", min_order, error=OrderBelowMinimum) for m in orders)
+    return _sorted_coprime(tuple(check_int(m, "order", min_order, error=OrderBelowMinimum)
+                                 for m in orders))
+
+
+def _sorted_coprime(orders: tuple[int, ...]) -> tuple[int, ...]:
     prod = 1
     for i, m in enumerate(orders):
         if i and m < orders[i - 1]:
@@ -157,10 +161,11 @@ def make_tuple(n: int, orders, min_order: int = 2) -> RamTuple:
     """
     n = check_int(n, "dimension", 1)
     min_order = check_int(min_order, "min_order", 1, 2)
-    orders = [check_int(m, "order") for m in orders]
+    orders = sorted(check_int(m, "order") for m in orders)
     if len(orders) != n + 2:
         raise WrongLength(f"dimension {n} needs {n + 2} orders, got {len(orders)}")
-    return RamTuple(n, check_orders(sorted(orders), min_order))
+    check_int(orders[0], "order", min_order, error=OrderBelowMinimum)  # the smallest order
+    return RamTuple(n, _sorted_coprime(tuple(orders)))
 
 
 def verdict_fields(n: int, m_max: int, D: int, P: int) -> tuple:

@@ -7,14 +7,19 @@ import copy
 import dataclasses
 import itertools
 import math
+import os
 import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import orbke
 from orbke import (
     INF,
     DelPezzo2,
@@ -337,7 +342,98 @@ def _assert_rows_decide_the_verdict(rep):
     assert rep.passes == all(holds for *_, holds in rep.conditions)
 
 
+def _fraction_snc_rows(data):
+    """(delta, beta, rows) of snc_ke_check by plain Fraction arithmetic, from the definitions."""
+    delta = sum((d * (1 - Fraction(1, m)) for d, m in data.entries), Fraction(0)) / (data.n + 1)
+    rows = [("zero-below-delta", Fraction(0), delta, 0 < delta),
+            ("delta-below-one", delta, Fraction(1), delta < 1)]
+    if not 0 < delta < 1:
+        return delta, None, rows
+    beta, m_max = delta / (1 - delta), max(data.orders)
+    rows.append(("max-order-minus-one-below-beta", Fraction(m_max - 1), beta, m_max - 1 < beta))
+    rows.append(("scaled-complement-below-one", m_max * (1 - delta), Fraction(1),
+                 m_max * (1 - delta) < 1))
+    return delta, beta, rows
+
+
+def _assert_fraction_fields(rep):
+    assert type(rep.delta) is Fraction
+    assert rep.beta is None or type(rep.beta) is Fraction
+    assert rep.c is INF or type(rep.c) is Fraction
+    for name, lhs, rhs, holds in rep.conditions:
+        assert (type(name), type(lhs), type(rhs), type(holds)) == (str, Fraction, Fraction, bool)
+
+
+class TestIntegerDecisions:
+    """The integer comparisons give the reports plain Fraction arithmetic gives, field by field."""
+
+    def test_snc_matches_fraction_arithmetic(self):
+        rng = random.Random(2801)
+        for _ in range(2000):
+            n = rng.randint(1, 4)
+            entries = tuple((rng.randint(1, 4), rng.randint(2, 60))
+                            for _ in range(rng.randint(0, n + 3)))
+            data = SncFanoData(n, entries)
+            rep = snc_ke_check(data)
+            delta, beta, rows = _fraction_snc_rows(data)
+            assert (rep.delta, rep.beta, list(rep.conditions)) == (delta, beta, rows), data
+            _assert_fraction_fields(rep)
+
+    def test_dp2_matches_fraction_arithmetic(self):
+        rng = random.Random(2802)
+        for sings in [()] + [tuple(rng.randint(1, 9) for _ in range(rng.randint(1, 5)))
+                             for _ in range(500)]:
+            rep = dp2_check(DelPezzo2(sings))
+            local = [Fraction(2, k + 1) for k in sorted(sings)]
+            c = min(local, default=INF)
+            rows = [(f"A{k}-local-threshold", 1 / t, Fraction(2), 1 / t < 2)
+                    for k, t in zip(sorted(sings), local)]
+            inv = Fraction(0) if c is INF else 1 / c
+            rows.append(("reciprocal-threshold-below-beta", inv, Fraction(2), inv < 2))
+            assert (rep.delta, rep.beta, rep.c, list(rep.conditions)) == (
+                Fraction(2, 3), Fraction(2), c, rows)
+            _assert_fraction_fields(rep)
+
+    def test_dp4_fields(self):
+        _assert_fraction_fields(dp4_check(DelPezzo4((1, 2, 3))))
+
+    @given(c=st.fractions(min_value=Fraction(1, 50), max_value=50),
+           beta=st.fractions(min_value=Fraction(1, 50), max_value=50))
+    @settings(max_examples=300, deadline=None)
+    def test_ke_criterion_matches_fraction_arithmetic(self, c, beta):
+        assert ke_criterion(c, beta) is (1 / c < beta)
+
+
 class TestReportInvariants:
+    def test_inconsistent_beta_raises(self):
+        fields = dict(c=INF, conditions=(), method="identity-cover")
+        assert KeReport(delta=Fraction(2, 3), beta=Fraction(2), **fields).beta == 2
+        # delta outside (0, 1) has no beta to check against.
+        assert KeReport(delta=Fraction(0), beta=Fraction(1), **fields).beta == 1
+        for delta, beta in ((Fraction(2, 3), Fraction(3)), (Fraction(1, 2), Fraction(1, 2)),
+                            (Fraction(2, 3), Fraction(-2))):
+            with pytest.raises(AssertionError, match="beta inconsistent with delta"):
+                KeReport(delta=delta, beta=beta, **fields)
+
+    def test_inconsistent_beta_raises_under_optimize(self):
+        # The bare assert shows that -O strips assert statements in the child.
+        script = (
+            "from fractions import Fraction\n"
+            "from orbke import INF, KeReport\n"
+            "assert False\n"
+            "try:\n"
+            "    KeReport(delta=Fraction(2, 3), beta=Fraction(3), c=INF, conditions=(),\n"
+            "             method='identity-cover')\n"
+            "except AssertionError as exc:\n"
+            "    print(exc)\n"
+        )
+        src = str(Path(orbke.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-O", "-c", script],
+                              capture_output=True, text=True, env=env)
+        assert (proc.returncode, proc.stdout) == (0, "beta inconsistent with delta\n"), proc.stderr
+
     def test_dp2_rows(self):
         rng = random.Random(2501)
         lists = [()] + [

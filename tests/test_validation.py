@@ -9,8 +9,10 @@ later or a silent truncation.
 from __future__ import annotations
 
 import copy
+import enum
 import math
 import pickle
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -41,6 +43,7 @@ from orbke.errors import (
     OrderBelowMinimum,
     PairwiseCoprimeViolation,
     ThresholdOutsideGrid,
+    WrongLength,
     check_int,
     check_rational,
 )
@@ -114,8 +117,9 @@ def test_check_int_bounds_raise_the_given_error():
     assert check_int(np.int32(5), "x", 1, 5) == 5
     with pytest.raises(InputError, match=r"x must be in 1\.\.5, got 6"):
         check_int(6, "x", 1, 5)
-    with pytest.raises(OrderBelowMinimum, match="x must be >= 2, got 1"):
-        check_int(1, "x", 2, error=OrderBelowMinimum)
+    for one in (1, np.int64(1)):
+        with pytest.raises(OrderBelowMinimum, match="x must be >= 2, got 1"):
+            check_int(one, "x", 2, error=OrderBelowMinimum)
     with pytest.raises(InputError, match="x must be <= 0, got 1"):
         check_int(1, "x", hi=0)
 
@@ -126,6 +130,47 @@ def test_check_rational():
     for bad in (0.5, "1/2", True):
         with pytest.raises(InputError):
             check_rational(bad, "x")
+
+
+class _Order(enum.IntEnum):
+    SEVEN = 7
+
+
+class _Ratio(Fraction):
+    pass
+
+
+class TestExactTypeFastPaths:
+    """A plain int or Fraction skips the ABC checks; other types get the general path's answer."""
+
+    @pytest.mark.parametrize("value", [7, np.int64(7), np.int32(7), _Order.SEVEN], ids=repr)
+    def test_check_int_returns_a_plain_int(self, value):
+        got = check_int(value, "x", 1, 7)
+        assert got == 7 and type(got) is int
+
+    @pytest.mark.parametrize("value", [True, False, np.bool_(True), 7.0, "7",
+                                       Fraction(7), Decimal(7)], ids=repr)
+    def test_check_int_rejects(self, value):
+        with pytest.raises(InputError, match="x must be an integer"):
+            check_int(value, "x")
+
+    @pytest.mark.parametrize("value, want", [
+        (Fraction(2, 6), Fraction(1, 3)), (_Ratio(2, 6), Fraction(1, 3)), (3, Fraction(3)),
+        (np.int64(3), Fraction(3)), (_Order.SEVEN, Fraction(7)),
+    ], ids=repr)
+    def test_check_rational_returns_a_plain_fraction(self, value, want):
+        got = check_rational(value, "x")
+        assert got == want and type(got) is Fraction
+
+    def test_check_rational_keeps_a_plain_fraction(self):
+        value = Fraction(5, 7)
+        assert check_rational(value, "x") is value
+
+    @pytest.mark.parametrize("value", [True, np.bool_(False), 0.5, 2.0, Decimal("0.5"),
+                                       Decimal(2), "1/2", None], ids=repr)
+    def test_check_rational_rejects(self, value):
+        with pytest.raises(InputError, match="x must be rational"):
+            check_rational(value, "x")
 
 
 class TestCheckOrders:
@@ -148,6 +193,20 @@ class TestCheckOrders:
         with pytest.raises(PairwiseCoprimeViolation) as info:
             check_orders(orders, 2)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("orders, error, message", [
+        (["2", 3, 0, 5], InputError, "order must be an integer, got '2'"),
+        ([5, "x", 0], InputError, "order must be an integer, got 'x'"),
+        ([5, 1, 0], WrongLength, "dimension 2 needs 4 orders, got 3"),
+        ([5, 1, 0, 3], OrderBelowMinimum, "order must be >= 2, got 0"),
+        ([np.int64(9), 1, 3, 5], OrderBelowMinimum, "order must be >= 2, got 1"),
+        ([9, 2, 3, 5], PairwiseCoprimeViolation, "gcd(3,9)=3"),
+    ])
+    def test_make_tuple_checks_in_order(self, orders, error, message):
+        # Types in input order, then the length, then the smallest order, then coprimality.
+        with pytest.raises(error) as info:
+            make_tuple(2, orders)
+        assert type(info.value) is error and str(info.value) == message
 
     def test_search_pins_checked_prefix(self):
         cfg = SearchConfig(n=2, prefix_filter=(np.int64(2), 3))
