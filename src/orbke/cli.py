@@ -289,11 +289,12 @@ class _OutFile:
 # Record builders
 
 
-def _fano_inequalities(report) -> list:
+def _fano_inequalities(report, c1, old_rhs, new_rhs) -> list:
+    """The three rows of `check`, from the report's flags and its sides c1, old_rhs, new_rhs."""
     return [
-        _ineq("zero-below-c1", 0, report.c1, report.fano),
-        _ineq("c1-below-old-bound", report.old_lhs, report.old_rhs, report.old_ok),
-        _ineq("c1-below-new-bound", report.c1, report.new_rhs, report.new_ok),
+        _ineq("zero-below-c1", 0, c1, report.fano),
+        _ineq("c1-below-old-bound", c1, old_rhs, report.old_ok),
+        _ineq("c1-below-new-bound", c1, new_rhs, report.new_ok),
     ]
 
 
@@ -325,18 +326,20 @@ def _cmd_check(args, emit: Emitter) -> dict:
     min_order = 1 if args.allow_unit_orders else 2
     t = make_tuple(args.dim, args.orders, min_order=min_order)
     report = classify(t)
+    # Each read of a side builds its Fraction, so each is read once.
+    c1, old_rhs, new_rhs = report.c1, report.old_rhs, report.new_rhs
     link = link_weights(t)
     return {
         "command": "check",
         "input": {"dim": t.n, "orders": list(t.orders), "min_order": min_order},
         "derived": {
-            "c1": str(report.c1),
-            "old_bound": str(report.old_rhs),
-            "new_bound": str(report.new_rhs),
+            "c1": str(c1),
+            "old_bound": str(old_rhs),
+            "new_bound": str(new_rhs),
             "link_order_product": link.M,
             "link_weights": list(link.weights),
         },
-        "inequalities": _fano_inequalities(report),
+        "inequalities": _fano_inequalities(report, c1, old_rhs, new_rhs),
         "verdict": report.classification,
         "caveats": [CONTACT_NOTE],
     }

@@ -111,10 +111,11 @@ _TAIL_CLASSES = frozenset({"NoCriterion", "NotFano"})
 POOL_MIN_LEAVES = 16_000
 
 # Largest dimension a search accepts.  The walk recurses once per prefix
-# entry and each state holds its prefix, so a far larger n exhausts the
-# interpreter's recursion limit (dimension 20,000 does).  No search past
-# dimension 6 finishes today, so the bound rejects no work.
-MAX_SEARCH_DIM = 1_000
+# entry, and unit orders fill every slot, so dimension 990 already
+# exhausts the interpreter's default recursion limit of 1,000 frames; half
+# of it leaves room for the caller's frames.  No search past dimension 6
+# finishes today, so the bound rejects no work.
+MAX_SEARCH_DIM = 500
 
 
 # ---------------------------------------------------------------------------
@@ -165,8 +166,8 @@ def sylvester_family(n: int) -> SylvesterFamily:
     prefix reciprocal sum is 1 + 1/D with D = (c_{n+1}-1)(c_{n+1}-2), so
     the new bound m*(S-1) < n gives exactly m < n*D.  The lower end is
     c_{n+1}-2 (the largest prefix entry).  n > 6 would need the prime
-    factors of c8-2 ~ 1.1e26, past the factorization range this package
-    supports.
+    factors of c8-2 ~ 1.1e26, past exactmath.FACTOR_CAP = 1e14, the
+    largest input `factorize` accepts.
     """
     n = check_int(n, "family dimension", 2, 6)
     seq = sylvester_seq(n + 1)

@@ -4,12 +4,9 @@ Rationals are fractions.Fraction, re-exported as Rat: always lowest terms,
 positive denominator, exact comparisons.  No floating point is used anywhere
 in criteria evaluation.
 
-Factorization is trial division up to a fixed bound followed by Brent's
-cycle-finding rho with deterministic parameter seeding, which covers the
-intended range (inputs up to ~1e14) in well under a second.  This is not a
-general-purpose factoring library.  When trial division reaches a p with
-p*p above the cofactor, the cofactor is 1 or prime and no primality test
-runs; Miller-Rabin and rho see only cofactors left when the bound runs out.
+Factorization is trial division, accepted for inputs up to FACTOR_CAP =
+1e14, so it takes at most 5e6 divisions; it is not a general-purpose
+factoring library.
 
 Coprime counting is inclusion-exclusion over the squarefree products d of
 the given primes, pruned: a d with no multiple in the range adds zero, as
@@ -37,14 +34,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, compress
+from itertools import accumulate, chain, compress, count
 
 from .errors import InputError, check_int
 
 Rat = Fraction
 
-# Trial division handles everything below this bound squared.
-_TRIAL_BOUND = 10_000
+# Largest input of factorize: its trial divisors stay at most 1e7.
+FACTOR_CAP = 10**14
 
 # Largest modulus of a coprime-count table (see coprime_table).
 TABLE_CAP = 4096
@@ -53,9 +50,6 @@ TABLE_CAP = 4096
 # coprime_blocks sieves blocks of the largest size.
 _BLOCK_FIRST = 256
 _BLOCK_CAP = 8192
-
-# Deterministic Miller-Rabin witness set, exact for n < 3.3e24.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 @dataclass(frozen=True)
@@ -81,95 +75,28 @@ class FactoredInt:
             raise ValueError("factorization does not multiply back to value")
 
 
-def is_probable_prime(n: int) -> bool:
-    """Miller-Rabin with a fixed witness set (deterministic below 3.3e24)."""
-    if n < 2:
-        return False
-    for p in _MR_WITNESSES:
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_WITNESSES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _brent_rho(n: int) -> int:
-    """A nontrivial factor of composite odd n, deterministic parameter sweep."""
-    if n % 2 == 0:
-        return 2
-    # Brent's variant; (y0, c) stepped deterministically until a split shows.
-    for c in range(1, 1000):
-        y, m, g, r, q = 2, 128, 1, 1, 1
-        x = ys = y
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(m, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = math.gcd(q, n)
-                k += m
-            r *= 2
-        if g == n:
-            # backtrack one step at a time
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
-        if g != n:
-            return g
-    raise ArithmeticError(f"rho failed to split {n}")  # pragma: no cover
-
-
 def factorize(n: int) -> FactoredInt:
-    """Complete prime factorization of n >= 1; n = 1 has no factors.
+    """Complete prime factorization of 1 <= n <= FACTOR_CAP; n = 1 has no factors.
 
-    Deterministic.  Trial division stops at the first p with p*p > n: the
-    cofactor then has no prime factor below p and is below p*p, so it is 1
-    or a prime and is recorded without a primality test.  Only when the
-    trial bound runs out first does the cofactor go to Miller-Rabin and
-    Brent rho with a fixed parameter sweep.
+    Trial division by 2 and then by each odd d while d*d is at most the
+    cofactor left.  A cofactor above 1 then has no prime factor up to its
+    square root, so it is prime, proved by the division itself.
     """
-    n = check_int(n, "factorize input", 1)
+    n = check_int(n, "factorize input", 1, FACTOR_CAP)
     value = n
-    counts: dict[int, int] = {}
-    for p in range(2, _TRIAL_BOUND):
-        if p * p > n:
-            if n > 1:
-                counts[n] = 1
+    factors = []
+    for d in chain((2,), count(3, 2)):
+        if d * d > n:
             break
-        while n % p == 0:
-            counts[p] = counts.get(p, 0) + 1
-            n //= p
-    else:
-        # The bound ran out with p*p <= n, so n > 1 may still be composite.
-        stack = [n]
-        while stack:
-            m = stack.pop()
-            if is_probable_prime(m):
-                counts[m] = counts.get(m, 0) + 1
-                continue
-            d = _brent_rho(m)
-            stack.append(d)
-            stack.append(m // d)
-    return FactoredInt(value, tuple(sorted(counts.items())))
+        if n % d == 0:
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            factors.append((d, e))
+    if n > 1:
+        factors.append((n, 1))
+    return FactoredInt(value, tuple(factors))
 
 
 def coprime_table(primes: tuple[int, ...]):

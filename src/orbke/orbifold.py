@@ -35,7 +35,6 @@ import math
 from collections import namedtuple
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from .errors import InputError, OrderBelowMinimum, PairwiseCoprimeViolation, WrongLength, check_int
 from .exactmath import Rat
@@ -98,26 +97,26 @@ class FanoReport(_Frozen, namedtuple(
     c1 = D/P with P the product of the orders, and m_max the largest
     order; old_ok and new_ok are the raw strict inequalities, independent
     of positivity.  The rational sides of the inequalities are derived
-    attributes, each built as a Fraction on its first read: c1, old_lhs
-    (equal to c1, as both bounds share the left-hand side),
-    old_rhs = (n+1)/(n*m_max) and new_rhs = (n+1)/m_max.  They are cached
-    in the report's `__dict__`, which exists only once one is read.
-    Equality and hashing see the fields only.
+    properties, each built as a Fraction on every read: c1, old_lhs (an
+    alias of c1, as both bounds share the left-hand side),
+    old_rhs = (n+1)/(n*m_max) and new_rhs = (n+1)/m_max.  A report holds
+    its fields only: no `__dict__`, as on a RamTuple.  Equality and
+    hashing see the fields only.
     """
 
-    @cached_property
+    __slots__ = ()
+
+    @property
     def c1(self) -> Rat:
         return Fraction(self.D, self.P)
 
-    @cached_property
-    def old_lhs(self) -> Rat:
-        return self.c1
+    old_lhs = c1
 
-    @cached_property
+    @property
     def old_rhs(self) -> Rat:
         return Fraction(self.n + 1, self.n * self.m_max)
 
-    @cached_property
+    @property
     def new_rhs(self) -> Rat:
         return Fraction(self.n + 1, self.m_max)
 
@@ -207,7 +206,7 @@ def fano_fields(n: int, orders: tuple[int, ...]) -> tuple:
 def classify(t: RamTuple) -> FanoReport:
     """Evaluate both existence bounds exactly and attach the verdict (see fano_fields).
 
-    No Fraction is built here: the report derives them when read.
+    No Fraction is built here: the report derives them on each read.
     """
     return FanoReport(t.n, *fano_fields(t.n, t.orders))
 

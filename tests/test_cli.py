@@ -135,6 +135,13 @@ class TestEnumerate:
         assert code == 2
         assert err.startswith("error: node cap 1000 exceeded")
 
+    @pytest.mark.parametrize("command", ["count", "enumerate"])
+    def test_unit_orders_at_the_bound_stay_within_the_recursion_limit(self, run_cli, command):
+        # Unit orders fill every prefix slot, so the walk recurses to full depth.
+        code, _, err = run_cli(command, "--dim", str(MAX_SEARCH_DIM), "--allow-unit-orders",
+                               "--max-order", "2", "--class", "all", "--max-nodes", "100000")
+        assert code in (0, 2), err
+
     def test_unit_orders_need_max_order(self, run_cli):
         code, _, err = run_cli("count", "--dim", "2", "--allow-unit-orders")
         assert code == 1
@@ -198,6 +205,21 @@ class TestFamily:
         assert rec["counts"] == {"admissible": 15, "NewOnlyKE": 12, "OldKE": 3}
         assert rec["verdict"] == "derived"
         assert any("family-range" in c for c in rec["caveats"])
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+    def test_admissible_is_new_only_plus_old(self, run_cli, dim):
+        # The coprime count of the interval against the search's count of
+        # its one leaf; dimension 6 factors c7 - 2 = 10,650,056,950,805.
+        code, out, _ = run_cli("family", "--dim", str(dim))
+        assert code == 0
+        (rec,) = json_records(out)
+        counts = rec["counts"]
+        assert counts["admissible"] == counts["NewOnlyKE"] + counts["OldKE"]
+        if dim == 6:
+            # Regression values: repeated runs of this kernel agree, no
+            # independent derivation pins them.
+            assert counts["NewOnlyKE"] == 130_558_641_381_087_211_708_416_000
+            assert counts["OldKE"] == 3_730_246_896_600_390_226_788_173
 
     def test_bad_dim_exits_one(self, run_cli):
         code, _, _ = run_cli("family", "--dim", "9")

@@ -452,6 +452,22 @@ class TestEnumerateTuples:
         )
         assert res.counts == {"OldKE": 1, "NewOnlyKE": 0}
 
+    @pytest.mark.parametrize("walk", ["count", "materialize", "row_blocks"])
+    def test_unit_orders_at_the_dimension_bound(self, walk):
+        # Unit orders fill every prefix slot, so the walk recurses to full
+        # depth: at the bound it may meet the node cap, never the recursion limit.
+        cfg = SearchConfig(n=enumeration.MAX_SEARCH_DIM, min_order=1, max_order=2,
+                           classes=orbifold.CLASSIFICATIONS, node_cap=100_000,
+                           mode="materialize" if walk == "row_blocks" else walk)
+        try:
+            if walk == "row_blocks":
+                for _ in enumeration.iter_row_blocks(cfg):
+                    pass
+            else:
+                enumerate_tuples(cfg)
+        except NodeBudgetExceeded:
+            pass
+
 
 class TestSearchConfigValidation:
     def test_unbounded_class_needs_max_order(self):

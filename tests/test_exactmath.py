@@ -16,7 +16,7 @@ from orbke.errors import InputError, OrderBelowMinimum, WrongLength
 from orbke.exactmath import (
     _BLOCK_CAP,
     _BLOCK_FIRST,
-    _TRIAL_BOUND,
+    FACTOR_CAP,
     TABLE_CAP,
     FactoredInt,
     _count_positive,
@@ -24,7 +24,6 @@ from orbke.exactmath import (
     coprime_factorizations,
     coprime_in_range,
     coprime_table,
-    is_probable_prime,
 )
 from orbke.orbifold import RamTuple
 
@@ -44,6 +43,10 @@ def _trial_division(n):
     if n > 1:
         factors.append((n, 1))
     return tuple(factors)
+
+
+def _is_prime(p):
+    return _trial_division(p) == ((p, 1),)
 
 
 def _first_primes(count):
@@ -72,8 +75,8 @@ class TestFactorize:
     def test_prime_power(self):
         assert factorize(2**10 * 3**4).factors == ((2, 10), (3, 4))
 
-    def test_large_semiprime_past_trial_bound(self):
-        # Both factors exceed the trial-division bound; exercises rho.
+    def test_large_semiprime(self):
+        # Trial division runs up to the smaller factor.
         p, q = 1_000_003, 1_000_033
         assert factorize(p * q).factors == ((p, 1), (q, 1))
 
@@ -95,20 +98,50 @@ class TestFactorize:
     @pytest.mark.parametrize(
         "n",
         [
-            9973 * 10007,  # split by trial division, cofactor just past the bound
-            10007**2,  # the bound runs out: a square of a prime above it
-            9_999_991,  # a prime below the bound squared
+            9973 * 10007,  # the cofactor left after 9973 is a prime
+            10007**2,  # a prime squared: the division stops at that prime
+            9_999_991,  # a prime below 10**8
             1_000_000_000_039,  # a 13-digit prime
-            10_009 * 10_037,  # two primes above the bound
+            10_009 * 10_037,  # two close primes
             2 * 9973 * 10007,
-            _TRIAL_BOUND**2 - 1,
-            _TRIAL_BOUND**2 + 1,
+            10**8 - 1,
+            10**8 + 1,
         ],
     )
-    def test_cofactors_at_the_trial_bound(self, n):
+    def test_cofactors(self, n):
         f = factorize(n)
         assert f.factors == _trial_division(n)
-        assert all(is_probable_prime(p) for p in f.primes)
+        assert all(_is_prime(p) for p in f.primes)
+
+    def test_carmichael_numbers_split_into_three_primes(self):
+        # 561 and 1729 fool the Fermat test; division does not.
+        assert factorize(561).factors == ((3, 1), (11, 1), (17, 1))
+        assert factorize(1729).factors == ((7, 1), (13, 1), (19, 1))
+
+    def test_cap_itself_factors(self):
+        assert factorize(FACTOR_CAP).factors == ((2, 14), (5, 14))
+
+    @pytest.mark.parametrize("n", [
+        FACTOR_CAP + 1,
+        # A strong pseudoprime to the twelve prime bases up to 37, above the cap.
+        3317044064679887385961981,
+    ])
+    def test_above_the_cap_raises(self, n):
+        with pytest.raises(InputError, match="factorize input must be in 1.."):
+            factorize(n)
+
+    def test_largest_prime_below_the_cap_returns_itself(self):
+        # The worst case under the cap: division runs to its square root.
+        p = 99_999_999_999_973
+        assert factorize(p).factors == ((p, 1),)
+
+    def test_matches_sympy_factorint(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(29)
+        for _ in range(300):
+            # Sizes spread evenly over the digit counts up to the cap.
+            n = rng.randint(1, 10 ** rng.randint(1, 14))
+            assert factorize(n).factors == tuple(sorted(sympy.factorint(n).items())), n
 
     def test_factored_int_checks_product(self):
         with pytest.raises(ValueError):
@@ -119,19 +152,8 @@ class TestFactorize:
     def test_roundtrip_and_primality(self, n):
         f = factorize(n)
         assert math.prod(p**e for p, e in f.factors) == n
-        assert all(is_probable_prime(p) for p in f.primes)
+        assert all(_is_prime(p) for p in f.primes)
         assert list(f.primes) == sorted(set(f.primes))
-
-
-class TestPrimality:
-    def test_known_primes(self):
-        for p in (2, 3, 31051, 1_000_003, 2**31 - 1):
-            assert is_probable_prime(p)
-
-    def test_known_composites(self):
-        # 561 and 1729 are Carmichael numbers; cheap pseudoprime traps.
-        for c in (1, 0, 561, 1729, 1807, 2**31):
-            assert not is_probable_prime(c)
 
 
 def _check_stack_walk(lo, hi, primes):
