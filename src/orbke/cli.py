@@ -81,9 +81,9 @@ from .oracle import (
 from .orbifold import classify, link_weights, make_tuple
 
 CONTACT_NOTE = (
-    "contact-structure: pairwise-coprime orders identify the link with an "
-    "odd sphere carrying its standard contact structure; that identification "
-    "is an input hypothesis of the certificate, not re-verified here"
+    "contact-structure: with pairwise-coprime orders the link is a homology "
+    "sphere, homeomorphic to S^(2n+1) for n >= 2; its contact structure is an "
+    "input hypothesis of the certificate, not re-verified here"
 )
 SNC_NOTE = (
     "snc-arrangement: the simple-normal-crossing position of the divisors is "

@@ -1,20 +1,21 @@
 """Stochastic verification of integrability thresholds.
 
 The exact modules assert that |f|^(-2*lambda) is locally integrable exactly
-for lambda below a rational threshold.  This module checks such claims
+for lambda below a rational threshold c.  This module checks such claims
 numerically, without trusting the algebra: for each lambda on a probe grid
-it estimates the cutoff integral
+it estimates the sublevel-cutoff integral
 
-    I(eps, lambda) = integral of |f|^(-2 lambda) over the domain minus the
-                     eps-neighborhood of the zero divisor of f
+    I(eps, lambda) = integral of |f|^(-2 lambda) over the points of the
+                     unit polydisc where |f| > eps
 
-across a ladder of shrinking cutoffs eps, fits the growth exponent of
-I against eps on log-log axes, and locates the lambda where that exponent
-departs from zero.  Below the threshold I(eps) stays bounded (slope near 0);
-above it I(eps) blows up like a power of 1/eps (slope near the theoretical
-supercritical value, which is linear in lambda with a coefficient K
-computable from the input: each unit of lambda past the threshold steepens
-the blow-up by K).
+across a ladder of shrinking cutoffs, fits the growth exponent of I
+against the cutoff on log-log axes, and locates the lambda where that
+exponent departs from zero.  Below the threshold I stays bounded (slope
+near 0); past it I grows like eps^(-2(lambda - c)) for every f (Kollar,
+"Singularities of pairs", Proc. Symp. Pure Math. 62, 1997, section 8).
+A cutoff t of the ladder cuts at eps = t^d, with d the largest power in
+f, so against log t the supercritical slope is -K(lambda - c) with
+K = 2d: each unit of lambda past the threshold steepens the blow-up by K.
 
 Threshold extraction uses a fixed slope cut of half the theoretical
 supercritical slope one grid step past the threshold, i.e. level -K*h/2
@@ -24,26 +25,26 @@ interpolation, and the known h/2 offset of the cut level is subtracted.
 If every grid point lands on one side of the cut the grid missed the
 threshold and ThresholdOutsideGrid reports the direction.
 
-Both integrands run through one pipeline, _estimate.  An integrand is a
-sampler factory plus its width (array cells per sample) and coefficient K:
-for each cutoff shell a sampler draws samples_per_shell points and returns
-the arrays (log f, log w, mask), where f is |f| at each point, w its
+Both integrands, a product of coordinate powers (monomial) and a sum of
+them (u^n + v^n), run through one sampler, _power_sampler, and one
+pipeline, _estimate.  An integrand is its powers plus its width, the
+number of coordinates, which is the array cells per sample: for each
+cutoff shell the sampler draws samples_per_shell points and returns the
+arrays (log f, log w, mask), where f is |f| at each point, w its
 importance weight (domain measure over sampling density) and mask marks
 the points inside the cutoff domain.  The pipeline turns each shell into
-log I(eps, lambda) = log mean(|f|^(-2 lambda) * w * mask) for every
+log I(t, lambda) = log mean(|f|^(-2 lambda) * w * mask) for every
 lambda, fits one slope per lambda and extracts the threshold.  Sampling
-is importance-weighted toward the divisor (uniform-area/log-radius
-mixtures), since uniform sampling under-resolves the singular locus.
+is importance-weighted toward the zero set: most draws solve one
+coordinate for a log-uniform |f|, since uniform sampling under-resolves
+the singular locus.
 
-Arrays are laid out as rows of samples, so every numpy call runs over
-long rows in real arithmetic.  A point of C^2 is four real rows (Re u,
-Im u, Re v, Im v).  The monomial sampler holds one row per coordinate and
-reduces along axis 0; the binomial sampler takes its lines one at a time
-over blocks of columns and adds each line's row into running rows, in
-the order such a reduction adds them.  Samplers are stateless: each call
-allocates its own arrays and returns fresh ones.  The pipeline masks
-log f and log w once per shell, then integrates every lambda in place in
-one buffer.
+Arrays are laid out as rows of samples, one row per coordinate, so every
+numpy call runs over long rows in real arithmetic.  Radii, |f| and
+densities are held as logs, so no cutoff a double can hold underflows.
+Samplers are stateless: each call allocates its own arrays and returns
+fresh ones.  The pipeline masks log f and log w once per shell, then
+integrates every lambda in place in one buffer.
 
 The shells run on a concurrent.futures thread pool of min(usable CPUs,
 shells, MAX_CELLS // cells) workers, whose map hands them out in ladder
@@ -85,17 +86,14 @@ _SEED_LIMIT = 2 ** 63
 # (samples x integrand width) and integrand evaluations (samples x shells x
 # probe points).  The shell workers are capped so that their cells in
 # flight (workers x cells) also stay within MAX_CELLS.  The defaults use
-# 1.6e5 cells (bp n=4) and 6.1e6 evaluations.
+# 4e4 cells per coordinate (8e4 for bp) and 6.1e6 evaluations.
 MAX_CELLS = 4_000_000
 MAX_EVALUATIONS = 10 ** 9
 # No config with more probe points passes the evaluation cap.
 MAX_GRID_POINTS = MAX_EVALUATIONS // (_MIN_SAMPLES * _MIN_SHELLS)
-# Smallest cutoff the binomial sampler computes with: its density divides
-# by |x|^4 and |w_j|^2, which underflow for eps below this (eps^4 is then
-# no longer a normal double).
-BP_MIN_CUTOFF = 2.0 ** -255
-# Columns per block of the binomial sampler's post-draw arithmetic.
-_BP_BLOCK = 8192
+# Largest power of a coordinate: d log t and every m log r then stay
+# finite floats for every cutoff t a double can hold.
+MAX_POWER = 10 ** 300
 
 
 @dataclass(frozen=True)
@@ -325,8 +323,9 @@ def _integrate_shell(sample, cfg: OracleConfig, lam_f, shell: int) -> list:
 def _estimate(make_sample, width: int, k_coeff: float, cfg: OracleConfig) -> ExponentEstimate:
     """Shared pipeline: sample each shell, integrate every lambda, fit, extract.
 
-    make_sample() builds the sampler; sample(rng, eps) returns fresh
-    arrays (log_f, log_w, mask) for one shell's draws: the log of |f|, the
+    make_sample() builds the sampler; sample(rng, t), for a shell's ladder
+    cutoff t, returns fresh arrays (log_f, log_w, mask) for the shell's
+    draws: the log of |f|, the
     log importance weight (domain measure over sampling density), and
     which draws lie in the cutoff domain.  Entries outside the mask are
     ignored, and the arrays are only read.
@@ -351,227 +350,152 @@ def _estimate(make_sample, width: int, k_coeff: float, cfg: OracleConfig) -> Exp
 
 
 # ---------------------------------------------------------------------------
-# Monomial integrand on a polydisc
+# Sums and products of coordinate powers on the unit polydisc
 
 
 def estimate_monomial_threshold(exponents, cfg: OracleConfig) -> ExponentEstimate:
-    """Probe the integrability threshold of |prod z_j^(a_j)|^(-2 lambda).
-
-    Domain: unit polydisc minus the eps-neighborhood of the coordinate
-    divisor, i.e. every |z_j| runs over [eps, 1].  Each radius is drawn
-    from an equal mixture of the uniform-area density 2r/(1-eps^2) and the
-    log-uniform density 1/(r log(1/eps)), which keeps the weight of the
-    near-divisor region heavy enough for stable tails.  The supercritical
-    slope coefficient is K = 2 * (sum of the maximal exponents), since each
-    coordinate attaining a_max contributes 2 - 2*lambda*a_max to the decay
-    exponent past the threshold.
-    """
-    exps = tuple(check_int(a, "exponent", 1) for a in exponents)
+    """Probe the integrability threshold 1/d of |prod z_j^(a_j)|^(-2 lambda),
+    d the largest exponent: cutoff t cuts at |f| > t^d, so K = 2d."""
+    exps = tuple(check_int(a, "exponent", 1, MAX_POWER) for a in exponents)
     if not exps:
         raise InputError("exponent list must be nonempty")
-    a_max = max(exps)
-    return _estimate(
-        partial(_monomial_sampler, exps, cfg.samples_per_shell), len(exps),
-        2.0 * a_max * exps.count(a_max), cfg,
-    )
-
-
-def _monomial_sampler(exps, n_s):
-    """sample(rng, eps) for the monomial integrand, one row per coordinate."""
-    k = len(exps)
-    a_col = np.array(exps, dtype=float)[:, None]
-
-    def sample(rng, eps):
-        # In-place arithmetic holds the temporaries to these three arrays.
-        r, tmp, dens = (np.empty((k, n_s)) for _ in range(3))
-        # Draws keep their (samples, coordinates) shape; the transposes are
-        # (coordinates, samples) rows.
-        pick_log = rng.random((n_s, k)).T < 0.5
-        u = rng.random((n_s, k)).T
-        np.multiply(u, math.log(eps), out=r)
-        np.exp(r, out=r)
-        np.multiply(u, 1 - eps * eps, out=tmp)
-        tmp += eps * eps
-        np.sqrt(tmp, out=tmp)
-        # r = pick_log ? r_log : r_area, selected exactly by 0/1 products.
-        r *= pick_log
-        tmp *= ~pick_log
-        r += tmp
-        # Mixture density r/(1-eps^2) + 1/(2 r log(1/eps)).
-        np.multiply(r, math.log(1 / eps), out=dens)
-        np.divide(0.5, dens, out=dens)
-        np.divide(r, 1 - eps * eps, out=tmp)
-        dens += tmp
-        np.log(dens, out=dens)
-        # Angular part integrates to 2*pi*r per coordinate.
-        np.multiply(r, 2 * math.pi, out=tmp)
-        np.log(tmp, out=tmp)
-        tmp -= dens
-        log_w = np.add.reduce(tmp, axis=0)
-        np.log(r, out=r)
-        r *= a_col
-        return np.add.reduce(r, axis=0), log_w, np.ones(n_s, dtype=bool)
-
-    return sample
-
-
-# ---------------------------------------------------------------------------
-# Binomial u^n + v^n on the unit ball of C^2
-
-
-def _direction_times_radius(rng, size, radius):
-    """Rows (Re u, Im u, Re v, Im v) of points of C^2 with uniform direction
-    on S^3 and length radius(uniform)."""
-    g = rng.standard_normal((size, 4)).T
-    scale = radius(rng.random(size))
-    norm2 = g[0] * g[0]
-    for row in g[1:]:
-        norm2 += row * row
-    scale /= np.sqrt(norm2)
-    g *= scale
-    return g
-
-
-def _bp_components(rng, size, weights):
-    """Masks (ball, inner) of size samples' mixture components, as rng.choice draws them.
-
-    rng.choice(3, size, p=weights) labels each of size uniforms with the
-    number of entries of cdf = cumsum(weights) / last entry at or below
-    it.  The same uniforms give label 0 (the ball) where `ball`, 1 (the
-    origin) where `inner & ~ball` and 2 (the tubes) where `~inner`, with
-    no label array, and leave the stream where choice leaves it.
-    """
-    cdf = np.cumsum(weights)
-    cdf /= cdf[-1]
-    pick = rng.random(size)
-    return pick < cdf[0], pick < cdf[1]
+    return _estimate(partial(_power_sampler, exps, False, cfg.samples_per_shell),
+                     len(exps), 2.0 * max(exps), cfg)
 
 
 def estimate_bp_threshold(n: int, cfg: OracleConfig) -> ExponentEstimate:
-    """Probe the integrability threshold of |u^n + v^n|^(-2 lambda).
+    """Probe the integrability threshold 2/n of |u^n + v^n|^(-2 lambda):
+    cutoff t cuts at |f| > t^n, so K = 2n."""
+    n = check_int(n, "n", 2, MAX_POWER)
+    return _estimate(partial(_power_sampler, (n, n), True, cfg.samples_per_shell),
+                     2, 2.0 * n, cfg)
 
-    Domain: unit ball of C^2 minus the eps-neighborhood of the zero set,
-    which is the union of the n complex lines u = zeta*v over the n-th
-    roots zeta of -1 (distance to such a line is |u - zeta*v|/sqrt(2)).
-    The blow-up past the threshold 2/n is driven by the origin where all
-    lines meet, with decay exponent 4 - 2*lambda*n, so K = 2n.
 
-    Sampling mixes three components: uniform on the ball, an origin
-    component (log-uniform radius, uniform direction), and per-line tube
-    components (uniform position along the line, log-uniform transverse
-    radius).  The importance weight is the reciprocal of the full mixture
-    density, evaluated exactly for every sample.  Cutoffs below
-    BP_MIN_CUTOFF are rejected before anything is sampled.
+def _log_radii(u, lt, out):
+    """Write to out the log radii of uniforms u (overwritten) under the
+    per-coordinate density q: half uniform on the unit disc (r^2 = 1 - 2u
+    below u = 1/2), half log-uniform on [t, 1] (r = t^(2u - 1) above).
+    Each branch reads log 1 or 0 * log t where the other one is taken."""
+    u *= 2.0
+    u -= 1.0
+    np.log(np.maximum(np.negative(u, out=out), u >= 0, out=out), out=out)
+    out *= 0.5
+    np.maximum(u, 0.0, out=u)
+    u *= lt
+    out += u
+
+
+def _log_abs_sum(la, lb, s2):
+    """log|A + B| from log|A|, log|B| and s2, the sin^2 of half the angle
+    between A and B, scaled by the larger term: with rho = lo/hi <= 1,
+    |A + B|^2 = hi^2 ((1 - rho)^2 + 4 rho s2)."""
+    hi = np.maximum(la, lb)
+    rho = np.exp(np.minimum(la, lb) - hi)
+    return hi + 0.5 * np.log((1.0 - rho) ** 2 + 4.0 * rho * s2)
+
+
+def _log_abs_terms(lr, m, s2, is_sum):
+    """log|f| of the terms z_i^(m_i), with log radii in the rows of lr: of
+    their product, or of their sum at the relative angles of the rows of s2."""
+    lp = lr * m
+    if not is_sum:
+        return np.add.reduce(lp, axis=0)
+    acc = lp[0]
+    for row, s in zip(lp[1:], s2):
+        acc = _log_abs_sum(acc, row, s)
+    return acc
+
+
+def _power_sampler(powers, is_sum, n_s):
+    """sample(rng, t) for f = sum or product of z_j^(m_j) over the unit
+    polydisc of C^k, cut at |f| > t^d with d the largest power.
+
+    The mixture has k + 1 components, each over a fixed block of columns.
+    The first fifth draws every coordinate from the product density q of
+    _log_radii.  Block j draws the others from q and |w| log-uniform on
+    [t^d, top], top = 1 for a product and k for a sum, and solves
+    |z_j|^(m_j) = |w - rest| (or |w| / |rest|), so that |f| = |w| exactly.
+    At a uniform root, that is density q(z_-j) p_w(|f|) |d_j f|^2 / m_j
+    with p_w(w) = 1 / (2 pi |w|^2 log(top / t^d)).  The weight is the
+    reciprocal of the mixture density, each component weighted by its
+    share of the columns.
+
+    Densities depend on radii and |f| alone, so the only angles drawn are
+    the relative ones a sum needs for |f| and |w - rest|: rows of sin^2 of
+    half angles after the k rows of uniforms.  Everything is a log.
     """
-    n = check_int(n, "n", 2)
-    if cfg.cutoffs[-1] < BP_MIN_CUTOFF:
-        raise InputError(
-            f"cutoff {cfg.cutoffs[-1]} is below {BP_MIN_CUTOFF:.3g}, where the "
-            "sampling density of u^n + v^n underflows"
-        )
-    return _estimate(partial(_bp_sampler, n, cfg.samples_per_shell), n, 2.0 * n, cfg)
+    k = len(powers)
+    d = max(powers)
+    m = np.array(powers, dtype=float)[:, None]
+    n_base = round(0.2 * n_s)
+    ends = [n_base + (n_s - n_base) * j // k for j in range(k + 1)]
+    blocks = [slice(a, b) for a, b in zip(ends, ends[1:])]
+    base = slice(0, n_base)
+    # Block j solves its row j and draws the others from q: with one
+    # coordinate only the first block draws from q.
+    drawn = slice(0, n_s) if k > 1 else base
+    others = [np.arange(k) != j for j in range(k)]
+    with np.errstate(divide="ignore"):
+        log_shares = np.log(np.diff([0] + ends) / n_s)
+    log_base, log_shares = log_shares[0], log_shares[1:, None] + np.log(m)
+    log_top = math.log(k) if is_sum else 0.0
 
-
-def _bp_sampler(n, n_s):
-    """sample(rng, eps) for the binomial integrand, one row per real coordinate.
-
-    A point is four real rows (Re u, Im u, Re v, Im v).  After the draws,
-    the arithmetic runs over blocks of _BP_BLOCK columns, and within a
-    block over the n lines one at a time: each line's distance row adds
-    into running rows (log f, the tube density sum, every distance >= eps),
-    so no (n, samples) array is ever held.  The running sums add the lines
-    in order, as a reduction along the line axis does, so every value is
-    bit-identical to the (n, samples) form.
-    """
-    # zeta_j = za_j + i zb_j.  Unit direction along line j is (zeta_j, 1)/sqrt(2);
-    # unit normal is (1, -conj(zeta_j))/sqrt(2).  In those coordinates
-    # dist(x, L_j) = |w_j| with w_j = (u - zeta_j v)/sqrt(2).
-    angles = [math.pi * (2 * j + 1) / n for j in range(n)]
-    za, zb = np.cos(angles), np.sin(angles)
-    inv_sqrt2 = 1 / math.sqrt(2)
-    w_ball, w_origin, w_tube = 0.4, 0.3, 0.3
-    vol_ball = math.pi ** 2 / 2
-    area_s3 = 2 * math.pi ** 2
-
-    def draw_tubes(rng, m, eps):
-        """Line, transverse radius and point rows of m tube points:
-        c * direction + w * normal of a uniform line, with c uniform on the
-        unit disc and |w| log-uniform in [eps, 1]."""
-        lines = rng.integers(0, n, size=m)
-        c_rad = np.sqrt(rng.random(m))
-        c_ang = rng.random(m) * 2 * math.pi
-        w_rad = np.exp(rng.random(m) * math.log(eps))
-        w_ang = rng.random(m) * 2 * math.pi
-        cr, ci = np.cos(c_ang) * c_rad, np.sin(c_ang) * c_rad
-        wr, wi = np.cos(w_ang) * w_rad, np.sin(w_ang) * w_rad
-        a, b = za[lines], zb[lines]
-        rows = ((cr * a - ci * b + wr) * inv_sqrt2, (cr * b + ci * a + wi) * inv_sqrt2,
-                (cr - (wr * a + wi * b)) * inv_sqrt2, (ci - (wi * a - wr * b)) * inv_sqrt2)
-        return lines, w_rad, rows
-
-    def sample(rng, eps):
-        x = np.empty((4, n_s))
-        # Each sample's tube line (n where it has none) and tube radius.
-        line = np.full(n_s, n, dtype=np.int32)
-        rad = np.empty(n_s)
-        ball, inner = _bp_components(rng, n_s, (w_ball, w_origin, w_tube))
-        for idx, radius in (
-            (np.flatnonzero(ball), lambda t: t ** 0.25),
-            (np.flatnonzero(inner & ~ball), lambda t: np.exp(t * math.log(eps))),
-        ):
-            if idx.size:
-                x[:, idx] = _direction_times_radius(rng, idx.size, radius)
-        tube_idx = np.flatnonzero(~inner)
-        if tube_idx.size:
-            line[tube_idx], rad[tube_idx], x[:, tube_idx] = draw_tubes(rng, tube_idx.size, eps)
-        log_f, log_w = np.empty(n_s), np.empty(n_s)
-        mask = np.empty(n_s, dtype=bool)
-        log_inv_eps = math.log(1 / eps)
-        # A point on a line or at the origin divides by zero or takes log 0;
-        # it lies outside the mask, and its log f and log w are set to 0.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for lo in range(0, n_s, _BP_BLOCK):
-                cols = slice(lo, lo + _BP_BLOCK)
-                ur, ui, vr, vi = x[:, cols]
-                norm2 = ur * ur + ui * ui + vr * vr + vi * vi
-                # The along-line coordinate c_j = (conj(zeta_j) u + v)/sqrt(2)
-                # has |c_j|^2 + |w_j|^2 = |x|^2 (parallelogram law), so the
-                # tube's along-line bound |c_j| <= 1 reads |w_j|^2 >= |x|^2 - 1.
-                lim = norm2 - 1.0
-                # The sums start at +0, and 0 + x is x for every term added:
-                # none is -0 (logs of distances, 0 or 1 over squares).
-                far, tube_sum, lf = True, 0.0, 0.0
-                for j in range(n):
-                    # With zeta_j v = p + i q: 2|w_j|^2 = (ur - p)^2 + (ui - q)^2.
-                    p = vr * za[j] - vi * zb[j]
-                    q = vr * zb[j] + vi * za[j]
-                    w = ((ur - p) ** 2 + (ui - q) ** 2) * 0.5
-                    ok = w >= lim
-                    w = np.sqrt(w)
-                    # A tube sample's distance to its own line is the sampled
-                    # radius exactly; recomputing it as u - zeta*v cancels
-                    # catastrophically once the radius is near float epsilon.
-                    np.copyto(w, rad[cols], where=line[cols] == j)
-                    far &= w >= eps
-                    ok &= (w >= eps) & (w <= 1.0)
-                    # Tube j has density 1/(pi * 2 pi |w_j|^2 log(1/eps)): uniform
-                    # on the unit disc along the line, log-uniform in the
-                    # transverse radius.
-                    tube_sum += ok / (w * w)
-                    # |u^n + v^n| is the product of the n line distances times
-                    # sqrt(2)^n; summing logs of the patched distances stays
-                    # stable arbitrarily close to the divisor.
-                    lf += np.log(w)
-                inside = norm2 <= 1.0
-                keep = mask[cols] = inside & far
-                # Mixture density: ball + origin + the mean of the n tube densities.
-                dens = ((norm2 >= eps * eps) & inside) / (norm2 * norm2)
-                dens *= w_origin / (area_s3 * log_inv_eps)
-                dens += inside * (w_ball / vol_ball)
-                dens += tube_sum * (w_tube / (n * (math.pi * 2 * math.pi * log_inv_eps)))
-                log_f[cols] = np.where(keep, lf + n * math.log(math.sqrt(2)), 0.0)
-                log_w[cols] = np.where(keep, -np.log(dens), 0.0)
-        return log_f, log_w, mask
+    def sample(rng, t):
+        lt = math.log(t)
+        log_cut = d * lt
+        u = rng.random((2 * k - 1 if is_sum else k, n_s))
+        u, s2 = u[:k], u[k:]
+        # Block j's |w| first: _log_radii overwrites the uniforms it reads.
+        log_f = np.empty(n_s)
+        for j, cols in enumerate(blocks):
+            np.multiply(u[j, cols], log_cut - log_top, out=log_f[cols])
+            log_f[cols] += log_top
+        lr = np.empty((k, n_s))
+        _log_radii(u[:, drawn], lt, lr[:, drawn])
+        # Half angles uniform on [-pi/2, pi/2) and off 0 by half a step of
+        # the draws, so that no sum cancels to 0.
+        s2 -= 0.5 - 2.0 ** -54
+        np.sin(s2 * math.pi, out=s2)
+        s2 *= s2
+        for j, cols in enumerate(blocks):
+            log_w = log_f[cols]
+            if k > 1:
+                rest = _log_abs_terms(lr[others[j], cols], m[others[j]], s2[:, cols], is_sum)
+                log_w = _log_abs_sum(log_w, rest, s2[-1, cols]) if is_sum else log_w - rest
+            np.divide(log_w, m[j], out=lr[j, cols])
+        log_f[base] = _log_abs_terms(lr[:, base], m, s2[:, base], is_sum)
+        log_wt = np.maximum.reduce(lr, axis=0)
+        mask = (log_wt <= 0.0) & (log_f > log_cut)
+        # Capping the radii outside the mask at 1 keeps every density finite.
+        np.minimum(lr, 0.0, out=lr)
+        # q_i = s_i / r_i^2, s_i = r_i^2 / (2 pi) + [r_i >= t] / (4 pi log(1/t)),
+        # whose first term alone a double holds below t only as a log.
+        high = lr >= lt
+        lr *= 2.0
+        ls = np.exp(lr, out=u)
+        ls /= 2 * math.pi
+        np.add(ls, 1 / (4 * math.pi * -lt), out=ls, where=high)
+        with np.errstate(divide="ignore"):
+            np.log(ls, out=ls)
+        if not high.all():
+            ls[~high] = lr[~high] - math.log(2 * math.pi)
+        # log of the mixture density over prod_i q_i: the first block's term
+        # plus block j's c_j [(r_j^m_j / |f|)^2] / s_j for each j, with
+        # c_j = m_j / (2 pi log(top / t^d)).
+        extra = lr * m - 2.0 * log_f if is_sum else 0.0
+        lr -= ls
+        np.add.reduce(lr, axis=0, out=log_wt)
+        terms = np.subtract(log_shares - math.log(2 * math.pi * (log_top - log_cut)), ls, out=ls)
+        terms += extra
+        top = np.maximum(np.maximum.reduce(terms, axis=0, out=lr[0]), log_base, out=lr[0])
+        terms -= top
+        np.exp(terms, out=terms)
+        log_wt -= top
+        mix = np.exp(np.subtract(log_base, top, out=top), out=top)
+        for row in terms:
+            mix += row
+        log_wt -= np.log(mix, out=mix)
+        return log_f, log_wt, mask
 
     return sample
 

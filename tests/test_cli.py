@@ -405,15 +405,15 @@ class TestOracleCommands:
             (("--samples", "4000001"), "array cells"),
             (("--samples", "1000000", "--grid", "1:201:1",
               "--cutoffs", "0.5,0.25,0.125,0.0625,0.03125"), "evaluations"),
-            (("--n", "4001", "--samples", "1000"), "array cells"),
+            # 4,001 coordinates times 1,000 samples.
+            (("--exponents", *["1"] * 4001, "--samples", "1000"), "array cells"),
+            (("--n", str(10 ** 300 + 1)), "n must be"),
             (("--tol", "inf"), "tolerance"),
-            # Below about 1e-77 the bp sampler's density would overflow.
-            (("--n", "2", "--samples", "4000", "--seed", "1",
-              "--cutoffs", "1e-150,1e-151,1e-152,1e-153,1e-154"), "cutoff 1e-154"),
         ],
     )
     def test_rejected_before_sampling(self, run_cli, argv, message):
-        target = ("bp",) if "--n" in argv else ("monomial", "--exponents", "1")
+        target = (("bp",) if "--n" in argv else ("monomial",) if "--exponents" in argv
+                  else ("monomial", "--exponents", "1"))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, err = run_cli("oracle", *target, *argv)
@@ -445,10 +445,12 @@ class TestOracleCommands:
         assert len(err.splitlines()) == 1
         assert err.startswith(message) and "probe a smaller lambda_grid" in err
 
-    def test_bp_deep_cutoffs_above_the_floor(self, run_cli):
+    @pytest.mark.parametrize("cutoffs", [
+        "1e-70,1e-71,1e-72,1e-73,1e-74", "1e-150,1e-151,1e-152,1e-153,1e-154",
+    ])
+    def test_bp_deep_cutoffs(self, run_cli, cutoffs):
         code, out, _ = run_cli(
-            "oracle", "bp", "--n", "2", "--samples", "4000", "--seed", "1",
-            "--cutoffs", "1e-70,1e-71,1e-72,1e-73,1e-74",
+            "oracle", "bp", "--n", "2", "--samples", "4000", "--seed", "1", "--cutoffs", cutoffs,
         )
         assert code == 0
         (rec,) = json_records(out)

@@ -1,6 +1,6 @@
 """Monte-Carlo integrability oracle: protocol validation, determinism,
-slope behavior at the grid extremes, threshold recovery, and the row-layout
-integrands against their complex (samples, lines) references.
+slope behavior at the grid extremes, threshold recovery over seeds and
+edge inputs, and the sampler's weights against the volume of the domain.
 
 Module tests run with reduced sample counts to stay fast; the full-budget
 agreement runs for every acceptance case live in test_acceptance.py.
@@ -28,15 +28,13 @@ from orbke import (
 from orbke import enumeration, oracle
 from orbke.errors import InputError, ThresholdOutsideGrid
 from orbke.oracle import (
-    BP_MIN_CUTOFF,
     MAX_CELLS,
     MAX_EVALUATIONS,
-    _bp_components,
-    _bp_sampler,
+    MAX_POWER,
     _check_work,
     _estimate,
     _log_mean_exp,
-    _monomial_sampler,
+    _power_sampler,
     _shell_rng,
     _shell_workers,
     _slope_fit,
@@ -101,8 +99,7 @@ class TestWorkCaps:
         def build(*args):
             raise AssertionError("sampler built before the work caps were checked")
 
-        monkeypatch.setattr(oracle, "_bp_sampler", build)
-        monkeypatch.setattr(oracle, "_monomial_sampler", build)
+        monkeypatch.setattr(oracle, "_power_sampler", build)
 
     def test_monomial_cells_cap(self):
         cfg = OracleConfig(
@@ -112,10 +109,20 @@ class TestWorkCaps:
         with pytest.raises(InputError, match="array cells"):
             estimate_monomial_threshold((1, 2), cfg)
 
-    def test_bp_cells_cap_before_roots(self):
-        cfg = OracleConfig(samples_per_shell=1000, cutoffs=self.CUTS, lambda_grid=(1, 2, 3))
+    def test_bp_cells_cap(self):
+        # u^n + v^n has two coordinates whatever n is.
+        cfg = OracleConfig(
+            samples_per_shell=MAX_CELLS // 2 + 1, cutoffs=self.CUTS, lambda_grid=(1, 2, 3),
+        )
         with pytest.raises(InputError, match="array cells"):
-            estimate_bp_threshold(MAX_CELLS // 1000 + 1, cfg)
+            estimate_bp_threshold(3, cfg)
+
+    def test_powers_cap(self):
+        cfg = OracleConfig(samples_per_shell=1000, cutoffs=self.CUTS, lambda_grid=(1, 2, 3))
+        with pytest.raises(InputError, match="exponent"):
+            estimate_monomial_threshold((1, MAX_POWER + 1), cfg)
+        with pytest.raises(InputError, match="n must be"):
+            estimate_bp_threshold(MAX_POWER + 1, cfg)
 
     def test_evaluations_cap(self):
         samples = 1_000_000
@@ -140,16 +147,15 @@ class TestWorkCaps:
 
 
 class TestNoAdmissibleSamples:
-    def test_bp_cutoffs_above_the_inradius(self):
-        # For n = 2 the two lines have orthogonal normals, so the squared
-        # distances to them sum to |x|^2 <= 1 and no point of the ball is
-        # farther than 1/sqrt(2) from both: every draw is cut away.
+    def test_cut_above_almost_all_of_the_polydisc(self):
+        # |z_1 ... z_50| > 0.9 needs every radius within about 0.002 of 1
+        # on average: a set of volume far below 1e-50 of the polydisc's.
         cfg = OracleConfig(
             samples_per_shell=1000, cutoffs=(0.9, 0.8, 0.75, 0.72, 0.71),
             lambda_grid=grid_around(1),
         )
         with pytest.raises(InputError, match="no admissible samples at cutoff 0.9"):
-            estimate_bp_threshold(2, cfg)
+            estimate_monomial_threshold((1,) * 50, cfg)
 
 
 class TestHugeGrids:
@@ -198,22 +204,22 @@ class TestHugeGrids:
         assert math.isfinite(slope) and math.isfinite(se)
 
 
-class TestBpCutoffFloor:
-    def test_density_stays_finite_at_the_floor(self):
-        # At eps = BP_MIN_CUTOFF, eps^4 is still a normal double, so the
-        # mixture density neither overflows nor divides by an underflow.
-        sample = _bp_sampler(2, 2000)
-        with np.errstate(all="raise"):
-            log_f, log_w, mask = sample(_shell_rng(1, 0), BP_MIN_CUTOFF)
-        assert mask.any()
-        assert np.isfinite(log_f).all() and np.isfinite(log_w).all()
+class TestNoCutoffFloor:
+    """Radii, |f| and densities are logs, so a ladder down to 1e-300 (and a
+    cut t^d far below the doubles) estimates as well as the default one."""
 
-    def test_monomial_has_no_floor(self):
+    @pytest.mark.parametrize("estimate, arg, analytic", [
+        (estimate_bp_threshold, 2, 1),
+        (estimate_monomial_threshold, [2], monomial_lct([2])),
+    ])
+    def test_within_tolerance_at_1e_300(self, estimate, arg, analytic):
         cuts = tuple(10.0 ** -k for k in range(296, 301))
         cfg = OracleConfig(samples_per_shell=4000, cutoffs=cuts,
-                           lambda_grid=grid_around(monomial_lct([2])), seed=1)
-        est = estimate_monomial_threshold([2], cfg)
-        assert verify_threshold(monomial_lct([2]), est, 0.1)
+                           lambda_grid=grid_around(analytic), seed=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = estimate(arg, cfg)
+        assert verify_threshold(analytic, est, 0.1)
 
 
 class TestDeterminism:
@@ -239,7 +245,7 @@ class TestDeterminism:
 
 
 class TestMonomialThreshold:
-    @pytest.mark.parametrize("exponents", [(1,), (2,), (1, 2)])
+    @pytest.mark.parametrize("exponents", [(1,), (2,), (1, 2), (100,), (1, 2, 3), (3, 5, 7)])
     def test_recovers_analytic_threshold(self, exponents):
         analytic = monomial_lct(exponents)
         cfg = OracleConfig(lambda_grid=grid_around(analytic), **FAST)
@@ -290,10 +296,11 @@ class TestMonomialThreshold:
 
 
 class TestBpThreshold:
-    def test_recovers_n2(self):
-        cfg = OracleConfig(lambda_grid=grid_around(1), **FAST)
-        est = estimate_bp_threshold(2, cfg)
-        assert verify_threshold(1, est, 0.1)
+    @pytest.mark.parametrize("n", [2, 10, 50])
+    def test_recovers_analytic_threshold(self, n):
+        cfg = OracleConfig(lambda_grid=grid_around(Fraction(2, n)), **FAST)
+        est = estimate_bp_threshold(n, cfg)
+        assert verify_threshold(Fraction(2, n), est, 0.1)
 
     def test_estimate_inside_grid(self):
         cfg = OracleConfig(lambda_grid=grid_around(Fraction(2, 3)), **FAST)
@@ -305,6 +312,22 @@ class TestBpThreshold:
         cfg = OracleConfig(lambda_grid=grid_around(1), **FAST)
         with pytest.raises(InputError):
             estimate_bp_threshold(1, cfg)
+
+
+class TestSeeds:
+    # The benchmark's oracle inputs at the default config, over other seeds.
+    @pytest.mark.parametrize("estimate, arg, analytic", [
+        (estimate_monomial_threshold, (1,), 1),
+        (estimate_monomial_threshold, (2,), Fraction(1, 2)),
+        (estimate_monomial_threshold, (4,), Fraction(1, 4)),
+        (estimate_bp_threshold, 2, 1),
+        (estimate_bp_threshold, 3, Fraction(2, 3)),
+        (estimate_bp_threshold, 4, Fraction(1, 2)),
+    ])
+    @pytest.mark.parametrize("seed", range(1, 11))
+    def test_default_config_within_tolerance(self, estimate, arg, analytic, seed):
+        est = estimate(arg, OracleConfig(lambda_grid=grid_around(analytic), seed=seed))
+        assert verify_threshold(analytic, est, 0.1), est.threshold_estimate
 
 
 class TestVerifyThreshold:
@@ -336,146 +359,39 @@ class TestVerifyThreshold:
 
 
 # ---------------------------------------------------------------------------
-# Reference integrands: the (samples, lines) layout in complex arithmetic
-# that the row layout replaced.  Same draws in the same order.
+# The sampler's weights
 
 
-def _reference_monomial(exps, n_s):
-    a_vec = np.array(exps, dtype=float)
-
-    def sample(rng, eps):
-        k = len(exps)
-        pick_log = rng.random((n_s, k)) < 0.5
-        u = rng.random((n_s, k))
-        r_area = np.sqrt(eps * eps + u * (1 - eps * eps))
-        r_log = np.exp(u * math.log(eps))
-        r = np.where(pick_log, r_log, r_area)
-        dens = 0.5 * (2 * r / (1 - eps * eps)) + 0.5 / (r * math.log(1 / eps))
-        log_w = (np.log(2 * math.pi * r) - np.log(dens)).sum(axis=1)
-        return np.log(r) @ a_vec, log_w, np.ones(n_s, dtype=bool)
-
-    return sample
-
-
-def _reference_direction_times_radius(rng, size, radius):
-    g = rng.standard_normal((size, 4))
-    g /= np.linalg.norm(g, axis=1, keepdims=True)
-    xy = g * radius(rng.random(size))[:, None]
-    return xy[:, 0] + 1j * xy[:, 1], xy[:, 2] + 1j * xy[:, 3]
-
-
-def _reference_bp(n, n_s):
-    zetas = np.array([np.exp(1j * math.pi * (2 * j + 1) / n) for j in range(n)])
-    inv_sqrt2 = 1 / math.sqrt(2)
-    w_ball, w_origin, w_tube = 0.4, 0.3, 0.3
-    vol_ball = math.pi ** 2 / 2
-    area_s3 = 2 * math.pi ** 2
-
-    def sample(rng, eps):
-        log_inv_eps = math.log(1 / eps)
-        comp = rng.choice(3, size=n_s, p=[w_ball, w_origin, w_tube])
-        u = np.empty(n_s, dtype=complex)
-        v = np.empty(n_s, dtype=complex)
-        for c_id, radius in ((0, lambda t: t ** 0.25), (1, lambda t: np.exp(t * math.log(eps)))):
-            idx = np.flatnonzero(comp == c_id)
-            if idx.size:
-                u[idx], v[idx] = _reference_direction_times_radius(rng, idx.size, radius)
-        tube_idx = np.flatnonzero(comp == 2)
-        if tube_idx.size:
-            tube_line = rng.integers(0, n, size=tube_idx.size)
-            c = np.sqrt(rng.random(tube_idx.size)) * np.exp(
-                1j * rng.random(tube_idx.size) * 2 * math.pi)
-            tube_rad = np.exp(rng.random(tube_idx.size) * math.log(eps))
-            w = tube_rad * np.exp(1j * rng.random(tube_idx.size) * 2 * math.pi)
-            z = zetas[tube_line]
-            u[tube_idx] = (c * z + w) * inv_sqrt2
-            v[tube_idx] = (c - w * np.conj(z)) * inv_sqrt2
-        norm2 = (u * np.conj(u) + v * np.conj(v)).real
-        w_abs = np.abs((u[:, None] - v[:, None] * zetas[None, :]) * inv_sqrt2)
-        if tube_idx.size:
-            w_abs[tube_idx, tube_line] = tube_rad
-        c_all = (u[:, None] * np.conj(zetas)[None, :] + v[:, None]) * inv_sqrt2
-        mask = (norm2 <= 1.0) & (w_abs.min(axis=1) >= eps)
-        dens = np.zeros(n_s)
-        dens += w_ball * (norm2 <= 1.0) / vol_ball
-        rad = np.sqrt(norm2)
-        with np.errstate(divide="ignore"):
-            dens += np.where((rad >= eps) & (rad <= 1.0),
-                             w_origin / (area_s3 * log_inv_eps * rad ** 4), 0.0)
-        tube_ok = (np.abs(c_all) <= 1.0) & (w_abs >= eps) & (w_abs <= 1.0)
-        dens += w_tube * np.where(
-            tube_ok, 1.0 / (math.pi * 2 * math.pi * w_abs ** 2 * log_inv_eps), 0.0
-        ).sum(axis=1) / n
-        with np.errstate(divide="ignore"):
-            log_f = np.where(mask, np.log(w_abs).sum(axis=1) + n * math.log(math.sqrt(2)), 0.0)
-            log_w = np.where(mask, -np.log(dens), 0.0)
-        return log_f, log_w, mask
-
-    return sample
-
-
-REFERENCE_SAMPLES = 2000
-REFERENCE_SHELLS = (0, 4, 8)
-DEFAULT_CUTOFFS = OracleConfig(lambda_grid=(1, 2, 3)).cutoffs
-
-
-def _assert_same_integrand(sampler, reference, seed):
-    # One sampler serves every shell, as in _estimate.
-    for shell in REFERENCE_SHELLS:
-        eps = DEFAULT_CUTOFFS[shell]
-        log_f, log_w, mask = sampler(_shell_rng(seed, shell), eps)
-        ref_f, ref_w, ref_mask = reference(_shell_rng(seed, shell), eps)
-        np.testing.assert_array_equal(mask, ref_mask)
-        assert mask.any()
-        # Both logs pass through zero, where no relative bound holds; the
-        # 1e-14 floor is about 50 ulps of 1.0.
-        np.testing.assert_allclose(log_f[mask], ref_f[mask], rtol=1e-12, atol=1e-14)
-        np.testing.assert_allclose(log_w[mask], ref_w[mask], rtol=1e-12, atol=1e-14)
-
-
-class TestRowLayoutMatchesReference:
-    @pytest.mark.parametrize("seed", [3, 20260814])
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
-    def test_bp(self, n, seed):
-        _assert_same_integrand(
-            _bp_sampler(n, REFERENCE_SAMPLES), _reference_bp(n, REFERENCE_SAMPLES), seed
-        )
-
-    @pytest.mark.parametrize("seed", [3, 20260814])
-    @pytest.mark.parametrize("exps", [(1,), (4,), (1, 3), (2, 2, 5)])
-    def test_monomial(self, exps, seed):
-        _assert_same_integrand(
-            _monomial_sampler(exps, REFERENCE_SAMPLES),
-            _reference_monomial(exps, REFERENCE_SAMPLES), seed,
-        )
-
-
-class TestComponentDraw:
-    @pytest.mark.parametrize("seed", [0, 1, 3, 17, 20260814])
-    @pytest.mark.parametrize("size", [1, 7, 40_000])
-    @pytest.mark.parametrize("weights", [(0.4, 0.3, 0.3), (0.1, 0.6, 0.3)])
-    def test_labels_and_next_draw_match_choice(self, seed, size, weights):
-        ref = np.random.default_rng(seed)
-        rng = np.random.default_rng(seed)
-        want = ref.choice(3, size=size, p=list(weights))
-        ball, inner = _bp_components(rng, size, weights)
-        np.testing.assert_array_equal(np.where(ball, 0, np.where(inner, 1, 2)), want)
-        np.testing.assert_array_equal(rng.random(5), ref.random(5))
+class TestDensity:
+    @pytest.mark.parametrize("powers, is_sum", [
+        ((4,), False), ((1, 2, 3), False), ((4, 4), True), ((3, 5, 7), True),
+    ])
+    def test_weights_integrate_the_polydisc(self, powers, is_sum):
+        # At lambda = 0 the mean of w * mask estimates the volume pi^k of the
+        # polydisc, less {|f| <= t^d}, which is far below the noise at
+        # t = 1e-8.  A wrong term of the mixture density misses it.
+        n_s = 40_000
+        log_f, log_w, mask = _power_sampler(powers, is_sum, n_s)(_shell_rng(1, 0), 1e-8)
+        w = np.where(mask, np.exp(log_w), 0.0)
+        volume = math.pi ** len(powers)
+        se = float(w.std()) / math.sqrt(n_s)
+        assert abs(float(w.mean()) - volume) <= 3 * se
+        assert se < 0.05 * volume
 
 
 class TestInPlaceIntegration:
-    @pytest.mark.parametrize("make, arg, k_coeff, analytic", [
-        (_bp_sampler, 3, 6.0, Fraction(2, 3)),
-        (_monomial_sampler, (1, 2), 4.0, Fraction(1, 2)),
+    @pytest.mark.parametrize("powers, is_sum, k_coeff, analytic", [
+        ((3, 3), True, 6.0, Fraction(2, 3)),
+        ((1, 2), False, 4.0, Fraction(1, 2)),
     ])
-    def test_estimate_leaves_sampler_arrays_alone(self, make, arg, k_coeff, analytic, monkeypatch):
+    def test_estimate_leaves_sampler_arrays_alone(self, powers, is_sum, k_coeff, analytic,
+                                                  monkeypatch):
         # Two workers share one sampler: once the run is over, every shell's
         # arrays must be as the sampler returned them, so neither the
         # pipeline nor a later shell wrote over them.
         monkeypatch.setattr(enumeration, "usable_cpus", lambda: 2)
         cfg = OracleConfig(lambda_grid=grid_around(analytic), **FAST)
-        width = arg if isinstance(arg, int) else len(arg)
-        inner = make(arg, cfg.samples_per_shell)
+        inner = _power_sampler(powers, is_sum, cfg.samples_per_shell)
         shells = []
 
         def spy(rng, eps):
@@ -483,7 +399,7 @@ class TestInPlaceIntegration:
             shells.append((out, tuple(a.copy() for a in out)))
             return out
 
-        _estimate(lambda: spy, width, k_coeff, cfg)
+        _estimate(lambda: spy, len(powers), k_coeff, cfg)
         assert len(shells) == len(cfg.cutoffs)
         for out, copies in shells:
             for got, want in zip(out, copies):
@@ -532,7 +448,7 @@ class TestShellWorkers:
             return executor(max_workers)
 
         monkeypatch.setattr(oracle, "ThreadPoolExecutor", spy)
-        sampler = partial(_monomial_sampler, (1,), cfg.samples_per_shell)
+        sampler = partial(_power_sampler, (1,), False, cfg.samples_per_shell)
         for width, want in [(MAX_CELLS // cfg.samples_per_shell, 1),
                             (MAX_CELLS // (2 * cfg.samples_per_shell), 2)]:
             pools.clear()
@@ -555,18 +471,6 @@ class TestShellWorkers:
         assert runs[4] == runs[1]
         assert threading.active_count() == before
 
-    def test_several_blocks_match_one(self, monkeypatch):
-        # Blocks of 700 columns (the last one short) give the same arrays
-        # as one block over all 2000.
-        cfg = OracleConfig(lambda_grid=(1, 2, 3))
-        want = [_bp_sampler(3, 2000)(_shell_rng(3, s), cfg.cutoffs[s]) for s in (0, 8)]
-        want = [tuple(a.copy() for a in out) for out in want]
-        monkeypatch.setattr(oracle, "_BP_BLOCK", 700)
-        sample = _bp_sampler(3, 2000)
-        for s, ref in zip((0, 8), want):
-            for got, exp in zip(sample(_shell_rng(3, s), cfg.cutoffs[s]), ref):
-                assert got.tobytes() == exp.tobytes()
-
     def test_failure_names_the_first_failing_cutoff(self, monkeypatch):
         # Shells 2 and 3 admit no sample.  Shell 2's sampler waits until
         # shell 3 has failed, so the later shell fails first in time; the
@@ -575,7 +479,7 @@ class TestShellWorkers:
         cfg = OracleConfig(lambda_grid=grid_around(1), **SMALL)
         eps2, eps3 = cfg.cutoffs[2], cfg.cutoffs[3]
         third_failed = threading.Event()
-        inner = _monomial_sampler((1,), cfg.samples_per_shell)
+        inner = _power_sampler((1,), False, cfg.samples_per_shell)
 
         def sample(rng, eps):
             log_f, log_w, mask = inner(rng, eps)
@@ -600,10 +504,10 @@ class TestShellWorkers:
         cfg = OracleConfig(samples_per_shell=1000, cutoffs=tuple(10.0 ** -k for k in range(4, 16)),
                            lambda_grid=grid_around(1), seed=9)
         monkeypatch.setattr(enumeration, "usable_cpus", lambda: 1)
-        want = _estimate(partial(_monomial_sampler, (1,), 1000), 1, 2.0, cfg)
+        want = _estimate(partial(_power_sampler, (1,), False, 1000), 1, 2.0, cfg)
         monkeypatch.setattr(enumeration, "usable_cpus", lambda: 8)
         sampled = []
-        inner = _monomial_sampler((1,), cfg.samples_per_shell)
+        inner = _power_sampler((1,), False, cfg.samples_per_shell)
 
         def sample(rng, eps):
             sampled.append(eps)

@@ -149,12 +149,13 @@ class TestByteIdentity:
         _assert_streams(run_cli, tmp_path, argv, 0, want)
 
     # sha256 of each stream of `enumerate --dim 3 --class all --max-order 30`
-    # with elapsed_s 0.0, as written before items were built from rows; this
-    # pins the emitter's own bytes, which the reference above shares.
+    # with elapsed_s 0.0, as written before items were built from rows, with
+    # the summary's contact-structure caveat in its homology-sphere wording;
+    # this pins the emitter's own bytes, which the reference above shares.
     DIGESTS = {
-        "json": "c0ecf1ffeff47a22459fa1c50076cc799686d0344afeb1d203caea2e2e2ef7e8",
-        "csv": "b3e1ffbeb9715132ca6fbc528ba1cd48f7828c808230a321bde6071f094a1a8f",
-        "text": "f16ff9eee29f79a1e9bd5d92ca153ab3b2fc05e633149c9097f04731c8ffe64f",
+        "json": "aba8a9fdaa73a2ebaf6412ea1e7282f379ca6d46e8f25cee2daca34329cd76ca",
+        "csv": "4682eeac700af39abdcba82c842a44e3314b2d6b8553a246040d10966b30ab4f",
+        "text": "314d5ace0f8d695a89acbaf6519978f20ba5bd4fb41bac7c9163702036365451",
     }
 
     @pytest.mark.parametrize("fmt", FORMATS)
