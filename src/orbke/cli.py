@@ -710,7 +710,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=float, default=None,
                        help="relative tolerance for the verdict (default 0.1)")
         p.add_argument("--samples", type=int, default=None,
-                       help="Monte-Carlo samples per cutoff shell")
+                       help="Monte-Carlo samples, one draw read by every cutoff shell")
         p.add_argument("--cutoffs", default=None,
                        help="comma-separated cutoff ladder (decreasing)")
         p.add_argument("--grid", default=None, metavar="lo:hi:step",

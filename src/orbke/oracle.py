@@ -28,14 +28,18 @@ threshold and ThresholdOutsideGrid reports the direction.
 Both integrands, a product of coordinate powers (monomial) and a sum of
 them (u^n + v^n), run through one sampler, _power_sampler, and one
 pipeline, _estimate.  An integrand is its powers plus its width, the
-number of coordinates, which is the array cells per sample: for each
-cutoff shell the sampler draws samples_per_shell points and returns the
-arrays (log f, log w, mask), where f is |f| at each point, w its
-importance weight (domain measure over sampling density) and mask marks
-the points inside the cutoff domain.  The pipeline turns each shell into
-log I(t, lambda) = log mean(|f|^(-2 lambda) * w * mask) for every
-lambda, fits one slope per lambda and extracts the threshold.  Sampling
-is importance-weighted toward the zero set: most draws solve one
+number of coordinates, which is the array cells per sample.  The shells
+{|f| > t^d} of the ladder are nested, so one draw at the deepest cutoff
+covers all of them without bias: the sampler draws samples_per_shell
+points once and returns the arrays (log f, log w, mask), where f is |f|
+at each point, w its importance weight (domain measure over sampling
+density) and mask marks the points inside the deepest cutoff domain.
+Each kept draw falls in one segment, the shallowest shell whose cut it
+clears, and shell j reads segments 0..j, so every shell shares the same
+random numbers.  The pipeline turns the draw into
+log I(t, lambda) = log mean(|f|^(-2 lambda) * w * [|f| > t^d]) for every
+shell and lambda, fits one slope per lambda and extracts the threshold.
+Sampling is importance-weighted toward the zero set: most draws solve one
 coordinate for a log-uniform |f|, since uniform sampling under-resolves
 the singular locus.
 
@@ -43,23 +47,15 @@ Arrays are laid out as rows of samples, one row per coordinate, so every
 numpy call runs over long rows in real arithmetic.  Radii, |f| and
 densities are held as logs, so no cutoff a double can hold underflows.
 Samplers are stateless: each call allocates its own arrays and returns
-fresh ones.  The pipeline masks log f and log w once per shell, then
-integrates every lambda in place in one buffer.
+fresh ones.  The pipeline sorts the kept draws by segment once, then
+integrates each lambda in one pass over one buffer, shifting each segment
+by its own maximum.  A run is serial: one sampler call and one exp pass
+per lambda, with no thread pool.
 
-The shells run on a concurrent.futures thread pool of min(usable CPUs,
-shells, MAX_CELLS // cells) workers, whose map hands them out in ladder
-order and yields each shell's log I for every lambda in that order; the
-slope fits run once every shell is in.  A shell's arrays are allocated by
-its sampler call and die with it, and their size follows the shell's
-cells, so the memory in flight is about workers x cells, which the worker
-bound keeps within MAX_CELLS: a run at the cell cap is serial.  numpy's
-draws and ufuncs release the GIL, so the workers' shells overlap.
-
-All randomness flows from counter-based Philox streams keyed by (seed,
-shell), so estimates are bit-identical for a given config no matter how the
-(lambda, shell) work is scheduled, and a threaded run equals a serial one
-bit for bit.  Before anything is sampled, the array cells per shell and the
-integrand evaluations of a run are checked against MAX_CELLS and
+All randomness flows from one counter-based Philox stream keyed by the
+seed, so a given config gives bit-identical estimates.  Before anything
+is sampled, the array cells of the draw and the integrand evaluations of a
+run (samples x shells x probe points) are checked against MAX_CELLS and
 MAX_EVALUATIONS.  While a run integrates and fits, -2 lambda log f, each
 log I and each fit's residual sum must stay finite floats, or the run
 raises InputError: a grid that large cannot place the threshold.  Results
@@ -69,24 +65,21 @@ are test instruments only; no exact code path consumes them.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from numbers import Real
 
 import numpy as np
 
-from . import enumeration
 from .errors import InputError, ThresholdOutsideGrid, check_int, check_rational
 
 _MIN_SHELLS = 5
 _MIN_SAMPLES = 1000
 _SEED_LIMIT = 2 ** 63
-# Work caps, checked before anything is sampled: array cells per shell
+# Work caps, checked before anything is sampled: array cells of the draw
 # (samples x integrand width) and integrand evaluations (samples x shells x
-# probe points).  The shell workers are capped so that their cells in
-# flight (workers x cells) also stay within MAX_CELLS.  The defaults use
-# 4e4 cells per coordinate (8e4 for bp) and 6.1e6 evaluations.
+# probe points).  The defaults use 4e4 cells per coordinate (8e4 for bp)
+# and 6.1e6 evaluations.
 MAX_CELLS = 4_000_000
 MAX_EVALUATIONS = 10 ** 9
 # No config with more probe points passes the evaluation cap.
@@ -107,8 +100,9 @@ class OracleConfig:
     transient slope that spills past the cut and drags the estimate low.
     lambda_grid holds the rationals to probe, sorted increasing; the
     threshold finder assumes near-uniform spacing.  tolerance is the
-    default relative error for verify_threshold.  seed keys the Philox
-    streams and must lie in [0, 2**63).
+    default relative error for verify_threshold.  samples_per_shell is the
+    size of the one draw, at the deepest cutoff, that every shell reads.
+    seed keys the Philox stream and must lie in [0, 2**63).
     """
 
     samples_per_shell: int = 40_000
@@ -179,8 +173,8 @@ class ExponentEstimate:
             raise AssertionError("threshold estimate escaped the probed grid")
 
 
-def _check_work(cfg: OracleConfig, width: int) -> int:
-    """Array cells per shell of a run, once it is known to fit the work caps."""
+def _check_work(cfg: OracleConfig, width: int) -> None:
+    """Raise InputError if a run of this width exceeds a work cap."""
     cells = cfg.samples_per_shell * width
     if cells > MAX_CELLS:
         raise InputError(
@@ -193,11 +187,10 @@ def _check_work(cfg: OracleConfig, width: int) -> int:
             f"samples_per_shell x cutoffs x lambda_grid = {evals} evaluations "
             f"exceeds the cap {MAX_EVALUATIONS}"
         )
-    return cells
 
 
-def _shell_rng(seed: int, shell: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=[seed, shell]))
+def _rng(seed: int) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(key=seed))
 
 
 def _slope_fit(log_eps, log_i):
@@ -223,18 +216,6 @@ def _slope_fit(log_eps, log_i):
     dof = max(m - 2, 1)
     se = math.sqrt(max(rss, 0.0) / dof / sxx)
     return slope, se
-
-
-def _log_mean_exp(buf, total: int) -> float:
-    """log(sum(exp(buf)) / total), stabilized; buf must be nonempty.
-
-    buf is overwritten: it is shifted by its maximum and exponentiated in
-    place.
-    """
-    top = float(buf.max())
-    buf -= top
-    np.exp(buf, out=buf)
-    return top + math.log(float(buf.sum()) / total)
 
 
 def _extract_threshold(grid, slopes, ses, k_coeff) -> ExponentEstimate:
@@ -268,84 +249,101 @@ def _extract_threshold(grid, slopes, ses, k_coeff) -> ExponentEstimate:
     )
 
 
-def _shell_workers(cfg: OracleConfig, cells: int) -> int:
-    """Workers for a run: at most one per usable CPU and per shell, and few
-    enough that workers x cells stays within MAX_CELLS (so a run at the
-    cell cap is serial)."""
-    cpus = enumeration.usable_cpus() or 1
-    return max(1, min(cpus, len(cfg.cutoffs), MAX_CELLS // cells))
+def _integrate_ladder(log_f, log_w, mask, power, cutoffs, lam_f) -> np.ndarray:
+    """log I(t, lambda) of every ladder cutoff t (columns) for every lambda
+    (rows), from one draw at the deepest cutoff.
 
+    The draws where mask holds make up the deepest shell.  Each of them
+    gets a segment, the shallowest shell j whose cut power * log t_j it
+    clears (the count of shallower cuts it misses), and they are stably
+    sorted by segment, so shell j reads segments 0..j.
+    For each lambda one pass over the draws forms
+    x = -2 lambda log_f + log_w, takes each segment's maximum and its sum
+    of exp(x - maximum); shell j's log I is the log-sum-exp of segments
+    0..j less log(mask.size), so draws outside a shell count as zeros.
+    Shifting each segment by its own maximum keeps a ladder spanning
+    hundreds of decades from underflowing its shallow shells.  The input
+    arrays are only read.
 
-def _integrate_shell(sample, cfg: OracleConfig, lam_f, shell: int) -> list:
-    """Sample one shell and return log I(eps, lambda) for every lambda.
-
-    log_f and log_w are masked once, and every lambda reuses one buffer
-    for -2 lambda log_f + log_w, its shift by the maximum and its
-    exponential.  The mean runs over all the shell's draws, so masked-out
-    draws count as zeros.  A lambda for which -2 lambda log_f or log I is
-    not a finite float raises InputError: a grid that large says nothing
-    about the threshold.  Float products round monotonically, so
-    -2 lambda log_f is finite for every draw exactly when 2 lambda times
-    the largest |log_f| is.
+    A shallow shell without a kept draw raises InputError naming the
+    shallowest cutoff.  A lambda for which -2 lambda log_f or a log I is
+    not a finite float raises InputError naming the shallowest shell it
+    reaches: a grid that large says nothing about the threshold.  Float
+    products round monotonically, so -2 lambda log_f is finite over a shell
+    exactly when 2 lambda times the shell's largest |log_f| is.
     """
-    eps = cfg.cutoffs[shell]
-    log_f, log_w, mask = sample(_shell_rng(cfg.seed, shell), eps)
-    kept = int(np.count_nonzero(mask))
-    if not kept:
+    cuts = [power * math.log(t) for t in cutoffs]
+    log_f, log_w = log_f[mask], log_w[mask]
+    # A small unsigned dtype makes the stable sort a radix sort.
+    seg = np.zeros(len(log_f), np.min_scalar_type(len(cuts)))
+    for cut in cuts[:-1]:
+        seg += log_f <= cut
+    counts = np.bincount(seg, minlength=len(cuts))
+    if not counts[0]:
         raise InputError(
-            f"no admissible samples at cutoff {eps}: the cutoff neighborhood "
+            f"no admissible samples at cutoff {cutoffs[0]}: the cutoff neighborhood "
             "covers the sampled domain or samples_per_shell is too small"
         )
-    if kept < mask.size:
-        log_f, log_w = log_f[mask], log_w[mask]
-    span = max(float(log_f.max()), -float(log_f.min()))
-    buf = np.empty(kept)
-    row = []
-    for lam in lam_f:
-        if not math.isfinite(2.0 * lam * span):
+    order = np.argsort(seg, kind="stable")
+    log_f, log_w = log_f[order], log_w[order]
+    full = counts > 0
+    sizes = counts[full]
+    starts = np.cumsum(sizes) - sizes
+    # Shell j's last nonempty segment, and its largest |log_f|.
+    last = np.cumsum(full) - 1
+    span = np.maximum.accumulate(np.maximum.reduceat(np.abs(log_f), starts))[last].tolist()
+    log_total = math.log(mask.size)
+    buf = np.empty(len(log_f))
+    log_i = np.empty((len(lam_f), len(cuts)))
+    for row, lam in zip(log_i, lam_f):
+        if not math.isfinite(2.0 * lam * span[-1]):
+            j = next(j for j, s in enumerate(span) if not math.isfinite(2.0 * lam * s))
             raise InputError(
-                f"-2 lambda log|f| overflows a float at lambda = {lam:.3g}, cutoff {eps}; "
-                "probe a smaller lambda_grid"
+                f"-2 lambda log|f| overflows a float at lambda = {lam:.3g}, "
+                f"cutoff {cutoffs[j]}; probe a smaller lambda_grid"
             )
         np.multiply(log_f, -2.0 * lam, out=buf)
         with np.errstate(over="ignore", invalid="ignore"):
             buf += log_w
-            log_i = _log_mean_exp(buf, mask.size)
-        if not math.isfinite(log_i):
+            top = np.maximum.reduceat(buf, starts)
+            buf -= np.repeat(top, sizes)
+            np.exp(buf, out=buf)
+            top += np.log(np.add.reduceat(buf, starts))
+            np.take(np.logaddexp.accumulate(top), last, out=row)
+        row -= log_total
+        bad = ~np.isfinite(row)
+        if bad.any():
             raise InputError(
-                f"log I is not a finite float at lambda = {lam:.3g}, cutoff {eps}; "
-                "probe a smaller lambda_grid"
+                f"log I is not a finite float at lambda = {lam:.3g}, "
+                f"cutoff {cutoffs[int(bad.argmax())]}; probe a smaller lambda_grid"
             )
-        row.append(log_i)
-    return row
+    return log_i
 
 
-def _estimate(make_sample, width: int, k_coeff: float, cfg: OracleConfig) -> ExponentEstimate:
-    """Shared pipeline: sample each shell, integrate every lambda, fit, extract.
+def _estimate(make_sample, width: int, power, cfg: OracleConfig) -> ExponentEstimate:
+    """Shared pipeline: draw once, integrate every shell and lambda, fit, extract.
 
-    make_sample() builds the sampler; sample(rng, t), for a shell's ladder
-    cutoff t, returns fresh arrays (log_f, log_w, mask) for the shell's
-    draws: the log of |f|, the
-    log importance weight (domain measure over sampling density), and
-    which draws lie in the cutoff domain.  Entries outside the mask are
-    ignored, and the arrays are only read.
+    make_sample() builds the sampler; sample(rng, t), for a ladder cutoff
+    t, returns fresh arrays (log_f, log_w, mask) for its draws: the log of
+    |f|, the log importance weight (domain measure over sampling density),
+    and which draws lie in the domain cut at |f| > t^power.  Entries
+    outside the mask are ignored, and the arrays are only read.  power is
+    f's largest power d, so K = 2d.
 
     The work caps are checked first, for width cells per sample, and only
-    then is the sampler built.  The shells run on a pool of
-    _shell_workers(cfg, cells) threads, whose map yields their rows of
-    log I in ladder order, raises the failure of the earliest failing
-    shell, as a serial run would, and cancels the shells not yet started.
+    then is the sampler built.  It is called once, at the deepest cutoff,
+    on the Philox stream of the seed, and _integrate_ladder reads every
+    shell of the ladder from that one draw.
     """
-    cells = _check_work(cfg, width)
+    _check_work(cfg, width)
     sample = make_sample()
+    log_f, log_w, mask = sample(_rng(cfg.seed), cfg.cutoffs[-1])
     lam_f = [float(l) for l in cfg.lambda_grid]
-    with ThreadPoolExecutor(_shell_workers(cfg, cells)) as pool:
-        rows = list(pool.map(partial(_integrate_shell, sample, cfg, lam_f),
-                             range(len(cfg.cutoffs))))
+    log_i = _integrate_ladder(log_f, log_w, mask, power, cfg.cutoffs, lam_f)
     log_eps = np.array([math.log(eps) for eps in cfg.cutoffs])
-    fits = [_slope_fit(log_eps, row) for row in zip(*rows)]
+    fits = [_slope_fit(log_eps, row) for row in log_i]
     return _extract_threshold(
-        cfg.lambda_grid, [sl for sl, _ in fits], [se for _, se in fits], k_coeff
+        cfg.lambda_grid, [sl for sl, _ in fits], [se for _, se in fits], 2.0 * power
     )
 
 
@@ -360,7 +358,7 @@ def estimate_monomial_threshold(exponents, cfg: OracleConfig) -> ExponentEstimat
     if not exps:
         raise InputError("exponent list must be nonempty")
     return _estimate(partial(_power_sampler, exps, False, cfg.samples_per_shell),
-                     len(exps), 2.0 * max(exps), cfg)
+                     len(exps), max(exps), cfg)
 
 
 def estimate_bp_threshold(n: int, cfg: OracleConfig) -> ExponentEstimate:
@@ -368,7 +366,7 @@ def estimate_bp_threshold(n: int, cfg: OracleConfig) -> ExponentEstimate:
     cutoff t cuts at |f| > t^n, so K = 2n."""
     n = check_int(n, "n", 2, MAX_POWER)
     return _estimate(partial(_power_sampler, (n, n), True, cfg.samples_per_shell),
-                     2, 2.0 * n, cfg)
+                     2, n, cfg)
 
 
 def _log_radii(u, lt, out):

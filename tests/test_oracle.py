@@ -9,11 +9,9 @@ agreement runs for every acceptance case live in test_acceptance.py.
 from __future__ import annotations
 
 import math
-import sys
 import threading
 import warnings
 from fractions import Fraction
-from functools import partial
 
 import numpy as np
 import pytest
@@ -33,10 +31,9 @@ from orbke.oracle import (
     MAX_POWER,
     _check_work,
     _estimate,
-    _log_mean_exp,
+    _integrate_ladder,
     _power_sampler,
-    _shell_rng,
-    _shell_workers,
+    _rng,
     _slope_fit,
 )
 
@@ -190,7 +187,7 @@ class TestHugeGrids:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(InputError, match="log I is not a finite float at lambda = 5e"):
-                _estimate(lambda: sample, 1, 2.0, cfg)
+                _estimate(lambda: sample, 1, 1, cfg)
 
     def test_slope_fit_overflow_is_rejected(self):
         log_eps = np.log(OracleConfig(lambda_grid=(1, 2, 3)).cutoffs)
@@ -371,7 +368,7 @@ class TestDensity:
         # polydisc, less {|f| <= t^d}, which is far below the noise at
         # t = 1e-8.  A wrong term of the mixture density misses it.
         n_s = 40_000
-        log_f, log_w, mask = _power_sampler(powers, is_sum, n_s)(_shell_rng(1, 0), 1e-8)
+        log_f, log_w, mask = _power_sampler(powers, is_sum, n_s)(_rng(1), 1e-8)
         w = np.where(mask, np.exp(log_w), 0.0)
         volume = math.pi ** len(powers)
         se = float(w.std()) / math.sqrt(n_s)
@@ -384,77 +381,82 @@ class TestInPlaceIntegration:
         ((3, 3), True, 6.0, Fraction(2, 3)),
         ((1, 2), False, 4.0, Fraction(1, 2)),
     ])
-    def test_estimate_leaves_sampler_arrays_alone(self, powers, is_sum, k_coeff, analytic,
-                                                  monkeypatch):
-        # Two workers share one sampler: once the run is over, every shell's
-        # arrays must be as the sampler returned them, so neither the
-        # pipeline nor a later shell wrote over them.
-        monkeypatch.setattr(enumeration, "usable_cpus", lambda: 2)
+    def test_estimate_leaves_sampler_arrays_alone(self, powers, is_sum, k_coeff, analytic):
+        # One draw serves the whole ladder: the sampler runs exactly once, at
+        # the deepest cutoff, and once the run is over its arrays are as it
+        # returned them, so the pipeline only read them.
         cfg = OracleConfig(lambda_grid=grid_around(analytic), **FAST)
         inner = _power_sampler(powers, is_sum, cfg.samples_per_shell)
-        shells = []
+        calls = []
 
         def spy(rng, eps):
             out = inner(rng, eps)
-            shells.append((out, tuple(a.copy() for a in out)))
+            calls.append((eps, out, tuple(a.copy() for a in out)))
             return out
 
-        _estimate(lambda: spy, len(powers), k_coeff, cfg)
-        assert len(shells) == len(cfg.cutoffs)
-        for out, copies in shells:
-            for got, want in zip(out, copies):
-                np.testing.assert_array_equal(got, want)
+        # K = 2d, d the largest power.
+        _estimate(lambda: spy, len(powers), k_coeff / 2, cfg)
+        assert [eps for eps, *_ in calls] == [cfg.cutoffs[-1]]
+        (_, out, copies), = calls
+        for got, want in zip(out, copies):
+            np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("center", [800.0, -800.0])
     def test_log_mean_exp_is_stable_near_800(self, center):
         # exp(800) overflows and exp(-800) underflows, so only the shift by
-        # the maximum keeps the result finite.
+        # the maximum keeps the result finite.  Every kept draw clears every
+        # cut, so each shell's log I is the log-mean-exp of all of them.
         arg = center + np.random.default_rng(5).uniform(-30.0, 2.0, 500)
         total = 640
         top = float(arg.max())
         want = top + math.log(math.fsum(math.exp(a - top) for a in arg) / total)
-        got = _log_mean_exp(arg.copy(), total)
-        assert math.isfinite(got)
-        assert got == pytest.approx(want, rel=1e-14)
+        log_f = np.full(total, -1.0)
+        log_w = np.zeros(total)
+        log_w[:500] = arg - 1.0
+        mask = np.arange(total) < 500
+        (got,) = _integrate_ladder(log_f, log_w, mask, 1, FAST["cutoffs"], [0.5])
+        assert np.isfinite(got).all()
+        assert got.tolist() == pytest.approx([want] * len(FAST["cutoffs"]), rel=1e-14)
+
+    @pytest.mark.parametrize("powers, is_sum, cutoffs, deep", [
+        ((1, 2), False, FAST["cutoffs"], False),
+        ((3, 3), True, FAST["cutoffs"], False),
+        # 68 decades: the deepest shell's terms outgrow the shallowest's by
+        # far more than the ~745 a double's exp can span.
+        ((4,), False, tuple(10.0 ** -k for k in range(8, 77, 17)), True),
+    ], ids=["product", "sum", "ladder-68-decades"])
+    def test_segments_match_direct_shell_sums(self, powers, is_sum, cutoffs, deep):
+        # Each shell's log I from the segments equals a direct masked
+        # log-mean-exp over that shell's draws, shifted by its own maximum
+        # and summed exactly.
+        n_s, d = 4000, max(powers)
+        log_f, log_w, mask = _power_sampler(powers, is_sum, n_s)(_rng(3), cutoffs[-1])
+        lam_f = [0.25, 0.5, 1.0, 2.0]
+        got = _integrate_ladder(log_f, log_w, mask, d, cutoffs, lam_f)
+        assert got.shape == (len(lam_f), len(cutoffs))
+        shared_underflows = False
+        for row, lam in zip(got, lam_f):
+            x = -2.0 * lam * log_f + log_w
+            for j, t in enumerate(cutoffs):
+                inside = x[mask & (log_f > d * math.log(t))]
+                top = float(inside.max())
+                want = top + math.log(math.fsum(np.exp(inside - top)) / n_s)
+                assert row[j] == pytest.approx(want, rel=1e-12), (lam, t)
+            # One shift shared by the ladder, the deepest shell's maximum,
+            # loses the shallowest shell to underflow on the deep ladder.
+            shallow = x[mask & (log_f > d * math.log(cutoffs[0]))]
+            shared_underflows |= float(np.exp(shallow - x[mask].max()).sum()) == 0.0
+        assert shared_underflows == deep
 
 
 # ---------------------------------------------------------------------------
-# The shell schedule: workers, bit-identity with a serial run, failures
+# One draw per run: bit-identity whatever the CPU count, failures
 
 
 SMALL = dict(samples_per_shell=3000, cutoffs=FAST["cutoffs"])
 
 
 class TestShellWorkers:
-    def test_workers_follow_cpus_shells_and_cells(self, monkeypatch):
-        cfg = OracleConfig(lambda_grid=(1, 2, 3), **SMALL)
-        for cpus, cells, want in [
-            (None, 10, 1), (1, 10, 1), (2, 10, 2), (4, 10, 4), (64, 10, len(cfg.cutoffs)),
-            (4, MAX_CELLS // 3, 3), (4, MAX_CELLS // 2 + 1, 1),
-        ]:
-            monkeypatch.setattr(enumeration, "usable_cpus", lambda c=cpus: c)
-            assert _shell_workers(cfg, cells) == want, (cpus, cells)
-
-    def test_a_run_at_the_cell_cap_is_serial(self, monkeypatch):
-        # The cells in flight never exceed MAX_CELLS, so a config at the cap
-        # runs on a pool of one worker, and one at half the cap on two.
-        monkeypatch.setattr(enumeration, "usable_cpus", lambda: 4)
-        cfg = OracleConfig(lambda_grid=grid_around(1), **SMALL)
-        pools = []
-        executor = oracle.ThreadPoolExecutor
-
-        def spy(max_workers):
-            pools.append(max_workers)
-            return executor(max_workers)
-
-        monkeypatch.setattr(oracle, "ThreadPoolExecutor", spy)
-        sampler = partial(_power_sampler, (1,), False, cfg.samples_per_shell)
-        for width, want in [(MAX_CELLS // cfg.samples_per_shell, 1),
-                            (MAX_CELLS // (2 * cfg.samples_per_shell), 2)]:
-            pools.clear()
-            _estimate(sampler, width, 2.0, cfg)
-            assert pools == [want]
-
     @pytest.mark.parametrize("kind, arg, analytic", [
         ("bp", 2, 1), ("bp", 3, Fraction(2, 3)), ("bp", 4, Fraction(1, 2)),
         ("bp", 5, Fraction(2, 5)), ("monomial", (1,), 1),
@@ -471,56 +473,22 @@ class TestShellWorkers:
         assert runs[4] == runs[1]
         assert threading.active_count() == before
 
-    def test_failure_names_the_first_failing_cutoff(self, monkeypatch):
-        # Shells 2 and 3 admit no sample.  Shell 2's sampler waits until
-        # shell 3 has failed, so the later shell fails first in time; the
-        # run must still report cutoff 2, as a serial run does.
-        monkeypatch.setattr(enumeration, "usable_cpus", lambda: 4)
+    def test_failure_names_the_first_failing_cutoff(self):
+        # The draw keeps points in the deep shells only.  However many
+        # shallow shells it leaves empty, the run reports cutoff 0, the
+        # shallowest empty one in ladder order, not the cutoff it drew at.
         cfg = OracleConfig(lambda_grid=grid_around(1), **SMALL)
-        eps2, eps3 = cfg.cutoffs[2], cfg.cutoffs[3]
-        third_failed = threading.Event()
         inner = _power_sampler((1,), False, cfg.samples_per_shell)
+        for empty in range(1, len(cfg.cutoffs)):
+            cut = math.log(cfg.cutoffs[empty - 1])
+            kept = []
 
-        def sample(rng, eps):
-            log_f, log_w, mask = inner(rng, eps)
-            if eps == eps2:
-                third_failed.wait(timeout=10)
-            if eps in (eps2, eps3):
-                mask = np.zeros_like(mask)
-            if eps == eps3:
-                third_failed.set()
-            return log_f, log_w, mask
+            def sample(rng, eps):
+                log_f, log_w, mask = inner(rng, eps)
+                kept.append(int(np.count_nonzero(mask & (log_f <= cut))))
+                return log_f, log_w, mask & (log_f <= cut)
 
-        before = threading.active_count()
-        with pytest.raises(InputError, match=f"no admissible samples at cutoff {eps2}:"):
-            _estimate(lambda: sample, 1, 2.0, cfg)
-        assert third_failed.is_set()
-        assert threading.active_count() == before
-
-    def test_each_shell_runs_once_under_contention(self, monkeypatch):
-        # More workers than cores, switching threads every microsecond: a
-        # shell handed out twice or skipped would show in the spy's log, and
-        # any lost write in log I in the estimate.
-        cfg = OracleConfig(samples_per_shell=1000, cutoffs=tuple(10.0 ** -k for k in range(4, 16)),
-                           lambda_grid=grid_around(1), seed=9)
-        monkeypatch.setattr(enumeration, "usable_cpus", lambda: 1)
-        want = _estimate(partial(_power_sampler, (1,), False, 1000), 1, 2.0, cfg)
-        monkeypatch.setattr(enumeration, "usable_cpus", lambda: 8)
-        sampled = []
-        inner = _power_sampler((1,), False, cfg.samples_per_shell)
-
-        def sample(rng, eps):
-            sampled.append(eps)
-            return inner(rng, eps)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        before = threading.active_count()
-        try:
-            for _ in range(5):
-                sampled.clear()
-                assert _estimate(lambda: sample, 1, 2.0, cfg) == want
-                assert sorted(sampled, reverse=True) == list(cfg.cutoffs)
-        finally:
-            sys.setswitchinterval(interval)
-        assert threading.active_count() == before
+            with pytest.raises(InputError,
+                               match=f"no admissible samples at cutoff {cfg.cutoffs[0]}:"):
+                _estimate(lambda: sample, 1, 1, cfg)
+            assert kept[0] > 0, empty

@@ -23,9 +23,9 @@ def test_no_assert_statements():
 
 
 def test_oracle_randomness_comes_from_shell_streams():
-    # Estimates are bit-reproducible under any (lambda, shell) schedule only
-    # because every stream is a Philox generator keyed by (seed, shell) in
-    # _shell_rng; any other numpy.random entry point would break that.
+    # Estimates are bit-reproducible only because the one draw of a run
+    # comes from a Philox generator keyed by the seed in _rng; any other
+    # numpy.random entry point would break that.
     tree = ast.parse((SRC / "oracle.py").read_text())
     used = [
         (node.attr, node.lineno)
@@ -37,11 +37,11 @@ def test_oracle_randomness_comes_from_shell_streams():
         and node.value.value.id in ("np", "numpy")
     ]
     assert {name for name, _ in used} == {"Generator", "Philox"}
-    shell_rng = next(
+    rng = next(
         node for node in tree.body
-        if isinstance(node, ast.FunctionDef) and node.name == "_shell_rng"
+        if isinstance(node, ast.FunctionDef) and node.name == "_rng"
     )
-    inside = range(shell_rng.lineno, shell_rng.end_lineno + 1)
+    inside = range(rng.lineno, rng.end_lineno + 1)
     assert all(line in inside for _, line in used)
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
