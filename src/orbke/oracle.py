@@ -256,14 +256,13 @@ def _integrate_ladder(log_f, log_w, mask, power, cutoffs, lam_f) -> np.ndarray:
     The draws where mask holds make up the deepest shell.  Each of them
     gets a segment, the shallowest shell j whose cut power * log t_j it
     clears (the count of shallower cuts it misses), and they are stably
-    sorted by segment, so shell j reads segments 0..j.
-    For each lambda one pass over the draws forms
-    x = -2 lambda log_f + log_w, takes each segment's maximum and its sum
-    of exp(x - maximum); shell j's log I is the log-sum-exp of segments
-    0..j less log(mask.size), so draws outside a shell count as zeros.
-    Shifting each segment by its own maximum keeps a ladder spanning
-    hundreds of decades from underflowing its shallow shells.  The input
-    arrays are only read.
+    sorted by segment, so shell j reads segments 0..j.  For each lambda
+    one pass over the draws forms x = -2 lambda log_f + log_w, takes each
+    segment's maximum and its sum of exp(x - maximum); shell j's log I is
+    the log-sum-exp of segments 0..j less log(mask.size), so draws outside
+    a shell count as zeros.  Shifting each segment by its own maximum
+    keeps a ladder spanning hundreds of decades from underflowing its
+    shallow shells.  The input arrays are only read.
 
     A shallow shell without a kept draw raises InputError naming the
     shallowest cutoff.  A lambda for which -2 lambda log_f or a log I is
