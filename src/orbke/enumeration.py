@@ -22,9 +22,14 @@ modes clip the cut points of the last coordinate into class windows with
 `admissible_last_interval` reports the same windows for one prefix.
 
 Count mode (`_Search.count`) counts each class interval of a leaf by one
-inclusion-exclusion walk over the primes of v and those of R outside a
-coprime-count table for R's smallest primes (`coprime_table`, which keeps
-its last table, so a table is built only when those primes change).
+inclusion-exclusion walk over the primes of v and those of R outside the
+slice's coprime-count table (`_Search.table`).  A slice may spend 8 table
+entries per v of its window, up to 2^16.  When the largest last order its
+windows reach fits that budget and lies below the product of R, the
+table counts the integers up to it coprime to all of R, so the walk
+takes only v's primes and each term is two lookups.  Otherwise the table
+is periodic in R's smallest primes (`coprime_table`, which keeps its last
+periodic table, so one is built only when those primes change).
 Materialize mode lists the coprime last coordinates of each interval
 instead, by a sieve over the primes of the head (the prefix and v, with
 v's primes from the leaf sieve; `coprime_blocks`).  Its generator
@@ -503,6 +508,29 @@ class _Search:
             self._bump()
             yield from self.plan((prefix + (v,), N * v + P, P * v, primes + tuple(v_primes)))
 
+    def table(self, N: int, P: int, primes, lo: int, hi: int):
+        """(phi, rest) of `coprime_table` for the leaves v in [lo, hi) of a depth-n state N/P.
+
+        The table is sized by the window and by top, the largest last
+        order m that a requested window of any leaf reaches.  Every window
+        ends below the order cap, when there is one.  With no tail class
+        requested and D = (N - P)*(hi - 1) + P > 0, the head's sum stays
+        above 1 for every leaf (its D, (N - P)*v + P, is affine in v and P
+        at v = 0), so each leaf's windows end by its new cut b(v) =
+        ceil(n*P*v / ((N - P)*v + P)), which grows with v: m stays below
+        b(hi - 1).  Otherwise a window may end at the cap, and without a
+        cap there is no top.  (D = 0 is possible here: v = hi - 1 need
+        not be a leaf, and a head with a v sharing a prime with the state
+        can sum to 1, as (2, 3, 6) does.)
+        """
+        top = None if self.cap is None else self.cap - 1
+        D = (N - P) * (hi - 1) + P
+        if not self.tails and D > 0:
+            new_top = -(-self.n * P * (hi - 1) // D) - 1
+            if top is None or new_top < top:
+                top = new_top
+        return coprime_table(primes, top, hi - lo)
+
     def count(self, slices):
         """Count the tuples in plan slices, in the given order: the one leaf loop.
 
@@ -510,13 +538,13 @@ class _Search:
         from pool_tasks.  The leaves v in [lo, hi) come straight from the
         sieve, one node each.  Each class window of a leaf is one
         inclusion-exclusion walk over primes(v) and the state's primes
-        outside the coprime-count table.
+        outside the slice's coprime-count table (`table`).
         """
         n, counts, order_cap = self.n, self.counts, self.cap
         old, new, tails = self.old, self.new, self.tails
         cap = self.cfg.node_cap
         for (_, N, P, primes), lo, hi, *_ in slices:
-            phi, rest = coprime_table(primes)
+            phi, rest = self.table(N, P, primes, lo, hi)
             for v, v_primes in coprime_factorizations(lo, hi, primes):
                 self.nodes += 1
                 if cap is not None and self.nodes > cap:

@@ -13,12 +13,14 @@ the given primes, pruned: a d with no multiple in the range adds zero, as
 does every multiple of d, so the walk, depth-first on one stack, visits
 only products up to the top of the range.  Ranges reaching below 1 are
 reflected onto positive ones.  The walk counts on top of a table of the
-integers coprime to a small modulus q (Legendre's phi(x, a) with the
-small-prime table of Meissel-Lehmer), so its products run only over the
-primes outside q; `count_coprime_in_range` uses the empty table q = 1.
-`coprime_table` keeps the one table it built last, so the search, which
-asks for one per prefix, builds a table only when the tabulated smallest
-primes differ from the last prefix's.
+running count of integers coprime to some of the primes (Legendre's
+phi(x, a) with the small-prime table of Meissel-Lehmer), so its products
+run only over the primes left out; `count_coprime_in_range` uses the
+empty table.  `coprime_table` sizes a table by the window of orders that
+will read it: a range table spans [0, top] for every prime, and each
+term is then two lookups; a periodic table holds the smallest primes,
+and the one built last is kept, so the search builds one only when the
+tabulated primes differ from the last prefix's.
 
 `coprime_factorizations` gives the distinct primes of every integer in a
 window by a segmented sieve (Bays-Hudson), for the search's orders at
@@ -43,8 +45,12 @@ Rat = Fraction
 # Largest input of factorize: its trial divisors stay at most 1e7.
 FACTOR_CAP = 10**14
 
-# Largest modulus of a coprime-count table (see coprime_table).
+# A coprime-count table for a window of w readers may spend
+# min(_TABLE_MAX, _ENTRIES_PER_V * w) entries, and a periodic one may take
+# a modulus up to TABLE_CAP whatever w is (see coprime_table).
 TABLE_CAP = 4096
+_ENTRIES_PER_V = 8
+_TABLE_MAX = 1 << 16
 
 # Sizes of the first and of the largest block of coprime_factorizations;
 # coprime_blocks sieves blocks of the largest size.
@@ -99,60 +105,85 @@ def factorize(n: int) -> FactoredInt:
     return FactoredInt(value, tuple(factors))
 
 
-def coprime_table(primes: tuple[int, ...]):
-    """(phi, rest): a coprime-count table for the smallest of the ascending `primes`.
+def coprime_table(primes: tuple[int, ...], top: int | None, width: int):
+    """(phi, rest): a coprime-count table for the ascending `primes`, sized for `width` readers.
 
-    q is the product of the longest run of the smallest primes with
-    q <= TABLE_CAP, and phi[r] = #{1 <= k <= r : gcd(k, q) = 1} for
-    0 <= r <= q, so phi has q + 1 entries and phi[q] is Euler's phi(q).
-    rest holds the primes left out of q, ascending.  With no prime small
-    enough, q = 1 and phi is the empty table (0, 1).
+    phi[x] = #{1 <= k <= x : gcd(k, Q) = 1} for the product Q of the
+    tabulated primes, and rest holds the primes left out, ascending.  A
+    table may spend budget = min(_TABLE_MAX, _ENTRIES_PER_V * width)
+    entries.  top, when given, is the largest x a count will look up.
+
+    A range table spans [0, top]: when top is at most the budget and below
+    the product of all the primes, every prime is tabulated (Q is their
+    product, rest is empty) and phi has top + 1 entries.  It is built for
+    the caller and not kept.
+
+    Otherwise the table is periodic: Q = q, the product of the longest run
+    of the smallest primes with q <= max(TABLE_CAP, budget), and phi spans
+    [0, q], so phi[q] is Euler's phi(q).  With no prime small enough, q = 1
+    and phi is the empty table (0, 1).  The last periodic table built is
+    kept, so a run of states with the same tabulated primes builds one.
     """
+    budget = min(_TABLE_MAX, _ENTRIES_PER_V * width)
+    if top is not None and top <= budget and top < math.prod(primes):
+        return _running_counts(primes, top), ()
+    cap = max(TABLE_CAP, budget)
     q = 1
     k = 0
-    while k < len(primes) and q * primes[k] <= TABLE_CAP:
+    while k < len(primes) and q * primes[k] <= cap:
         q *= primes[k]
         k += 1
     return _phi_table(primes[:k]), primes[k:]
 
 
+def _running_counts(primes, top: int) -> tuple[int, ...]:
+    """(phi[0], ..., phi[top]) with phi[x] the count of 1 <= k <= x divisible by none of the primes."""
+    marks = bytearray([1]) * (top + 1)
+    marks[0] = 0
+    for p in primes:
+        marks[p::p] = bytes(len(range(p, top + 1, p)))
+    return tuple(accumulate(marks))
+
+
 @lru_cache(maxsize=1)
 def _phi_table(head: tuple[int, ...]) -> tuple[int, ...]:
-    """The phi of coprime_table for q = prod(head); one table is kept, the last built."""
-    q = math.prod(head)
-    marks = bytearray([1]) * (q + 1)
-    marks[0] = 0
-    for p in head:
-        marks[p::p] = bytes(q // p)
-    return tuple(accumulate(marks))
+    """The periodic phi of coprime_table for q = prod(head); one table is kept, the last built."""
+    return _running_counts(head, math.prod(head))
 
 
 _NO_TABLE = (0, 1)
 
 
 def _count_positive(lo: int, hi: int, primes: tuple[int, ...] | list[int], phi=_NO_TABLE) -> int:
-    """Count of k in [lo, hi], 1 <= lo, coprime to the ascending `primes` and to q.
+    """Count of k in [lo, hi], 1 <= lo, coprime to the ascending `primes` and to Q.
 
-    phi is a table from `coprime_table` for a modulus q coprime to every
-    prime in `primes`, so the count of k <= x coprime to q is
-    phi_q(x) = (x // q) * phi[q] + phi[x % q].  Inclusion-exclusion over
-    the squarefree products d of the primes adds (-1)^(number of primes)
-    * (phi_q(hi//d) - phi_q((lo-1)//d)): the multiples k = d*j in range
-    with j coprime to q, which are coprime to q as d is.  The empty table
-    gives phi_q(x) = x, plain inclusion-exclusion.  Products are walked
-    depth-first on one stack of (product, index of the first prime it may
-    take next, sign of its extensions) entries, each taking primes in
-    ascending order.  A d whose term is zero leaves no such k in range,
-    and so does every multiple of d, so d is not extended; in particular
-    the first d*p > hi ends the extensions of d, and a d with no prime
-    left to take is never pushed.
+    phi is a table from `coprime_table` for a product Q of primes coprime
+    to every prime in `primes`.  Inclusion-exclusion over the squarefree
+    products d of the primes adds (-1)^(number of primes) * (phi_Q(hi//d)
+    - phi_Q((lo-1)//d)), with phi_Q(x) the count of k <= x coprime to Q:
+    the multiples k = d*j in range with j coprime to Q, which are coprime
+    to Q as d is.  When the table spans [0, hi] (always for a range table,
+    and for a periodic one whose modulus is at least hi), each phi_Q(x) is
+    the lookup phi[x].  Otherwise the table is periodic with
+    modulus q = len(phi) - 1 and phi_Q(x) = (x // q) * phi[q] + phi[x % q];
+    the empty table gives phi_Q(x) = x, plain inclusion-exclusion.
+    Products are walked depth-first on one stack of (product, index of the
+    first prime it may take next, sign of its extensions) entries, each
+    taking primes in ascending order.  A d whose term is zero leaves no
+    such k in range, and so does every multiple of d, so d is not
+    extended; in particular the first d*p > hi ends the extensions of d,
+    and a d with no prime left to take is never pushed.
     """
     if lo > hi:
         return 0
     q = len(phi) - 1
     per = phi[q]
     below = lo - 1
-    total = (hi // q - below // q) * per + phi[hi % q] - phi[below % q]
+    span = hi <= q
+    if span:
+        total = phi[hi] - phi[below]
+    else:
+        total = (hi // q - below // q) * per + phi[hi % q] - phi[below % q]
     last = len(primes) - 1
     stack = [(1, 0, -1)]
     push = stack.append
@@ -165,7 +196,10 @@ def _count_positive(lo: int, hi: int, primes: tuple[int, ...] | list[int], phi=_
                 break
             x = hi // e
             y = below // e
-            term = (x // q - y // q) * per + phi[x % q] - phi[y % q]
+            if span:
+                term = phi[x] - phi[y]
+            else:
+                term = (x // q - y // q) * per + phi[x % q] - phi[y % q]
             if term:
                 total += sign * term
                 if i < last:

@@ -55,7 +55,7 @@ per lambda, with no thread pool.
 All randomness flows from one counter-based Philox stream keyed by the
 seed, so a given config gives bit-identical estimates.  Before anything
 is sampled, the array cells of the draw and the integrand evaluations of a
-run (samples x shells x probe points) are checked against MAX_CELLS and
+run (samples x (probe points + shells)) are checked against MAX_CELLS and
 MAX_EVALUATIONS.  While a run integrates and fits, -2 lambda log f, each
 log I and each fit's residual sum must stay finite floats, or the run
 raises InputError: a grid that large cannot place the threshold.  Results
@@ -77,13 +77,14 @@ _MIN_SHELLS = 5
 _MIN_SAMPLES = 1000
 _SEED_LIMIT = 2 ** 63
 # Work caps, checked before anything is sampled: array cells of the draw
-# (samples x integrand width) and integrand evaluations (samples x shells x
-# probe points).  The defaults use 4e4 cells per coordinate (8e4 for bp)
-# and 6.1e6 evaluations.
+# (samples x integrand width) and integrand evaluations (samples x (probe
+# points + shells)): the one draw is evaluated once per probe point and
+# compared once per shell cut.  The defaults use 4e4 cells per coordinate
+# (8e4 for bp) and 1.04e6 evaluations.
 MAX_CELLS = 4_000_000
 MAX_EVALUATIONS = 10 ** 9
 # No config with more probe points passes the evaluation cap.
-MAX_GRID_POINTS = MAX_EVALUATIONS // (_MIN_SAMPLES * _MIN_SHELLS)
+MAX_GRID_POINTS = MAX_EVALUATIONS // _MIN_SAMPLES - _MIN_SHELLS
 # Largest power of a coordinate: d log t and every m log r then stay
 # finite floats for every cutoff t a double can hold.
 MAX_POWER = 10 ** 300
@@ -181,10 +182,10 @@ def _check_work(cfg: OracleConfig, width: int) -> None:
             f"samples_per_shell x integrand width = {cells} array cells exceeds "
             f"the cap {MAX_CELLS}"
         )
-    evals = cfg.samples_per_shell * len(cfg.cutoffs) * len(cfg.lambda_grid)
+    evals = cfg.samples_per_shell * (len(cfg.lambda_grid) + len(cfg.cutoffs))
     if evals > MAX_EVALUATIONS:
         raise InputError(
-            f"samples_per_shell x cutoffs x lambda_grid = {evals} evaluations "
+            f"samples_per_shell x (lambda_grid + cutoffs) = {evals} evaluations "
             f"exceeds the cap {MAX_EVALUATIONS}"
         )
 

@@ -14,6 +14,15 @@ from orbke import classify, cli, iter_tuples
 _PRIME_POOL = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
 
 
+def coprime_counts(primes, top):
+    """(phi[0], ..., phi[top]): phi[x] counts the 1 <= k <= x coprime to every prime, by gcd."""
+    q = math.prod(primes)
+    counts = [0]
+    for k in range(1, top + 1):
+        counts.append(counts[-1] + (math.gcd(k, q) == 1))
+    return tuple(counts)
+
+
 @st.composite
 def coprime_orders(draw, length, min_order=2, max_exp=2):
     """A sorted tuple of `length` pairwise-coprime integers >= min_order.

@@ -403,7 +403,8 @@ class TestOracleCommands:
             (("--cutoffs", "1,0.5,0.25,0.125,0.0625"), "(0, 1)"),
             (("--grid", "1:1000000000:1"), "grid has 1000000000 points"),
             (("--samples", "4000001"), "array cells"),
-            (("--samples", "1000000", "--grid", "1:201:1",
+            # 999,001 samples x (996 grid points + 5 cutoffs) = 10^9 + 1.
+            (("--samples", "999001", "--grid", "1:996:1",
               "--cutoffs", "0.5,0.25,0.125,0.0625,0.03125"), "evaluations"),
             # 4,001 coordinates times 1,000 samples.
             (("--exponents", *["1"] * 4001, "--samples", "1000"), "array cells"),

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import bisect
 import dataclasses
-import functools
 import itertools
 import math
 import random
@@ -30,7 +29,7 @@ from orbke.enumeration import _TAIL_CLASSES, _last_windows, _Search, pool_worker
 from orbke.errors import InputError, NodeBudgetExceeded, WrongLength
 from orbke.exactmath import TABLE_CAP, count_coprime_in_range, factorize
 
-from conftest import coprime_orders
+from conftest import coprime_counts, coprime_orders
 from reference import brute_force_oracle
 
 GOLDEN_LAST = (17, 19, 23, 29, 31, 37, 41, 43, 47, 49, 53, 59)
@@ -565,22 +564,12 @@ class TestSlicePlan:
         assert windows == {state[0]: [lo, hi] for state, lo, hi in plan}
 
 
-@functools.cache
-def _fresh_table(primes):
-    """(phi, rest) of coprime_table for ascending primes, by a gcd scan of 0..q."""
-    k = 0
-    while k < len(primes) and math.prod(primes[:k + 1]) <= TABLE_CAP:
-        k += 1
-    q = math.prod(primes[:k])
-    return tuple(itertools.accumulate(int(r > 0 and math.gcd(r, q) == 1)
-                                      for r in range(q + 1))), primes[k:]
-
-
 class TestTableReuse:
-    # count takes each state's table from coprime_table, whose builder
-    # keeps the last table it built, so a table is built only when the
-    # primes tabulated change; whatever order the states come in, the
-    # table handed out must be the one a fresh build gives.
+    # count takes each slice's table from coprime_table: a range table of
+    # every state prime over [0, top], built for the slice alone, or a
+    # periodic one of the smallest primes, whose builder keeps the last
+    # one it built.  Whatever order the slices come in, each table handed
+    # out must equal a gcd scan of its kind.
     @pytest.mark.parametrize("n, root", [(4, None), (5, (2, 3, 7, 89))])
     def test_reused_table_equals_a_fresh_one(self, n, root, monkeypatch):
         cfg = SearchConfig(n=n, mode="count", prefix_filter=root)
@@ -588,9 +577,9 @@ class TestTableReuse:
         shuffled = random.Random(20261019).sample(slices, len(slices))
         handed = []
 
-        def spy(primes):
-            handed.append((primes, exactmath.coprime_table(primes)))
-            return handed[-1][1]
+        def spy(primes, top, width):
+            handed.append((primes, top, width, exactmath.coprime_table(primes, top, width)))
+            return handed[-1][-1]
 
         monkeypatch.setattr(enumeration, "coprime_table", spy)
         builder = exactmath._phi_table
@@ -598,19 +587,71 @@ class TestTableReuse:
             builder.cache_clear()
             handed.clear()
             _Search(cfg).count(order)
-            assert [primes for primes, _ in handed] == [state[3] for state, _, _ in order]
+            assert [(primes, width) for primes, _, width, _ in handed] == [
+                (state[3], hi - lo) for state, lo, hi in order]
+            kinds = set()
             heads = []
-            for primes, table in handed:
-                assert table == _fresh_table(primes), primes
-                heads.append(primes[:len(primes) - len(table[1])])
-            # One build each time the tabulated primes change, and no more;
-            # one table is kept.
+            for primes, top, width, (phi, rest) in handed:
+                budget = min(exactmath._TABLE_MAX, exactmath._ENTRIES_PER_V * width)
+                if top is not None and top <= budget and top < math.prod(primes):
+                    kinds.add("range")
+                    assert rest == () and phi == coprime_counts(primes, top), primes
+                    continue
+                kinds.add("periodic")
+                k = 0
+                while k < len(primes) and math.prod(primes[:k + 1]) <= max(TABLE_CAP, budget):
+                    k += 1
+                assert rest == primes[k:], primes
+                assert phi == coprime_counts(primes[:k], math.prod(primes[:k])), primes
+                heads.append(primes[:k])
+            # Below (2,3,7,89) no window is short enough for a range table.
+            assert kinds == ({"range", "periodic"} if n == 4 else {"periodic"})
+            # Only periodic tables go through the builder: one build each
+            # time their tabulated primes change, and no more; one is kept.
             info = builder.cache_info()
             assert info.misses == 1 + sum(a != b for a, b in zip(heads, heads[1:]))
-            assert (info.hits + info.misses, info.currsize) == (len(order), 1)
+            assert (info.hits + info.misses, info.currsize) == (len(heads), 1)
             if order is slices and n == 5:
                 # Neighbouring states below (2,3,7,89) share table primes.
-                assert info.misses < len(slices)
+                assert info.misses < len(heads)
+
+    @pytest.mark.parametrize("kwargs, kinds", [
+        (dict(n=4), {"range", "periodic"}),
+        (dict(n=5, prefix_filter=(2, 3, 7, 89)), {"periodic"}),
+        # Tail windows end at the cap, past the NewOnlyKE cut.  After a
+        # unit order, states such as (1, 5, 7) sum above 1 and have new
+        # cuts far below the cap.
+        (dict(n=3, classes=ALL_CLASSES, max_order=40), {"range", "periodic"}),
+        (dict(n=3, min_order=1, classes=ALL_CLASSES, max_order=40), {"range", "periodic"}),
+        (dict(n=4, classes=ALL_CLASSES, max_order=60, prefix_filter=(2, 3, 5, 7)), {"range"}),
+        # The last v of (2, 3)'s window is 6, and 1/2 + 1/3 + 1/6 = 1.
+        (dict(n=2, classes=("OldKE", "NewOnlyKE"), max_order=6), {"range", "periodic"}),
+        # 580 v earn a modulus 2*3*5*11*13 = 4290 past TABLE_CAP.
+        (dict(n=5, prefix_filter=(2, 3, 11, 17, 65)), {"wide"}),
+    ])
+    def test_each_leaf_window_counts_on_its_table(self, kwargs, kinds):
+        # Every slice, every leaf, every class window: the count on the
+        # slice's table equals count_coprime_in_range over all the primes.
+        # A range table that stops short of a window's top would fall to
+        # the periodic formula, which it does not satisfy.
+        cfg = SearchConfig(mode="count", **kwargs)
+        search = _Search(cfg)
+        seen = set()
+        for (prefix, N, P, primes), lo, hi in search.plan():
+            phi, rest = search.table(N, P, primes, lo, hi)
+            q = len(phi) - 1
+            if q != math.prod(primes[:len(primes) - len(rest)]):
+                seen.add("range")
+            else:
+                seen.add("periodic" if q <= TABLE_CAP else "wide")
+            for v, v_primes in exactmath.coprime_factorizations(lo, hi, primes):
+                walked = sorted(rest + tuple(v_primes))
+                for label, a, b in _last_windows(N * v + P, P * v, cfg.n, v, search.cap,
+                                                 search.old, search.new, search.tails):
+                    want = count_coprime_in_range(a, b - 1, primes + tuple(v_primes))
+                    assert exactmath._count_positive(a, b - 1, walked, phi) == want, (
+                        prefix, v, label)
+        assert seen == kinds
 
     @pytest.mark.parametrize("n, root", [(4, None), (5, (2, 3, 7, 89))])
     def test_tasks_in_reverse_order_count_as_serial(self, n, root):
@@ -796,8 +837,9 @@ class TestLeafKernel:
 
     @pytest.mark.parametrize(
         "prefix, max_order",
-        # 2 * 1009 > TABLE_CAP leaves 1009 and 1013 outside the table; in
-        # the second prefix no prime fits, so the table is empty.
+        # The first prefix's 387 v pay for a range table of its primes over
+        # [0, 1400]; the second's 201 v cannot pay for [0, 4300], so its
+        # periodic table holds 1009 and leaves 1013 and 4099 to the walk.
         [((2, 1009, 1013), 1400), ((1009, 1013, 4099), 4300)],
     )
     def test_primes_past_the_table_cap(self, prefix, max_order):

@@ -27,6 +27,8 @@ from orbke.exactmath import (
 )
 from orbke.orbifold import RamTuple
 
+from conftest import coprime_counts
+
 
 def _trial_division(n):
     """Reference factorization: divide by every d while d*d <= n."""
@@ -159,14 +161,18 @@ class TestFactorize:
 def _check_stack_walk(lo, hi, primes):
     """_count_positive over [lo, hi], lo >= 1, against a gcd scan.
 
-    Once on the table coprime_table builds for the primes, with the rest
-    walked, and once on the empty table with every prime walked.
+    On the table coprime_table builds for the primes with no top and no
+    window (periodic, modulus at most TABLE_CAP), with the rest walked; on
+    the one it builds for top hi and a window of hi v (a range table below
+    the primes' product, else a periodic one of up to 8*hi entries); and
+    on the empty table with every prime walked.
     """
     modulus = math.prod(primes)
     scan = sum(1 for k in range(lo, hi + 1) if math.gcd(k, modulus) == 1)
     ascending = tuple(sorted(primes))
-    phi, rest = coprime_table(ascending)
-    assert _count_positive(lo, hi, rest, phi) == scan, (lo, hi, primes)
+    top = max(hi, 0)
+    for phi, rest in (coprime_table(ascending, None, 0), coprime_table(ascending, top, top)):
+        assert _count_positive(lo, hi, rest, phi) == scan, (lo, hi, primes, len(phi))
     assert _count_positive(lo, hi, ascending) == scan, (lo, hi, primes)
 
 
@@ -266,15 +272,39 @@ class TestCoprimeTable:
         [(), (2,), (2, 3, 7), (2, 3, 5, 7, 11), (2, 3, 5, 7, 19, 43), (5, 4099), (4099,)],
     )
     def test_matches_gcd_scan(self, primes):
-        phi, rest = coprime_table(primes)
+        phi, rest = coprime_table(primes, None, 0)
         q = len(phi) - 1
         assert q <= TABLE_CAP
         assert q * math.prod(rest) == math.prod(primes)
         assert rest == primes[len(primes) - len(rest):]
-        running = [0]
-        for k in range(1, q + 1):
-            running.append(running[-1] + (math.gcd(k, q) == 1))
-        assert list(phi) == running
+        assert phi == coprime_counts(primes[:len(primes) - len(rest)], q)
+
+    def test_range_table_within_the_budget(self):
+        # A window of 125 v may spend 8 * 125 = 1000 entries: top 1000,
+        # below the product 171,570, tabulates every prime over [0, 1000].
+        primes = (2, 3, 5, 7, 19, 43)
+        phi, rest = coprime_table(primes, 1000, 125)
+        assert rest == () and phi == coprime_counts(primes, 1000)
+        # One entry past the budget, or no top: the periodic table of
+        # 2*3*5*7*19 = 3990.
+        for top in (1001, None):
+            phi, rest = coprime_table(primes, top, 125)
+            assert rest == (43,) and phi == coprime_counts(primes[:5], 3990)
+        # A top at or past the product: every prime fits a periodic table.
+        phi, rest = coprime_table((2, 3, 7), 42, 100)
+        assert rest == () and phi == coprime_counts((2, 3, 7), 42)
+
+    def test_wide_windows_widen_the_periodic_modulus(self):
+        # The primes below (2,3,7,43,1807), the heaviest dimension-5 slice.
+        # From 2935 v on, a window may spend 23,480 entries, enough for
+        # 2*3*7*13*43 = 23478; the budget stops at 2^16, so the slice's
+        # 3,261,634 v tabulate no further prime.
+        primes = (2, 3, 7, 13, 43, 139)
+        for width, head in ((512, 4), (2934, 4), (2935, 5), (3_261_634, 5)):
+            phi, rest = coprime_table(primes, None, width)
+            assert rest == primes[head:] and len(phi) == math.prod(primes[:head]) + 1, width
+        assert phi == coprime_counts(primes[:5], 23478)
+        assert len(phi) - 1 <= exactmath._TABLE_MAX
 
 
 class TestCoprimeFactorizations:

@@ -122,24 +122,27 @@ class TestWorkCaps:
             estimate_bp_threshold(MAX_POWER + 1, cfg)
 
     def test_evaluations_cap(self):
-        samples = 1_000_000
-        points = MAX_EVALUATIONS // (samples * len(self.CUTS)) + 1
+        # The one draw is evaluated at every probe point and compared at
+        # every cut: 999,001 x (996 + 5) = 10^9 + 1 evaluations.
+        samples = 999_001
+        points = 996
         cfg = OracleConfig(
             samples_per_shell=samples, cutoffs=self.CUTS,
             lambda_grid=tuple(range(1, points + 1)),
         )
+        assert samples * (points + len(self.CUTS)) == MAX_EVALUATIONS + 1
         with pytest.raises(InputError, match="evaluations"):
             estimate_monomial_threshold((1,), cfg)
 
     def test_caps_are_inclusive(self):
         samples = MAX_CELLS // 4
-        points = MAX_EVALUATIONS // (samples * len(self.CUTS))
+        points = MAX_EVALUATIONS // samples - len(self.CUTS)
         cfg = OracleConfig(
             samples_per_shell=samples, cutoffs=self.CUTS,
             lambda_grid=tuple(range(1, points + 1)),
         )
         assert samples * 4 == MAX_CELLS
-        assert samples * len(self.CUTS) * points == MAX_EVALUATIONS
+        assert samples * (points + len(self.CUTS)) == MAX_EVALUATIONS
         _check_work(cfg, 4)
 
 
