@@ -251,34 +251,39 @@ def _cuts(N: int, P: int, n: int):
     raise AssertionError(f"prefix sum N/P = {N}/{P} is 1")
 
 
-def _last_windows(N: int, P: int, n: int, floor: int, cap, old: bool, new: bool, tails):
-    """Requested (label, lo, hi) windows of the last coordinate m after a prefix N/P, ascending.
+def _last_windows(N: int, P: int, n: int, leaves, cap, old: bool, new: bool, tails):
+    """Yield (v, data, windows) for each leaf (v, data) after a state N/P, in the leaves' order.
 
-    Each is the class's range from `_cuts` clipped to [floor, cap),
-    half-open and nonempty; cap None leaves the tail window unbounded
-    (hi None).  old and new request OldKE and NewOnlyKE, and tails holds
-    the requested tail classes.  The one place the cut points become
-    windows: the search's leaves and `admissible_last_interval` read them.
+    windows holds the requested (label, lo, hi) windows of the last
+    coordinate m after the head, the state's prefix and v, whose sum is
+    (N*v + P)/(P*v); they come ascending.  Each is the class's range from
+    `_cuts` of the head clipped to [v, cap), half-open and nonempty; cap
+    None leaves the tail window unbounded (hi None).  old and new request
+    OldKE and NewOnlyKE, and tails holds the requested tail classes; data
+    rides along untouched.  One pass solves every leaf of a slice, and
+    it is the one place the cut points become windows: the search's
+    leaves and `admissible_last_interval` read them.
     """
-    a, b, tail = _cuts(N, P, n)
-    if cap is not None:
-        if a > cap:
-            a = cap
-        if b > cap:
-            b = cap
-    windows = []
-    if old and floor < a:
-        windows.append(("OldKE", floor, a))
-    if a < floor:
-        a = floor
-    if new and a < b:
-        windows.append(("NewOnlyKE", a, b))
-    if tail in tails:
-        if b < floor:
-            b = floor
-        if cap is None or b < cap:
-            windows.append((tail, b, cap))
-    return windows
+    for v, data in leaves:
+        a, b, tail = _cuts(N * v + P, P * v, n)
+        if cap is not None:
+            if a > cap:
+                a = cap
+            if b > cap:
+                b = cap
+        windows = []
+        if old and v < a:
+            windows.append(("OldKE", v, a))
+        if a < v:
+            a = v
+        if new and a < b:
+            windows.append(("NewOnlyKE", a, b))
+        if tail in tails:
+            if b < v:
+                b = v
+            if cap is None or b < cap:
+                windows.append((tail, b, cap))
+        yield v, data, windows
 
 
 @dataclass(frozen=True)
@@ -310,11 +315,12 @@ def admissible_last_interval(prefix, n: int) -> LastIntervals:
     prefix = check_orders(prefix, 1)
     if len(prefix) != n + 1:
         raise WrongLength(f"dimension {n} needs a prefix of {n + 1} orders, got {len(prefix)}")
-    prod = math.prod(prefix)
-    floor = prefix[-1]
+    *state, floor = prefix
+    prod = math.prod(state)
     by_class = dict.fromkeys(CLASSIFICATIONS)
-    for label, lo, hi in _last_windows(sum(prod // m for m in prefix), prod, n, floor,
-                                       None, True, True, _TAIL_CLASSES):
+    [(_, _, windows)] = _last_windows(sum(prod // m for m in state), prod, n, [(floor, None)],
+                                      None, True, True, _TAIL_CLASSES)
+    for label, lo, hi in windows:
         by_class[label] = (lo, hi)
     return LastIntervals(prefix=prefix, n=n, floor=floor, by_class=by_class)
 
@@ -545,14 +551,15 @@ class _Search:
         cap = self.cfg.node_cap
         for (_, N, P, primes), lo, hi, *_ in slices:
             phi, rest = self.table(N, P, primes, lo, hi)
-            for v, v_primes in coprime_factorizations(lo, hi, primes):
+            leaves = coprime_factorizations(lo, hi, primes)
+            for _, v_primes, windows in _last_windows(N, P, n, leaves, order_cap,
+                                                      old, new, tails):
                 self.nodes += 1
                 if cap is not None and self.nodes > cap:
                     self._stop()
-                if rest:
+                if rest and windows:
                     v_primes = sorted(rest + tuple(v_primes))
-                for label, a, b in _last_windows(N * v + P, P * v, n, v, order_cap,
-                                                 old, new, tails):
+                for label, a, b in windows:
                     counts[label] += _count_positive(a, b - 1, v_primes, phi)
 
     def blocks(self):
@@ -590,9 +597,10 @@ class _Search:
         n, counts, order_cap = self.n, self.counts, self.cap
         old, new, tails = self.old, self.new, self.tails
         for (prefix, N, P, primes), lo, hi in self.plan():
-            for v, v_primes in coprime_factorizations(lo, hi, primes):
+            leaves = coprime_factorizations(lo, hi, primes)
+            for v, v_primes, windows in _last_windows(N, P, n, leaves, order_cap,
+                                                      old, new, tails):
                 self._bump()
-                windows = _last_windows(N * v + P, P * v, n, v, order_cap, old, new, tails)
                 if not windows:
                     continue
                 head = prefix + (v,)

@@ -167,12 +167,12 @@ def _count_positive(lo: int, hi: int, primes: tuple[int, ...] | list[int], phi=_
     the lookup phi[x].  Otherwise the table is periodic with
     modulus q = len(phi) - 1 and phi_Q(x) = (x // q) * phi[q] + phi[x % q];
     the empty table gives phi_Q(x) = x, plain inclusion-exclusion.
-    Products are walked depth-first on one stack of (product, index of the
-    first prime it may take next, sign of its extensions) entries, each
-    taking primes in ascending order.  A d whose term is zero leaves no
-    such k in range, and so does every multiple of d, so d is not
-    extended; in particular the first d*p > hi ends the extensions of d,
-    and a d with no prime left to take is never pushed.
+    The signed products are built one prime at a time, in ascending order:
+    `terms` holds (d, sign of d's extensions) for every product kept so
+    far, and each prime p extends the terms kept before it, giving e =
+    d*p.  An e above hi, or one whose term is zero, leaves no such k in
+    range, and so does every multiple of e, so e is not kept and never
+    extended; a prime above hi ends the walk.
     """
     if lo > hi:
         return 0
@@ -184,16 +184,14 @@ def _count_positive(lo: int, hi: int, primes: tuple[int, ...] | list[int], phi=_
         total = phi[hi] - phi[below]
     else:
         total = (hi // q - below // q) * per + phi[hi % q] - phi[below % q]
-    last = len(primes) - 1
-    stack = [(1, 0, -1)]
-    push = stack.append
-    pop = stack.pop
-    while stack:
-        d, start, sign = pop()
-        for i in range(start, last + 1):
-            e = d * primes[i]
+    terms = [(1, -1)]
+    for p in primes:
+        if p > hi:
+            break
+        for d, sign in terms[:]:
+            e = d * p
             if e > hi:
-                break
+                continue
             x = hi // e
             y = below // e
             if span:
@@ -202,8 +200,7 @@ def _count_positive(lo: int, hi: int, primes: tuple[int, ...] | list[int], phi=_
                 term = (x // q - y // q) * per + phi[x % q] - phi[y % q]
             if term:
                 total += sign * term
-                if i < last:
-                    push((e, i + 1, -sign))
+                terms.append((e, -sign))
     return total
 
 
@@ -256,53 +253,99 @@ def _primes_upto(top: int) -> list[int]:
     return list(compress(range(top + 1), marks))
 
 
+def _split(g: int, primes) -> list[int]:
+    """The distinct primes of a squarefree g whose primes all lie in the ascending `primes`.
+
+    Trial division stops once p*p exceeds what is left, which is then 1
+    or a prime.
+    """
+    found = []
+    for p in primes:
+        if p * p > g:
+            break
+        if g % p == 0:
+            found.append(p)
+            g //= p
+    if g > 1:
+        found.append(g)
+    return found
+
+
 def coprime_factorizations(lo: int, hi: int, skip: tuple[int, ...] = ()):
     """Yield (v, primes of v) for the v in [lo, hi), lo >= 1, coprime to `skip`.
 
     The v come ascending, and the primes of v are its distinct primes,
-    ascending: the same as `factorize(v).primes`.  A segmented sieve:
-    each block [start, end) first drops the multiples of the `skip`
-    primes by one keep-mask (`_keep_mask`), then its kept entries are
-    sieved by the other primes p <= isqrt(end - 1), and dividing out
-    every power of them leaves each kept entry a cofactor of 1 or a prime
-    above isqrt(end - 1).  Blocks start at _BLOCK_FIRST entries and
-    double up to _BLOCK_CAP, so a short window costs a short sieve and a
-    long one a bounded amount of memory.  The sieving primes grow with
-    the blocks: when isqrt(end - 1) passes their limit, the limit becomes
-    the larger of that root and twice the old limit, so the primes held
-    are bounded by the orders reached, not by hi.
+    ascending: the same as `factorize(v).primes`.  Block by block: each
+    block [start, end) drops the multiples of the `skip` primes by one
+    keep-mask (`_keep_mask`), and only its kept entries are factored.  The
+    sieving primes are the primes p <= isqrt(end - 1) outside `skip`.
+    The small ones, those with p**3 <= end - 1, multiply into Q, and one
+    g = gcd(v, Q) gives the small primes of v; g is split into primes by
+    trial division (`_split`), through a cache that lives for one block,
+    and the cofactor v // g is freed of their powers by gcd.  What is left
+    has only primes above the cube root of v, so at most two.  The larger
+    of them up to isqrt(end - 1) is read from a table of the block, filled
+    by one slice assignment per large sieving prime; dividing out its
+    powers leaves 1 or one prime.
+
+    Blocks start at _BLOCK_FIRST entries and double up to _BLOCK_CAP, so
+    a short window costs a short sieve and a long one a bounded amount of
+    memory.  The sieving primes grow with the blocks: when isqrt(end - 1)
+    passes their limit, the limit becomes the larger of that root and
+    twice the old limit, so the primes held are bounded by the orders
+    reached, not by hi; Q takes each small prime as the blocks reach it.
     """
+    gcd = math.gcd
     sieving = []
     limit = 0
+    small = 0
+    Q = 1
     start = lo
     size = _BLOCK_FIRST
     while start < hi:
         end = min(start + size, hi)
         width = end - start
-        keep = _keep_mask(start, width, skip)
-        factors = [[] for _ in range(width)]
-        rest = list(range(start, end))
         top = math.isqrt(end - 1)
         if top > limit:
             limit = max(top, 2 * limit)
             sieving = [p for p in _primes_upto(limit) if p not in skip]
-        for p in sieving:
+        while small < len(sieving) and sieving[small] ** 3 < end:
+            Q *= sieving[small]
+            small += 1
+        large = [0] * width
+        for p in sieving[small:]:
             if p > top:
                 break
             first = -start % p
-            for j in compress(range(first, width, p), keep[first::p]):
-                factors[j].append(p)
-                rest[j] //= p
-            power = p * p
-            while power < end:
-                first = -start % power
-                for j in compress(range(first, width, power), keep[first::power]):
-                    rest[j] //= p
-                power *= p
-        for j in compress(range(width), keep):
-            if rest[j] > 1:
-                factors[j].append(rest[j])
-        yield from zip(compress(range(start, end), keep), compress(factors, keep))
+            large[first::p] = [p] * len(range(first, width, p))
+        split = {}
+        for j in compress(range(width), _keep_mask(start, width, skip)):
+            v = start + j
+            g = gcd(v, Q)
+            primes = split.get(g)
+            if primes is None:
+                primes = split[g] = _split(g, sieving)
+            r = v // g
+            h = gcd(r, g)
+            while h > 1:
+                r //= h
+                h = gcd(r, h)
+            if r == 1:
+                yield v, primes[:]
+                continue
+            p = large[j]
+            if not p:
+                yield v, primes + [r]
+                continue
+            r //= p
+            while r % p == 0:
+                r //= p
+            if r == 1:
+                yield v, primes + [p]
+            elif r < p:
+                yield v, primes + [r, p]
+            else:
+                yield v, primes + [p, r]
         start = end
         size = min(2 * size, _BLOCK_CAP)
 

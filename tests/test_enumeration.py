@@ -231,31 +231,33 @@ class TestAdmissibleLastInterval:
 
 
 def _check_capped_windows(n, prefix, m, cap, expected):
-    """_last_windows of prefix for every subset of the classes, floor and cap.
+    """_last_windows of prefix for every subset of the classes and cap.
 
-    The floors are max(prefix) and the positive cut points and their
-    neighbours, the caps `cap` and the same points.  The windows of a
-    subset are nonempty, ascending and disjoint, lie in [floor, cap) and
-    carry only requested labels; m lies in one of them exactly when its
-    class `expected` is requested and floor <= m < cap, and then in the
-    window of that class.
+    The prefix is a state and its last order as the one leaf, so the
+    floor is max(prefix).  The caps are `cap` and the positive cut points
+    and their neighbours.  The windows of a subset are nonempty, ascending
+    and disjoint, lie in [floor, cap) and carry only requested labels; m
+    lies in one of them exactly when its class `expected` is requested
+    and floor <= m < cap, and then in the window of that class.
     """
-    prod = math.prod(prefix)
-    N = sum(prod // q for q in prefix)
-    near = {x + d for x in enumeration._cuts(N, prod, n)[:2] for d in (-1, 0, 1)}
-    floors = {prefix[-1]} | {x for x in near if x > 0}
-    for floor, top in itertools.product(floors, near | {cap}):
+    *state, floor = prefix
+    P = math.prod(state)
+    N = sum(P // q for q in state)
+    near = {x + d for x in enumeration._cuts(N * floor + P, P * floor, n)[:2] for d in (-1, 0, 1)}
+    for top in near | {cap}:
         for k in range(len(ALL_CLASSES) + 1):
             for subset in itertools.combinations(ALL_CLASSES, k):
-                windows = _last_windows(N, prod, n, floor, top, "OldKE" in subset,
-                                        "NewOnlyKE" in subset, _TAIL_CLASSES.intersection(subset))
+                [(v, data, windows)] = _last_windows(
+                    N, P, n, [(floor, "leaf")], top, "OldKE" in subset,
+                    "NewOnlyKE" in subset, _TAIL_CLASSES.intersection(subset))
+                assert (v, data) == (floor, "leaf")
                 edges = [edge for _, lo, hi in windows for edge in (lo, hi)]
-                assert all(floor <= lo < hi <= top for _, lo, hi in windows), (floor, top, windows)
-                assert edges == sorted(edges), (floor, top, subset, windows)
+                assert all(floor <= lo < hi <= top for _, lo, hi in windows), (top, windows)
+                assert edges == sorted(edges), (top, subset, windows)
                 assert {label for label, _, _ in windows} <= set(subset)
                 hits = [label for label, lo, hi in windows if lo <= m < hi]
                 want = expected in subset and floor <= m < top
-                assert hits == ([expected] if want else []), (floor, top, subset)
+                assert hits == ([expected] if want else []), (top, subset)
 
 
 def _as_sets(result):
@@ -644,10 +646,11 @@ class TestTableReuse:
                 seen.add("range")
             else:
                 seen.add("periodic" if q <= TABLE_CAP else "wide")
-            for v, v_primes in exactmath.coprime_factorizations(lo, hi, primes):
+            leaves = exactmath.coprime_factorizations(lo, hi, primes)
+            for v, v_primes, windows in _last_windows(N, P, cfg.n, leaves, search.cap,
+                                                      search.old, search.new, search.tails):
                 walked = sorted(rest + tuple(v_primes))
-                for label, a, b in _last_windows(N * v + P, P * v, cfg.n, v, search.cap,
-                                                 search.old, search.new, search.tails):
+                for label, a, b in windows:
                     want = count_coprime_in_range(a, b - 1, primes + tuple(v_primes))
                     assert exactmath._count_positive(a, b - 1, walked, phi) == want, (
                         prefix, v, label)
