@@ -11,40 +11,42 @@ same inequalities bound the candidates for every earlier entry.
 
 The search has one walk, the generator `_Search.plan`.  It recurses over
 the interior depths, one node per next order v after a prefix (N, P,
-primes R), each v with its primes from a segmented sieve, and stops at
-the prefixes of n orders.  It yields each of them that has a candidate
-next order as a slice (state, lo, hi): the state and the window [lo, hi)
-of its next order v, whose coprime values are the leaves.  The walk is
-lazy, so it holds one path of states at a time, and every consumer reads
-the leaves v of a slice straight from the sieve, one node each.  Both
-modes clip the cut points of the last coordinate into class windows with
-`_last_windows`, by a class plan fixed once per search;
+primes R), each v with its primes from `coprime_factorizations`, and
+stops at the prefixes of n orders.  It yields each of them that has a
+candidate next order as a slice (state, lo, hi): the state and the window
+[lo, hi) of its next order v, whose coprime values are the leaves.  The
+walk is lazy, so it holds one path of states at a time, and every
+consumer reads the leaves v of a slice straight from the factorizations,
+one node each.  Both modes clip the cut points of the last coordinate
+into class windows with `_last_windows`, one generator pass over the
+leaves of a slice, by a class plan fixed once per search;
 `admissible_last_interval` reports the same windows for one prefix.
 
 Count mode (`_Search.count`) counts each class interval of a leaf by one
-inclusion-exclusion walk over the primes of v and those of R outside the
-slice's coprime-count table (`_Search.table`).  A slice may spend 8 table
+inclusion-exclusion count over the primes of v and those of R outside the
+slice's coprime-count table (`_Search.table`), its signed products built
+one prime at a time (`_count_positive`).  A slice may spend 8 table
 entries per v of its window, up to 2^16.  When the largest last order its
 windows reach fits that budget and lies below the product of R, the
-table counts the integers up to it coprime to all of R, so the walk
+table counts the integers up to it coprime to all of R, so the count
 takes only v's primes and each term is two lookups.  Otherwise the table
 is periodic in R's smallest primes (`coprime_table`, which keeps its last
 periodic table, so one is built only when those primes change).
 Materialize mode lists the coprime last coordinates of each interval
 instead, by a sieve over the primes of the head (the prefix and v, with
-v's primes from the leaf sieve; `coprime_blocks`).  Its generator
-`_Search.blocks` yields each sieve block of a class window once, as
-integers: the head, its product Ph and reciprocal-sum numerator Nh, the
-verdict the block shares and the block's last orders m.  A block's
-verdict is settled once: the three predicates fano, old_ok and new_ok
-are each affine in m (after dividing by m > 0), so each is constant on a
-block when it agrees at the block's two ends, and `verdict_fields` is
-checked there against the label of the window the last order was solved
-into.  The `enumerate` command writes its items straight from the blocks
-(`iter_row_blocks`); `_Search.rows` flattens them into one (orders,
-fields) row per tuple, each derived in O(1), which `iter_rows` streams
-and `iter_tuples` and `enumerate_tuples` wrap into (RamTuple, FanoReport)
-pairs.
+v's primes from the leaves' factorizations; `coprime_blocks`).  Its
+generator `_Search.blocks` yields each sieve block of a class window
+once, as integers: the head, its product Ph and reciprocal-sum numerator
+Nh, the verdict the block shares and the block's last orders m.  A
+block's verdict is settled once: the three predicates fano, old_ok and
+new_ok are each affine in m (after dividing by m > 0), so each is
+constant on a block when it agrees at the block's two ends, and
+`verdict_fields` is checked there against the label of the window the
+last order was solved into.  The `enumerate` command writes its items
+straight from the blocks (`iter_row_blocks`); `_Search.rows` flattens
+them into one (orders, fields) row per tuple, each derived in O(1),
+which `iter_rows` streams and `iter_tuples` and `enumerate_tuples` wrap
+into (RamTuple, FanoReport) pairs.
 
 A parallel count lists the plan first and weighs each slice by its number
 of leaves, the v in range coprime to the prefix, one inclusion-exclusion
@@ -498,9 +500,9 @@ class _Search:
         holds one path of states at a time.  [lo, hi) is the nonempty
         window of the depth-n state's next order v, the leaves, and the
         state carries its primes ascending.  Each interior order v is one
-        node, bumped as the walk creates it, with its primes from a
-        segmented sieve that skips the multiples of the state's primes;
-        state itself was counted by whoever created it.
+        node, bumped as the walk creates it, with its primes from
+        `coprime_factorizations`, which skips the multiples of the state's
+        primes; state itself was counted by whoever created it.
         """
         prefix, N, P, primes = state
         window = self._next_window(prefix, N, P)
@@ -541,10 +543,12 @@ class _Search:
         """Count the tuples in plan slices, in the given order: the one leaf loop.
 
         A slice is (state, lo, hi) from plan, or (state, lo, hi, weight)
-        from pool_tasks.  The leaves v in [lo, hi) come straight from the
-        sieve, one node each.  Each class window of a leaf is one
-        inclusion-exclusion walk over primes(v) and the state's primes
-        outside the slice's coprime-count table (`table`).
+        from pool_tasks.  The leaves v in [lo, hi) come straight from
+        `coprime_factorizations`, their windows from one `_last_windows`
+        pass over the slice, and each leaf is one node, checked against the
+        node cap before its windows are counted.  Each class window of a
+        leaf is one inclusion-exclusion count over primes(v) and the
+        state's primes outside the slice's coprime-count table (`table`).
         """
         n, counts, order_cap = self.n, self.counts, self.cap
         old, new, tails = self.old, self.new, self.tails
@@ -566,8 +570,9 @@ class _Search:
         """Yield (head, Ph, Nh, verdict, ms): every requested tuple, one sieve block at a time.
 
         The one traversal of materialize mode, in lexicographic order.
-        The leaves v of each plan slice come from the sieve with their
-        primes, one node each, and the last coordinates m of each class
+        The leaves v of each plan slice come from `coprime_factorizations`
+        with their primes, and their windows from one `_last_windows` pass,
+        one node each; the last coordinates m of each class
         window are sieved by the primes of the head (prefix + v), at most
         _BLOCK_CAP values of m to a block (`coprime_blocks`).  The tuples
         of a block are head + (m,) for the m in the list ms.  Ph =

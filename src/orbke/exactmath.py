@@ -8,11 +8,11 @@ Factorization is trial division, accepted for inputs up to FACTOR_CAP =
 1e14, so it takes at most 5e6 divisions; it is not a general-purpose
 factoring library.
 
-Coprime counting is inclusion-exclusion over the squarefree products d of
-the given primes, pruned: a d with no multiple in the range adds zero, as
-does every multiple of d, so the walk, depth-first on one stack, visits
-only products up to the top of the range.  Ranges reaching below 1 are
-reflected onto positive ones.  The walk counts on top of a table of the
+Coprime counting is inclusion-exclusion over the squarefree products d
+of the given primes, pruned: a d with no multiple in the range adds
+zero, as does every multiple of d, so the products, built one prime at a
+time, stop at the top of the range.  Ranges reaching below 1 are
+reflected onto positive ones.  The count runs on top of a table of the
 running count of integers coprime to some of the primes (Legendre's
 phi(x, a) with the small-prime table of Meissel-Lehmer), so its products
 run only over the primes left out; `count_coprime_in_range` uses the
@@ -23,11 +23,13 @@ and the one built last is kept, so the search builds one only when the
 tabulated primes differ from the last prefix's.
 
 `coprime_factorizations` gives the distinct primes of every integer in a
-window by a segmented sieve (Bays-Hudson), for the search's orders at
-every depth.  `coprime_blocks` lists the integers of a window coprime
-to given primes by the same keep-mask (`_keep_mask`), one list per sieve
-block, for the search's last coordinates; `coprime_in_range` yields
-them one at a time.
+window coprime to given primes, for the search's orders at every depth:
+block by block, a keep-mask (`_keep_mask`) drops the multiples of the
+given primes, and each kept v is factored by one gcd with the product of
+the small sieving primes and a table of the block's larger ones.
+`coprime_blocks` lists the integers of a window coprime to given primes
+by the same keep-mask, one list per block, for the search's last
+coordinates; `coprime_in_range` yields them one at a time.
 """
 
 from __future__ import annotations
@@ -278,15 +280,17 @@ def coprime_factorizations(lo: int, hi: int, skip: tuple[int, ...] = ()):
     ascending: the same as `factorize(v).primes`.  Block by block: each
     block [start, end) drops the multiples of the `skip` primes by one
     keep-mask (`_keep_mask`), and only its kept entries are factored.  The
-    sieving primes are the primes p <= isqrt(end - 1) outside `skip`.
-    The small ones, those with p**3 <= end - 1, multiply into Q, and one
-    g = gcd(v, Q) gives the small primes of v; g is split into primes by
-    trial division (`_split`), through a cache that lives for one block,
-    and the cofactor v // g is freed of their powers by gcd.  What is left
-    has only primes above the cube root of v, so at most two.  The larger
-    of them up to isqrt(end - 1) is read from a table of the block, filled
-    by one slice assignment per large sieving prime; dividing out its
-    powers leaves 1 or one prime.
+    sieving primes are the primes outside `skip` up to a limit of at least
+    isqrt(end - 1).  The small ones, those p with p**3 < end, multiply
+    into Q, so one g = gcd(v, Q) is the product of the small primes of v.
+    g is split into primes by trial division (`_split`), through a cache
+    that lives for one block, and the cofactor v // g is freed of their
+    powers by gcd.  What is left has only primes p with p**3 >= end > v,
+    so at most two, and at most one above isqrt(end - 1).  The larger of
+    them up to isqrt(end - 1) is read from the block's table `large`,
+    which one slice assignment per larger sieving prime fills, ascending,
+    so the largest one dividing an entry is the one left there; dividing
+    out its powers leaves 1 or one prime, below or above it.
 
     Blocks start at _BLOCK_FIRST entries and double up to _BLOCK_CAP, so
     a short window costs a short sieve and a long one a bounded amount of

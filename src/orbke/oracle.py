@@ -56,10 +56,11 @@ All randomness flows from one counter-based Philox stream keyed by the
 seed, so a given config gives bit-identical estimates.  Before anything
 is sampled, the array cells of the draw and the integrand evaluations of a
 run (samples x (probe points + shells)) are checked against MAX_CELLS and
-MAX_EVALUATIONS.  While a run integrates and fits, -2 lambda log f, each
-log I and each fit's residual sum must stay finite floats, or the run
-raises InputError: a grid that large cannot place the threshold.  Results
-are test instruments only; no exact code path consumes them.
+MAX_EVALUATIONS, and a config holds at most MAX_GRID_POINTS probe points.
+While a run integrates and fits, -2 lambda log f, each log I and each
+fit's residual sum must stay finite floats, or the run raises InputError:
+a grid that large cannot place the threshold.  Results are test
+instruments only; no exact code path consumes them.
 """
 
 from __future__ import annotations
@@ -83,8 +84,10 @@ _SEED_LIMIT = 2 ** 63
 # (8e4 for bp) and 1.04e6 evaluations.
 MAX_CELLS = 4_000_000
 MAX_EVALUATIONS = 10 ** 9
-# No config with more probe points passes the evaluation cap.
-MAX_GRID_POINTS = MAX_EVALUATIONS // _MIN_SAMPLES - _MIN_SHELLS
+# Probe points per run.  Each costs about 46 us and 0.5 KiB that the
+# evaluation cap does not count (its Fraction, float, slope and fit), so
+# a full grid stays near half a second and 5 MiB.
+MAX_GRID_POINTS = 10_000
 # Largest power of a coordinate: d log t and every m log r then stay
 # finite floats for every cutoff t a double can hold.
 MAX_POWER = 10 ** 300
@@ -99,10 +102,11 @@ class OracleConfig:
     to 1e-16) on purpose: one grid step below the threshold the cutoff
     integral converges like eps^q with q ~ 0.1, so shallow ladders leave a
     transient slope that spills past the cut and drags the estimate low.
-    lambda_grid holds the rationals to probe, sorted increasing; the
-    threshold finder assumes near-uniform spacing.  tolerance is the
-    default relative error for verify_threshold.  samples_per_shell is the
-    size of the one draw, at the deepest cutoff, that every shell reads.
+    lambda_grid holds 3 to MAX_GRID_POINTS rationals to probe, sorted
+    increasing; the threshold finder assumes near-uniform spacing.
+    tolerance is the default relative error for verify_threshold.
+    samples_per_shell is the size of the one draw, at the deepest cutoff,
+    that every shell reads.
     seed keys the Philox stream and must lie in [0, 2**63).
     """
 
@@ -125,6 +129,10 @@ class OracleConfig:
         if any(cuts[i] <= cuts[i + 1] for i in range(len(cuts) - 1)):
             raise InputError("cutoffs must be strictly decreasing")
         grid = tuple(check_rational(x, "lambda_grid point") for x in self.lambda_grid)
+        if len(grid) > MAX_GRID_POINTS:
+            raise InputError(
+                f"lambda_grid has {len(grid)} points, more than the cap {MAX_GRID_POINTS}"
+            )
         if len(grid) < 3:
             raise InputError("lambda_grid needs at least 3 probe points")
         if any(grid[i] >= grid[i + 1] for i in range(len(grid) - 1)):

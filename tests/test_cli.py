@@ -20,6 +20,7 @@ import pytest
 import orbke
 from orbke import SearchConfig, __version__, cli
 from orbke.enumeration import MAX_SEARCH_DIM
+from orbke.oracle import MAX_GRID_POINTS
 from orbke.orbifold import CLASSIFICATIONS
 
 from conftest import json_records, reference_items
@@ -121,6 +122,13 @@ class TestEnumerate:
         code, _, err = run_cli("count", "--dim", "3", "--max-nodes", "20")
         assert code == 2
         assert "node" in err.lower()
+
+    def test_deep_node_cap_partial_is_pinned(self, run_cli):
+        # The cap falls inside dimension 5's leaf slices, whose windows are
+        # solved a slice at a time; the cap is still checked at every leaf.
+        code, out, err = run_cli("count", "--dim", "5", "--max-nodes", "100000")
+        assert (code, out) == (2, "")
+        assert err == "error: node cap 100000 exceeded (progress: {'NewOnlyKE': 8682779})\n"
 
     def test_dimension_above_the_bound_exits_one(self, run_cli):
         code, out, err = run_cli("count", "--dim", str(MAX_SEARCH_DIM + 1), "--max-nodes", "1000")
@@ -379,6 +387,20 @@ class TestOracleCommands:
         )
         assert code == 1
         assert "below" in err
+
+    def test_grid_points_cap(self, run_cli):
+        # A grid of MAX_GRID_POINTS runs; one point more is refused by the
+        # parser with one error line, before any Fraction of it is built.
+        argv = ("oracle", "monomial", "--exponents", "2", "--samples", "1000",
+                "--cutoffs", "1e-2,1e-3,1e-4,1e-5,1e-6", "--grid")
+        cap = MAX_GRID_POINTS
+        code, out, _ = run_cli(*argv, f"1/{cap}:1:1/{cap}")
+        assert code == 0
+        (rec,) = json_records(out)
+        assert len(rec["input"]["lambda_grid"]) == cap
+        code, out, err = run_cli(*argv, f"1/{cap + 1}:1:1/{cap + 1}")
+        assert (code, out) == (1, "")
+        assert err == f"error: grid has {cap + 1} points, more than the cap {cap}\n"
 
     @pytest.mark.parametrize("grid, line", [
         ("2:4:1", "error: threshold outside grid (below): every probed lambda is "

@@ -47,6 +47,33 @@ _PINNED_PARTIALS = (
 )
 
 
+# (prefix, NewOnlyKE count, nodes_visited) of each dimension-5 subtree in
+# the benchmark's cost-grouped pool.  The depth-5 prefixes are one slice on
+# a range table each; every slice of (2, 3, 7, 85) and (2, 3, 7, 89) has a
+# periodic table that leaves primes to walk; (2, 3, 7, 29) has 70 slices.
+_DIM5_SUBTREES = (
+    ((2, 3, 7, 29), 7818, 1274),
+    ((2, 3, 7, 47, 283), 276264, 1039),
+    ((2, 3, 7, 47, 289), 288441, 1065),
+    ((2, 3, 7, 47, 293), 359454, 1191),
+    ((2, 3, 7, 47, 275), 125580, 686),
+    ((2, 3, 7, 47, 277), 237710, 962),
+    ((2, 3, 7, 47, 281), 262731, 1014),
+    ((2, 3, 7, 85), 3357907, 791),
+    ((2, 3, 7, 47, 247), 91191, 590),
+    ((2, 3, 7, 47, 253), 103225, 629),
+    ((2, 3, 7, 47, 269), 195910, 871),
+    ((2, 3, 7, 47, 271), 205432, 892),
+    ((2, 3, 7, 47, 221), 51280, 439),
+    ((2, 3, 7, 47, 239), 98890, 615),
+    ((2, 3, 7, 47, 241), 103301, 629),
+    ((2, 3, 7, 89), 5262872, 689),
+    ((2, 3, 7, 23), 1084, 368),
+    ((2, 3, 7, 25), 1096, 374),
+    ((2, 5, 7, 9), 190951, 356),
+    ((3, 4, 5, 7), 32533, 347),
+)
+
 class TestSylvesterSeq:
     def test_prefix_six(self):
         assert sylvester_seq(6) == [2, 3, 7, 43, 1807, 3263443]
@@ -446,6 +473,15 @@ class TestEnumerateTuples:
             enumerate_tuples(SearchConfig(mode=mode, **kwargs))
         assert exc.value.partial.counts == counts
         assert exc.value.partial.nodes_visited == kwargs["node_cap"] + 1
+
+    @pytest.mark.parametrize("width", [1, 2])
+    @pytest.mark.parametrize("prefix, count, nodes", _DIM5_SUBTREES)
+    def test_dim5_subtrees_are_pinned(self, prefix, count, nodes, width):
+        # Width 2 lists the weighted plan and, below POOL_MIN_LEAVES, counts
+        # it in-process; width 1 counts the lazy walk.
+        res = enumerate_tuples(SearchConfig(n=5, mode="count", prefix_filter=prefix,
+                                            parallel_width=width))
+        assert (res.counts, res.nodes_visited) == ({"NewOnlyKE": count}, nodes)
 
     def test_counts_include_zero_classes(self):
         res = enumerate_tuples(

@@ -28,6 +28,7 @@ from orbke.errors import InputError, ThresholdOutsideGrid
 from orbke.oracle import (
     MAX_CELLS,
     MAX_EVALUATIONS,
+    MAX_GRID_POINTS,
     MAX_POWER,
     _check_work,
     _estimate,
@@ -133,6 +134,16 @@ class TestWorkCaps:
         assert samples * (points + len(self.CUTS)) == MAX_EVALUATIONS + 1
         with pytest.raises(InputError, match="evaluations"):
             estimate_monomial_threshold((1,), cfg)
+
+    def test_grid_points_cap(self):
+        # API callers skip the CLI's grid parser, so the config itself
+        # refuses more than MAX_GRID_POINTS probe points.
+        grid = tuple(range(1, MAX_GRID_POINTS + 1))
+        cfg = OracleConfig(samples_per_shell=1000, cutoffs=self.CUTS, lambda_grid=grid)
+        assert len(cfg.lambda_grid) == MAX_GRID_POINTS
+        with pytest.raises(InputError, match=f"lambda_grid has {MAX_GRID_POINTS + 1} points"):
+            OracleConfig(samples_per_shell=1000, cutoffs=self.CUTS,
+                         lambda_grid=grid + (MAX_GRID_POINTS + 1,))
 
     def test_caps_are_inclusive(self):
         samples = MAX_CELLS // 4
