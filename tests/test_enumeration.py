@@ -74,6 +74,7 @@ _DIM5_SUBTREES = (
     ((3, 4, 5, 7), 32533, 347),
 )
 
+
 class TestSylvesterSeq:
     def test_prefix_six(self):
         assert sylvester_seq(6) == [2, 3, 7, 43, 1807, 3263443]
@@ -270,7 +271,8 @@ def _check_capped_windows(n, prefix, m, cap, expected):
     *state, floor = prefix
     P = math.prod(state)
     N = sum(P // q for q in state)
-    near = {x + d for x in enumeration._cuts(N * floor + P, P * floor, n)[:2] for d in (-1, 0, 1)}
+    cuts = enumeration._cuts(N * floor + P, P * floor, n)
+    near = {x + d for x in cuts[:2] for d in (-1, 0, 1)}
     for top in near | {cap}:
         for k in range(len(ALL_CLASSES) + 1):
             for subset in itertools.combinations(ALL_CLASSES, k):
