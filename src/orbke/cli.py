@@ -184,12 +184,6 @@ def _item_template(fmt: str) -> tuple:
     return lines + "\n", ";"
 
 
-def _ratio(D: int, P: int) -> str:
-    """str(Fraction(D, P)) for P > 0, from one gcd: "p/q" in lowest terms, or "p" when q is 1."""
-    g = math.gcd(D, P)
-    return f"{D // g}/{P // g}" if P != g else str(D // g)
-
-
 class Emitter:
     """Streams records as json-lines, csv sections, or text blocks.
 
@@ -402,7 +396,7 @@ def _cmd_enumerate(args, emit: Emitter) -> dict:
         lines = [row % (m, Ph + K * m, Ph * m) for m in ms]
         if Ph * ms[0] == 1:
             # The all-unit row has P = 1, and its c1 is written as the integer D.
-            lines[0] = line % (1, label, _ratio(Nh, 1), *bools)
+            lines[0] = line % (1, label, Nh, *bools)
         write("".join(lines))
     return summary
 

@@ -54,9 +54,7 @@ TABLE_CAP = 4096
 _ENTRIES_PER_V = 8
 _TABLE_MAX = 1 << 16
 
-# Sizes of the first and of the largest block of coprime_factorizations;
-# coprime_blocks sieves blocks of the largest size.
-_BLOCK_FIRST = 256
+# Entries per sieve block of coprime_factorizations and coprime_blocks.
 _BLOCK_CAP = 8192
 
 
@@ -292,12 +290,12 @@ def coprime_factorizations(lo: int, hi: int, skip: tuple[int, ...] = ()):
     so the largest one dividing an entry is the one left there; dividing
     out its powers leaves 1 or one prime, below or above it.
 
-    Blocks start at _BLOCK_FIRST entries and double up to _BLOCK_CAP, so
-    a short window costs a short sieve and a long one a bounded amount of
-    memory.  The sieving primes grow with the blocks: when isqrt(end - 1)
-    passes their limit, the limit becomes the larger of that root and
-    twice the old limit, so the primes held are bounded by the orders
-    reached, not by hi; Q takes each small prime as the blocks reach it.
+    Blocks hold at most _BLOCK_CAP entries, as in coprime_blocks, so a
+    long window costs a bounded amount of memory.  The sieving primes grow
+    with the blocks: when isqrt(end - 1) passes their limit, the limit
+    becomes the larger of that root and twice the old limit, so the primes
+    held are bounded by the orders reached, not by hi; Q takes each small
+    prime as the blocks reach it.
     """
     gcd = math.gcd
     sieving = []
@@ -305,9 +303,8 @@ def coprime_factorizations(lo: int, hi: int, skip: tuple[int, ...] = ()):
     small = 0
     Q = 1
     start = lo
-    size = _BLOCK_FIRST
     while start < hi:
-        end = min(start + size, hi)
+        end = min(start + _BLOCK_CAP, hi)
         width = end - start
         top = math.isqrt(end - 1)
         if top > limit:
@@ -351,7 +348,6 @@ def coprime_factorizations(lo: int, hi: int, skip: tuple[int, ...] = ()):
             else:
                 yield v, primes + [p, r]
         start = end
-        size = min(2 * size, _BLOCK_CAP)
 
 
 def coprime_blocks(lo: int, hi: int, primes):

@@ -27,30 +27,29 @@ threshold and ThresholdOutsideGrid reports the direction.
 
 Both integrands, a product of coordinate powers (monomial) and a sum of
 them (u^n + v^n), run through one sampler, _power_sampler, and one
-pipeline, _estimate.  An integrand is its powers plus its width, the
-number of coordinates, which is the array cells per sample.  The shells
-{|f| > t^d} of the ladder are nested, so one draw at the deepest cutoff
-covers all of them without bias: the sampler draws samples_per_shell
-points once and returns the arrays (log f, log w, mask), where f is |f|
-at each point, w its importance weight (domain measure over sampling
-density) and mask marks the points inside the deepest cutoff domain.
-Each kept draw falls in one segment, the shallowest shell whose cut it
-clears, and shell j reads segments 0..j, so every shell shares the same
-random numbers.  The pipeline turns the draw into
+pipeline, _estimate(powers, is_sum, cfg): an integrand is its powers and
+whether they add or multiply, and its width, the number of coordinates,
+is the array cells per sample.  The shells {|f| > t^d} of the ladder are
+nested, so one draw at the deepest cutoff covers all of them without
+bias: the sampler draws samples_per_shell points once and returns the
+arrays (log f, log w, mask), where f is |f| at each point, w its
+importance weight (domain measure over sampling density) and mask marks
+the points inside the deepest cutoff domain.  Each kept draw falls in one
+segment, the shallowest shell whose cut it clears, and shell j reads
+segments 0..j, so every shell shares the same random numbers.  The
+pipeline turns the draw into
 log I(t, lambda) = log mean(|f|^(-2 lambda) * w * [|f| > t^d]) for every
-shell and lambda, fits one slope per lambda and extracts the threshold.
-Sampling is importance-weighted toward the zero set: most draws solve one
-coordinate for a log-uniform |f|, since uniform sampling under-resolves
-the singular locus.
+shell and lambda, fits the slopes of all lambdas in one least-squares
+pass and extracts the threshold.  Sampling is importance-weighted toward
+the zero set: most draws solve one coordinate for a log-uniform |f|,
+since uniform sampling under-resolves the singular locus.
 
 Arrays are laid out as rows of samples, one row per coordinate, so every
 numpy call runs over long rows in real arithmetic.  Radii, |f| and
 densities are held as logs, so no cutoff a double can hold underflows.
-Samplers are stateless: each call allocates its own arrays and returns
-fresh ones.  The pipeline sorts the kept draws by segment once, then
-integrates each lambda in one pass over one buffer, shifting each segment
-by its own maximum.  A run is serial: one sampler call and one exp pass
-per lambda, with no thread pool.
+The pipeline sorts the kept draws by segment once, then integrates each
+lambda in one pass over one buffer, shifting each segment by its own
+maximum.
 
 All randomness flows from one counter-based Philox stream keyed by the
 seed, so a given config gives bit-identical estimates.  Before anything
@@ -67,7 +66,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from numbers import Real
 
 import numpy as np
@@ -204,28 +202,28 @@ def _rng(seed: int) -> np.random.Generator:
 
 
 def _slope_fit(log_eps, log_i):
-    """Least-squares slope of log I against log eps, with its standard error.
+    """Least-squares slopes of the rows of log I against log eps, with
+    their standard errors, as two lists.
 
-    A residual sum that is not finite (log I so large that the fit leaves
-    the float range) raises InputError.
+    A row whose residual sum is not finite (log I so large that the fit
+    leaves the float range) raises InputError, naming the first such row.
     """
     x = np.asarray(log_eps)
-    y = np.asarray(log_i)
-    m = len(x)
+    xm = x - x.mean()
+    sxx = float(xm @ xm)
     with np.errstate(over="ignore", invalid="ignore"):
-        xm = x - x.mean()
-        sxx = float(xm @ xm)
-        slope = float(xm @ (y - y.mean())) / sxx
-        resid = y - y.mean() - slope * xm
-        rss = float(resid @ resid)
-    if not math.isfinite(rss):
+        y = log_i - np.mean(log_i, axis=1, keepdims=True)
+        slopes = y @ xm / sxx
+        y -= slopes[:, None] * xm
+        rss = np.einsum("ij,ij->i", y, y)
+    bad = ~np.isfinite(rss)
+    if bad.any():
         raise InputError(
-            f"the slope fit of log I (up to {float(np.abs(y).max()):.3g}) against "
-            "log eps overflows a float; probe a smaller lambda_grid"
+            f"the slope fit of log I (up to {float(np.abs(log_i[bad.argmax()]).max()):.3g}) "
+            "against log eps overflows a float; probe a smaller lambda_grid"
         )
-    dof = max(m - 2, 1)
-    se = math.sqrt(max(rss, 0.0) / dof / sxx)
-    return slope, se
+    ses = np.sqrt(np.maximum(rss, 0.0) / max(len(x) - 2, 1) / sxx)
+    return slopes.tolist(), ses.tolist()
 
 
 def _extract_threshold(grid, slopes, ses, k_coeff) -> ExponentEstimate:
@@ -329,31 +327,24 @@ def _integrate_ladder(log_f, log_w, mask, power, cutoffs, lam_f) -> np.ndarray:
     return log_i
 
 
-def _estimate(make_sample, width: int, power, cfg: OracleConfig) -> ExponentEstimate:
-    """Shared pipeline: draw once, integrate every shell and lambda, fit, extract.
+def _estimate(powers, is_sum: bool, cfg: OracleConfig) -> ExponentEstimate:
+    """Shared pipeline for f = sum (is_sum) or product of z_j^(m_j), m the
+    powers: draw once, integrate every shell and lambda, fit, extract.
 
-    make_sample() builds the sampler; sample(rng, t), for a ladder cutoff
-    t, returns fresh arrays (log_f, log_w, mask) for its draws: the log of
-    |f|, the log importance weight (domain measure over sampling density),
-    and which draws lie in the domain cut at |f| > t^power.  Entries
-    outside the mask are ignored, and the arrays are only read.  power is
-    f's largest power d, so K = 2d.
-
-    The work caps are checked first, for width cells per sample, and only
-    then is the sampler built.  It is called once, at the deepest cutoff,
-    on the Philox stream of the seed, and _integrate_ladder reads every
-    shell of the ladder from that one draw.
+    The work caps are checked first, for len(powers) cells per sample, and
+    only then is _power_sampler called, once, at the deepest cutoff, on
+    the Philox stream of the seed; _integrate_ladder reads every shell of
+    the ladder from that one draw.  The cut is at |f| > t^d, d the largest
+    power, so K = 2d.
     """
-    _check_work(cfg, width)
-    sample = make_sample()
-    log_f, log_w, mask = sample(_rng(cfg.seed), cfg.cutoffs[-1])
+    _check_work(cfg, len(powers))
+    d = max(powers)
+    log_f, log_w, mask = _power_sampler(powers, is_sum, cfg.samples_per_shell,
+                                        _rng(cfg.seed), cfg.cutoffs[-1])
     lam_f = [float(l) for l in cfg.lambda_grid]
-    log_i = _integrate_ladder(log_f, log_w, mask, power, cfg.cutoffs, lam_f)
-    log_eps = np.array([math.log(eps) for eps in cfg.cutoffs])
-    fits = [_slope_fit(log_eps, row) for row in log_i]
-    return _extract_threshold(
-        cfg.lambda_grid, [sl for sl, _ in fits], [se for _, se in fits], 2.0 * power
-    )
+    log_i = _integrate_ladder(log_f, log_w, mask, d, cfg.cutoffs, lam_f)
+    slopes, ses = _slope_fit([math.log(t) for t in cfg.cutoffs], log_i)
+    return _extract_threshold(cfg.lambda_grid, slopes, ses, 2.0 * d)
 
 
 # ---------------------------------------------------------------------------
@@ -366,16 +357,14 @@ def estimate_monomial_threshold(exponents, cfg: OracleConfig) -> ExponentEstimat
     exps = tuple(check_int(a, "exponent", 1, MAX_POWER) for a in exponents)
     if not exps:
         raise InputError("exponent list must be nonempty")
-    return _estimate(partial(_power_sampler, exps, False, cfg.samples_per_shell),
-                     len(exps), max(exps), cfg)
+    return _estimate(exps, False, cfg)
 
 
 def estimate_bp_threshold(n: int, cfg: OracleConfig) -> ExponentEstimate:
     """Probe the integrability threshold 2/n of |u^n + v^n|^(-2 lambda):
     cutoff t cuts at |f| > t^n, so K = 2n."""
     n = check_int(n, "n", 2, MAX_POWER)
-    return _estimate(partial(_power_sampler, (n, n), True, cfg.samples_per_shell),
-                     2, n, cfg)
+    return _estimate((n, n), True, cfg)
 
 
 def _log_radii(u, lt, out):
@@ -413,9 +402,12 @@ def _log_abs_terms(lr, m, s2, is_sum):
     return acc
 
 
-def _power_sampler(powers, is_sum, n_s):
-    """sample(rng, t) for f = sum or product of z_j^(m_j) over the unit
-    polydisc of C^k, cut at |f| > t^d with d the largest power.
+def _power_sampler(powers, is_sum, n_s, rng, t):
+    """Draw n_s points from rng for f = sum or product of z_j^(m_j) over
+    the unit polydisc of C^k, cut at |f| > t^d with d the largest power,
+    and return fresh arrays (log_f, log_w, mask): the log of |f|, the log
+    importance weight (domain measure over sampling density), and which
+    draws lie in the cut domain.  Entries outside the mask mean nothing.
 
     The mixture has k + 1 components, each over a fixed block of columns.
     The first fifth draws every coordinate from the product density q of
@@ -446,65 +438,61 @@ def _power_sampler(powers, is_sum, n_s):
         log_shares = np.log(np.diff([0] + ends) / n_s)
     log_base, log_shares = log_shares[0], log_shares[1:, None] + np.log(m)
     log_top = math.log(k) if is_sum else 0.0
-
-    def sample(rng, t):
-        lt = math.log(t)
-        log_cut = d * lt
-        u = rng.random((2 * k - 1 if is_sum else k, n_s))
-        u, s2 = u[:k], u[k:]
-        # Block j's |w| first: _log_radii overwrites the uniforms it reads.
-        log_f = np.empty(n_s)
-        for j, cols in enumerate(blocks):
-            np.multiply(u[j, cols], log_cut - log_top, out=log_f[cols])
-            log_f[cols] += log_top
-        lr = np.empty((k, n_s))
-        _log_radii(u[:, drawn], lt, lr[:, drawn])
-        # Half angles uniform on [-pi/2, pi/2) and off 0 by half a step of
-        # the draws, so that no sum cancels to 0.
-        s2 -= 0.5 - 2.0 ** -54
-        np.sin(s2 * math.pi, out=s2)
-        s2 *= s2
-        for j, cols in enumerate(blocks):
-            log_w = log_f[cols]
-            if k > 1:
-                rest = _log_abs_terms(lr[others[j], cols], m[others[j]], s2[:, cols], is_sum)
-                log_w = _log_abs_sum(log_w, rest, s2[-1, cols]) if is_sum else log_w - rest
-            np.divide(log_w, m[j], out=lr[j, cols])
-        log_f[base] = _log_abs_terms(lr[:, base], m, s2[:, base], is_sum)
-        log_wt = np.maximum.reduce(lr, axis=0)
-        mask = (log_wt <= 0.0) & (log_f > log_cut)
-        # Capping the radii outside the mask at 1 keeps every density finite.
-        np.minimum(lr, 0.0, out=lr)
-        # q_i = s_i / r_i^2, s_i = r_i^2 / (2 pi) + [r_i >= t] / (4 pi log(1/t)),
-        # whose first term alone a double holds below t only as a log.
-        high = lr >= lt
-        lr *= 2.0
-        ls = np.exp(lr, out=u)
-        ls /= 2 * math.pi
-        np.add(ls, 1 / (4 * math.pi * -lt), out=ls, where=high)
-        with np.errstate(divide="ignore"):
-            np.log(ls, out=ls)
-        if not high.all():
-            ls[~high] = lr[~high] - math.log(2 * math.pi)
-        # log of the mixture density over prod_i q_i: the first block's term
-        # plus block j's c_j [(r_j^m_j / |f|)^2] / s_j for each j, with
-        # c_j = m_j / (2 pi log(top / t^d)).
-        extra = lr * m - 2.0 * log_f if is_sum else 0.0
-        lr -= ls
-        np.add.reduce(lr, axis=0, out=log_wt)
-        terms = np.subtract(log_shares - math.log(2 * math.pi * (log_top - log_cut)), ls, out=ls)
-        terms += extra
-        top = np.maximum(np.maximum.reduce(terms, axis=0, out=lr[0]), log_base, out=lr[0])
-        terms -= top
-        np.exp(terms, out=terms)
-        log_wt -= top
-        mix = np.exp(np.subtract(log_base, top, out=top), out=top)
-        for row in terms:
-            mix += row
-        log_wt -= np.log(mix, out=mix)
-        return log_f, log_wt, mask
-
-    return sample
+    lt = math.log(t)
+    log_cut = d * lt
+    u = rng.random((2 * k - 1 if is_sum else k, n_s))
+    u, s2 = u[:k], u[k:]
+    # Block j's |w| first: _log_radii overwrites the uniforms it reads.
+    log_f = np.empty(n_s)
+    for j, cols in enumerate(blocks):
+        np.multiply(u[j, cols], log_cut - log_top, out=log_f[cols])
+        log_f[cols] += log_top
+    lr = np.empty((k, n_s))
+    _log_radii(u[:, drawn], lt, lr[:, drawn])
+    # Half angles uniform on [-pi/2, pi/2) and off 0 by half a step of
+    # the draws, so that no sum cancels to 0.
+    s2 -= 0.5 - 2.0 ** -54
+    np.sin(s2 * math.pi, out=s2)
+    s2 *= s2
+    for j, cols in enumerate(blocks):
+        log_w = log_f[cols]
+        if k > 1:
+            rest = _log_abs_terms(lr[others[j], cols], m[others[j]], s2[:, cols], is_sum)
+            log_w = _log_abs_sum(log_w, rest, s2[-1, cols]) if is_sum else log_w - rest
+        np.divide(log_w, m[j], out=lr[j, cols])
+    log_f[base] = _log_abs_terms(lr[:, base], m, s2[:, base], is_sum)
+    log_wt = np.maximum.reduce(lr, axis=0)
+    mask = (log_wt <= 0.0) & (log_f > log_cut)
+    # Capping the radii outside the mask at 1 keeps every density finite.
+    np.minimum(lr, 0.0, out=lr)
+    # q_i = s_i / r_i^2, s_i = r_i^2 / (2 pi) + [r_i >= t] / (4 pi log(1/t)),
+    # whose first term alone a double holds below t only as a log.
+    high = lr >= lt
+    lr *= 2.0
+    ls = np.exp(lr, out=u)
+    ls /= 2 * math.pi
+    np.add(ls, 1 / (4 * math.pi * -lt), out=ls, where=high)
+    with np.errstate(divide="ignore"):
+        np.log(ls, out=ls)
+    if not high.all():
+        ls[~high] = lr[~high] - math.log(2 * math.pi)
+    # log of the mixture density over prod_i q_i: the first block's term
+    # plus block j's c_j [(r_j^m_j / |f|)^2] / s_j for each j, with
+    # c_j = m_j / (2 pi log(top / t^d)).
+    extra = lr * m - 2.0 * log_f if is_sum else 0.0
+    lr -= ls
+    np.add.reduce(lr, axis=0, out=log_wt)
+    terms = np.subtract(log_shares - math.log(2 * math.pi * (log_top - log_cut)), ls, out=ls)
+    terms += extra
+    top = np.maximum(np.maximum.reduce(terms, axis=0, out=lr[0]), log_base, out=lr[0])
+    terms -= top
+    np.exp(terms, out=terms)
+    log_wt -= top
+    mix = np.exp(np.subtract(log_base, top, out=top), out=top)
+    for row in terms:
+        mix += row
+    log_wt -= np.log(mix, out=mix)
+    return log_f, log_wt, mask
 
 
 def verify_threshold(analytic, est: ExponentEstimate, tol: float) -> bool:

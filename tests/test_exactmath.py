@@ -15,7 +15,6 @@ from orbke import exactmath
 from orbke.errors import InputError, OrderBelowMinimum, WrongLength
 from orbke.exactmath import (
     _BLOCK_CAP,
-    _BLOCK_FIRST,
     FACTOR_CAP,
     TABLE_CAP,
     FactoredInt,
@@ -309,17 +308,19 @@ class TestCoprimeTable:
 
 class TestCoprimeFactorizations:
     def test_seeded_windows_match_factorize(self):
-        # Windows cross the growing block edges (256, 768, 1792, ... past
-        # the start), and every window holds primes and 2*prime entries,
-        # whose largest prime lies above the square root of its block's end.
+        # Windows cross the block edges (_BLOCK_CAP, 2 * _BLOCK_CAP, ...
+        # past the start), one ends one entry past its first block and one
+        # fills exactly one, and every window holds primes and 2*prime
+        # entries, whose largest prime lies above the square root of its
+        # block's end.
         rng = random.Random(20261018)
-        edge = _BLOCK_FIRST
-        windows = [(1, 20_000), (edge - 3, edge + 5), (3 * edge - 2, 3 * edge + 2),
+        edge = _BLOCK_CAP
+        windows = [(1, 20_000), (edge - 3, 2 * edge - 2), (3 * edge - 2, 4 * edge - 2),
                    (10**6 - 300, 10**6 + _BLOCK_CAP + 300), (10**9 - 50, 10**9 + 150),
                    (1009 * 1013, 1009 * 1013 + 1)]
         for _ in range(6):
             lo = rng.randrange(1, 10**7)
-            windows.append((lo, lo + rng.randrange(1, 2 * _BLOCK_FIRST)))
+            windows.append((lo, lo + rng.randrange(1, 512)))
         skips = [(), (2, 3, 7), (2, 3, 5, 7, 19, 43), (3, 10007), (1009, 1013)]
         for lo, hi in windows:
             skip = rng.choice(skips)
@@ -335,8 +336,8 @@ class TestCoprimeFactorizations:
         assert list(coprime_factorizations(5, 5)) == []
 
     def test_sieving_primes_grow_with_the_blocks(self, monkeypatch):
-        # The first block of a window reaching 10**14 ends below 300, so
-        # it needs no sieving prime above 17, whatever the window's end.
+        # The first block of a window reaching 10**14 ends below 8,200, so
+        # it needs no sieving prime above 90, whatever the window's end.
         tops = []
         primes_upto = exactmath._primes_upto
         monkeypatch.setattr(exactmath, "_primes_upto", lambda top: tops.append(top) or primes_upto(top))

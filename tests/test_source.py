@@ -195,8 +195,8 @@ def test_only_last_windows_clips_the_cut_points():
 
 def test_only_usable_cpus_reads_the_cpu_count():
     # enumeration.usable_cpus is the one reader of the CPU count: the pool
-    # and the oracle's shell threads both size themselves from it, so a
-    # second reader could let one of them see a different machine.
+    # sizes itself from it, so a second reader could let another part of
+    # the program see a different machine.
     assert _users("sched_getaffinity") == {"usable_cpus"}
     assert _users("cpu_count") == {"usable_cpus"}
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import hashlib
 import io
 import os
-import random
 import subprocess
 import sys
 import types
@@ -327,50 +326,6 @@ class _CountingOut(io.StringIO):
     def write(self, text):
         self.writes.append(text)
         return super().write(text)
-
-
-def _ratio_pairs(seed):
-    """Seeded (D, P) pairs of c1 = D/P with P > 0, from order tuples and built at the edges.
-
-    Random sorted orders of dimensions 1 to 5 give the pairs fano_fields
-    derives, coprime or not; dimension 5 has products above 10**13.  The
-    built pairs add D = 0, D a multiple of P, P = 1 and negative D.
-    """
-    rng = random.Random(seed)
-    pairs = []
-    for n in range(1, 6):
-        for _ in range(60):
-            orders = tuple(sorted(rng.randint(1, 3000) for _ in range(n + 2)))
-            _, D, P, *_ = orbifold.fano_fields(n, orders)
-            pairs.append((D, P))
-    for _ in range(60):
-        P = rng.randint(1, 10**15)
-        pairs += [(0, P), (rng.randint(-5, 5) * P, P), (rng.randint(-10**15, 10**15), 1),
-                  (-rng.randint(1, 10**15), P)]
-    return pairs
-
-
-class TestRatioText:
-    """`cli._ratio` writes c1 = D/P as str(Fraction(D, P)) does, with no Fraction."""
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_matches_fraction(self, monkeypatch, seed):
-        pairs = _ratio_pairs(seed)
-        built = _spy(monkeypatch, cli)
-        got = [cli._ratio(D, P) for D, P in pairs]
-        assert built == []
-        assert got == [str(Fraction(D, P)) for D, P in pairs]
-        # The edges are all there: NotFano's D < 0, D = kP (c1 "2" with unit
-        # orders), P = 1 and dimension-5 products.
-        assert any(D < 0 for D, _ in pairs)
-        assert any(P > 1 and D and D % P == 0 for D, P in pairs)
-        assert any(P == 1 for _, P in pairs)
-        assert any(P > 10**13 for D, P in pairs[4 * 60:5 * 60])
-
-    def test_unit_orders_item(self):
-        # Orders 1;1;1: D = 2, P = 1.
-        _, D, P, *_ = orbifold.fano_fields(1, (1, 1, 1))
-        assert (D, P, cli._ratio(D, P)) == (2, 1, "2")
 
 
 def _spy(monkeypatch, module):
