@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import hashlib
 import io
+import math
 import os
+import random
 import subprocess
 import sys
 import types
@@ -326,6 +328,86 @@ class _CountingOut(io.StringIO):
     def write(self, text):
         self.writes.append(text)
         return super().write(text)
+
+
+def _coprime_blocks(seed, n):
+    """Seeded row blocks (head, Ph, Nh, verdict, ms) of pairwise coprime orders of dimension n.
+
+    Each head has n + 1 sorted orders, some of them units, and its last
+    orders are grouped into blocks of one verdict, as `iter_row_blocks`
+    yields them.  Dimension 5 has products above 10**13; the last head is
+    all units with m = 1, the item whose c1 is the integer n + 1.
+    """
+    rng = random.Random(seed * 10 + n)
+    heads = []
+    for _ in range(12):
+        head = [1] * rng.randint(0, n)
+        while len(head) < n + 1:
+            a = rng.randint(2, 3000)
+            if all(math.gcd(a, b) == 1 for b in head):
+                head.append(a)
+        heads.append(tuple(sorted(head)))
+    heads.append((1,) * (n + 1))
+    blocks = []
+    for head in heads:
+        Ph = math.prod(head)
+        Nh = sum(Ph // a for a in head)
+        ms = [1] if Ph == 1 else []
+        while len(ms) < 8:
+            m = rng.randint(max(head[-1], 2), 4000)
+            if math.gcd(m, Ph) == 1 and m not in ms:
+                ms.append(m)
+        ms.sort()
+        verdicts = [orbifold.fano_fields(n, head + (m,))[3:] for m in ms]
+        for i, m in enumerate(ms):
+            if i and verdicts[i] == verdicts[i - 1]:
+                blocks[-1][4].append(m)
+            else:
+                blocks.append((head, Ph, Nh, verdicts[i], [m]))
+    return blocks
+
+
+class TestRatioText:
+    """The c1 of a streamed item reads as str(Fraction(D, P)), though no Fraction is built."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_fraction(self, run_cli, monkeypatch, seed):
+        built = _spy(monkeypatch, cli)
+        pairs = []
+        for n in range(1, 6):
+            blocks = _coprime_blocks(seed, n)
+            monkeypatch.setattr(cli, "iter_row_blocks", lambda cfg: iter(blocks))
+            code, out, _ = run_cli("enumerate", "--dim", str(n), "--class", "all",
+                                   "--allow-unit-orders", "--max-order", "4000")
+            assert code == 0
+            items = [r for r in json_records(out) if r["command"] == "enumerate-item"]
+            assert len(items) == sum(len(ms) for *_, ms in blocks)
+            for item in items:
+                _, D, P, *_ = orbifold.fano_fields(n, tuple(item["orders"]))
+                assert item["c1"] == str(Fraction(D, P)), item["orders"]
+                pairs.append((n, D, P))
+        assert built == []
+        # The edges are all there: NotFano's D < 0, P = 1 with D a multiple
+        # of P (c1 "n + 1" with unit orders) and dimension-5 products.
+        assert any(D < 0 for _, D, _ in pairs)
+        assert {(n, D) for n, D, P in pairs if P == 1} == {(n, n + 1) for n in range(1, 6)}
+        assert any(P > 10**13 for n, _, P in pairs if n == 5)
+
+    def test_unit_orders_item(self, run_cli):
+        # Orders 1;1;1: D = 2, P = 1, and every format writes c1 as "2".
+        _, D, P, *_ = orbifold.fano_fields(1, (1, 1, 1))
+        assert (D, P) == (2, 1)
+        argv = ("enumerate", "--dim", "1", "--allow-unit-orders", "--class", "all",
+                "--max-order", "1")
+        want = {
+            "json": '"orders": [1, 1, 1], "classification": "NoCriterion", "c1": "2",',
+            "csv": "enumerate-item,1;1;1,NoCriterion,2,",
+            "text": "orders = 1;1;1\nclassification = NoCriterion\nc1 = 2\n",
+        }
+        for fmt, text in want.items():
+            code, out, _ = run_cli(*argv, "--format", fmt)
+            assert code == 0 and out.count("enumerate-item") == 1, fmt
+            assert text in out, fmt
 
 
 def _spy(monkeypatch, module):
