@@ -52,9 +52,11 @@ A parallel count lists the plan first and weighs each slice by its number
 of leaves, the v in range coprime to the prefix, one inclusion-exclusion
 count (`_count`).  The interior nodes of the walk and the weights sum to
 nodes_visited before any leaf is counted.  Below POOL_MIN_LEAVES leaves
-the slices are counted in-process; above it they are cut by v range into
-tasks of at most total/(4*workers) leaves (`pool_tasks`) and counted over
-a process pool in lexicographic order.
+the slices are counted in-process.  Above it a process pool counts
+4*workers tasks: the plan is cut into runs of at most _BLOCK_CAP
+consecutive v of a window, and task r counts every (4*workers)-th run
+from the r-th.  Each worker walks the deterministic plan itself, so a
+task is the config and two integers, not a list of states.
 
 Key facts the pruning relies on (all for sorted tuples, exact arithmetic;
 S is the reciprocal sum of the n+1 prefix entries, m the last coordinate):
@@ -86,9 +88,11 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
+from itertools import islice
 
 from .errors import InputError, NodeBudgetExceeded, WrongLength, check_int
 from .exactmath import (
+    _BLOCK_CAP,
     _count_positive,
     coprime_blocks,
     coprime_factorizations,
@@ -344,11 +348,12 @@ class SearchConfig:
     bounds the number of search nodes, not of records (one node can carry
     millions of leaves); hitting it raises NodeBudgetExceeded carrying the
     partial result, and forces serial execution so the partial result is
-    deterministic.  Without a cap,
-    parallel_width > 1 lists count mode's plan as exact-weight slices of
-    the leaves and counts them in-process below POOL_MIN_LEAVES leaves,
-    else over up to parallel_width worker processes (no more than the CPUs
-    the process may run on); materialize mode always runs serially.
+    deterministic.  Without a cap, parallel_width > 1 lists count mode's
+    plan and counts it in-process below POOL_MIN_LEAVES leaves, else over
+    up to parallel_width worker processes (no more than the CPUs the
+    process may run on), each counting strided runs of the plan;
+    materialize mode always runs serially.  classes and prefix_filter are
+    stored as tuples, whatever iterable they are given as.
     """
 
     n: int
@@ -366,6 +371,7 @@ class SearchConfig:
         setattr_(self, "min_order", check_int(self.min_order, "min_order", 1, 2))
         if self.mode not in ("materialize", "count"):
             raise InputError(f"mode must be materialize or count, got {self.mode!r}")
+        setattr_(self, "classes", tuple(self.classes))
         bad = [c for c in self.classes if c not in CLASSIFICATIONS]
         if bad or not self.classes:
             raise InputError(f"classes must be a nonempty subset of {CLASSIFICATIONS}")
@@ -542,8 +548,8 @@ class _Search:
     def count(self, slices):
         """Count the tuples in plan slices, in the given order: the one leaf loop.
 
-        A slice is (state, lo, hi) from plan, or (state, lo, hi, weight)
-        from pool_tasks.  The leaves v in [lo, hi) come straight from
+        A slice is (state, lo, hi): a plan slice, or a run of one cut by
+        `_runs`.  The leaves v in [lo, hi) come straight from
         `coprime_factorizations`, their windows from one `_last_windows`
         pass over the slice, and each leaf is one node, checked against the
         node cap before its windows are counted.  Each class window of a
@@ -553,7 +559,7 @@ class _Search:
         n, counts, order_cap = self.n, self.counts, self.cap
         old, new, tails = self.old, self.new, self.tails
         cap = self.cfg.node_cap
-        for (_, N, P, primes), lo, hi, *_ in slices:
+        for (_, N, P, primes), lo, hi in slices:
             phi, rest = self.table(N, P, primes, lo, hi)
             leaves = coprime_factorizations(lo, hi, primes)
             for _, v_primes, windows in _last_windows(N, P, n, leaves, order_cap,
@@ -683,51 +689,24 @@ def pool_workers(jobs: int, cpus: int | None) -> int:
     return max(1, min(jobs, cpus or 1))
 
 
-def _leaf_cut(state, lo: int, hi: int, k: int) -> int:
-    """The least x in [lo, hi] with k leaves of state in [lo, x), by bisection on the count."""
-    a, b = lo, hi
-    while a < b:
-        mid = (a + b) // 2
-        if _count_positive(lo, mid - 1, state[3]) < k:
-            a = mid + 1
-        else:
-            b = mid
-    return a
+def _runs(slices):
+    """Cut plan slices into runs: at most _BLOCK_CAP consecutive v of a window, from its start.
 
-
-def pool_tasks(slices, workers: int):
-    """Deal the slices, in order, into tasks of limit = floor(total/(4*workers)) leaves.
-
-    Each task is a list of consecutive slices filled up to the limit; a
-    slice that overflows the room left is cut by v range where the room
-    is used up (see _leaf_cut), and its rest starts the next task.  So no
-    slice or task weighs more than the limit, every task but the last
-    weighs exactly the limit, and the slices keep lexicographic order and
-    tile the planned windows.
+    So a run is one sieve block of `coprime_factorizations` over the window.
     """
-    limit = max(1, sum(s[3] for s in slices) // (4 * workers))
-    tasks = []
-    task = []
-    room = limit
-    for state, lo, hi, weight in slices:
-        while weight > room:
-            if room:
-                cut = _leaf_cut(state, lo, hi, room)
-                task.append((state, lo, cut, room))
-                lo, weight = cut, weight - room
-            tasks.append(task)
-            task, room = [], limit
-        task.append((state, lo, hi, weight))
-        room -= weight
-    if task:
-        tasks.append(task)
-    return tasks
+    for state, lo, hi in slices:
+        for start in range(lo, hi, _BLOCK_CAP):
+            yield state, start, min(start + _BLOCK_CAP, hi)
 
 
-def _count_task(cfg, task):
-    """Worker entry: count the leaves of one task's slices."""
+def _count_task(cfg, tasks: int, r: int):
+    """Worker entry: count the leaves of runs r, r + tasks, r + 2*tasks, ... of the plan.
+
+    The worker walks the plan on a search of its own, whose interior nodes
+    the parent has counted, and counts its runs on a second search.
+    """
     search = _Search(cfg)
-    search.count(task)
+    search.count(islice(_runs(_Search(cfg).plan()), r, None, tasks))
     return search.counts, search.nodes
 
 
@@ -737,28 +716,28 @@ def _count(search: _Search):
     With parallel_width 1 or a node_cap the lazy plan is counted as it is
     walked, so interior and leaf nodes interleave in lexicographic order
     and the partial result at the cap is deterministic.  Otherwise the
-    plan is listed and each slice weighed by its number of leaves, the v
-    in range coprime to the state's primes, one inclusion-exclusion count:
-    the interior nodes and the weights sum to nodes_visited before any
-    leaf is counted.  With fewer than POOL_MIN_LEAVES leaves in total, or
-    one usable worker, the parent counts the slices itself in plan order.
-    Otherwise the slices, cut to at most total/(4*workers) leaves each,
-    go to the pool in lexicographic order, a few to a task (see
-    pool_tasks); their counts and leaf nodes add to the parent's.
+    plan is listed, its interior nodes counted once, and weighed by its
+    leaves, the v in range coprime to each state's primes, one
+    inclusion-exclusion count per slice.  With fewer than POOL_MIN_LEAVES
+    leaves in total, or one usable worker, the parent counts the slices
+    itself in plan order.  Otherwise the plan is cut into runs (`_runs`)
+    and the pool counts 4*workers tasks, task r the runs r, r + 4*workers,
+    ... in plan order, each worker walking the plan itself (`_count_task`);
+    their counts and leaf nodes add to the parent's.
     """
     cfg = search.cfg
     if cfg.parallel_width == 1 or cfg.node_cap is not None:
         search.count(search.plan())
         return
-    slices = [(state, lo, hi, _count_positive(lo, hi - 1, state[3]))
-              for state, lo, hi in search.plan()]
-    total = sum(s[3] for s in slices)
+    slices = list(search.plan())
+    total = sum(_count_positive(lo, hi - 1, state[3]) for state, lo, hi in slices)
     width = pool_workers(cfg.parallel_width, usable_cpus())
     if width == 1 or total < POOL_MIN_LEAVES:
         search.count(slices)
         return
+    tasks = 4 * width
     with ProcessPoolExecutor(max_workers=width) as pool:
-        for counts, nodes in pool.map(partial(_count_task, cfg), pool_tasks(slices, width)):
+        for counts, nodes in pool.map(partial(_count_task, cfg, tasks), range(tasks)):
             search.nodes += nodes
             for label, value in counts.items():
                 search.counts[label] += value

@@ -31,6 +31,7 @@ from orbke.exactmath import TABLE_CAP, count_coprime_in_range, factorize
 
 from conftest import coprime_counts, coprime_orders
 from reference import brute_force_oracle
+from test_recount import _hot_prefixes
 
 GOLDEN_LAST = (17, 19, 23, 29, 31, 37, 41, 43, 47, 49, 53, 59)
 ALL_CLASSES = ("NotFano", "OldKE", "NewOnlyKE", "NoCriterion")
@@ -417,7 +418,7 @@ class TestEnumerateTuples:
         "pin, pooled",
         # (2,3,7,29) holds 1,174 leaves and stays in-process; (2,3,7,79)
         # holds 17,526, above POOL_MIN_LEAVES; (2,3,7,71,103) pins a whole
-        # depth-5 prefix of 17,108 leaves, so its one window is cut by v range.
+        # depth-5 prefix of 17,108 leaves, so its one window is cut into runs.
         [((2, 3, 7, 29), False), ((2, 3, 7, 79), True), ((2, 3, 7, 71, 103), True)],
     )
     def test_pinned_parallel_equals_serial(self, monkeypatch, pin, pooled):
@@ -536,6 +537,20 @@ class TestSearchConfigValidation:
         with pytest.raises(InputError):
             SearchConfig(**kwargs)
 
+    def test_classes_are_stored_as_a_tuple(self):
+        # An iterator would be used up by the validation and a list would
+        # leave the frozen config unhashable.
+        classes = ("OldKE", "NewOnlyKE")
+        results = []
+        for given in (list(classes), classes, iter(classes)):
+            cfg = SearchConfig(n=3, mode="count", classes=given)
+            assert cfg.classes == classes
+            hash(cfg)
+            res = enumerate_tuples(cfg)
+            results.append((res.counts, res.nodes_visited))
+        assert results[0] == results[1] == results[2]
+        assert results[0][0] == {"OldKE": 1028, "NewOnlyKE": 2484}
+
 
 class TestPoolWorkers:
     def test_never_more_than_jobs_or_cpus(self):
@@ -583,25 +598,38 @@ class TestSlicePlan:
         assert (len(state[0]), search.nodes) == (n, n)
 
     @pytest.mark.parametrize("n, workers", [(3, 2), (4, 2), (4, 3), (5, 2)])
-    def test_tasks_tile_the_windows_in_order(self, n, workers):
-        search = _Search(SearchConfig(n=n, mode="count"))
-        plan = list(search.plan())
-        slices = [(state, lo, hi, count_coprime_in_range(lo, hi - 1, state[3]))
-                  for state, lo, hi in plan]
-        total = sum(s[3] for s in slices)
-        tasks = enumeration.pool_tasks(slices, workers)
-        pieces = [piece for task in tasks for piece in task]
-        for task in tasks:
-            assert sum(s[3] for s in task) * 4 * workers <= total
-        assert [(s[0][0], s[1]) for s in pieces] == sorted((s[0][0], s[1]) for s in pieces)
-        # Each prefix's pieces run from its candidate window's start to its
-        # end without a gap, and each weighs the leaves in its range.
+    def test_tasks_tile_the_windows_in_order(self, n, workers, monkeypatch):
+        # Each worker entry counts what it hands to count: record that.
+        cfg = SearchConfig(n=n, mode="count")
+        plan = list(_Search(cfg).plan())
+        tasks = 4 * workers
+        counted = []
+        monkeypatch.setattr(_Search, "count", lambda search, runs: counted.append(list(runs)))
+        for r in range(tasks):
+            enumeration._count_task(cfg, tasks, r)
+        assert len(counted) == tasks
+        for task in counted:
+            assert [(s[0][0], s[1]) for s in task] == sorted((s[0][0], s[1]) for s in task)
+        # The runs of all tasks run from each prefix's candidate window's
+        # start to its end without a gap or an overlap, one sieve block at most each.
         windows = {}
-        for state, lo, hi, weight in pieces:
-            assert weight == count_coprime_in_range(lo, hi - 1, state[3])
-            assert windows.setdefault(state[0], [lo, lo])[1] == lo < hi
+        for state, lo, hi in sorted((s for task in counted for s in task),
+                                    key=lambda s: (s[0][0], s[1])):
+            assert windows.setdefault(state[0], [lo, lo])[1] == lo < hi <= lo + exactmath._BLOCK_CAP
             windows[state[0]][1] = hi
         assert windows == {state[0]: [lo, hi] for state, lo, hi in plan}
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_strided_tasks_balance_the_leaves(self, workers):
+        # Every one of the 4*workers tasks of the dimension-5 plan holds
+        # within 5% of the mean number of leaves.
+        runs = enumeration._runs(_Search(SearchConfig(n=5, mode="count")).plan())
+        weights = [exactmath._count_positive(lo, hi - 1, state[3]) for state, lo, hi in runs]
+        tasks = 4 * workers
+        loads = [sum(weights[r::tasks]) for r in range(tasks)]
+        assert sum(loads) == _TREE_SHAPE[5][1]
+        mean = sum(loads) / tasks
+        assert all(abs(load - mean) <= 0.05 * mean for load in loads), loads
 
 
 class TestTableReuse:
@@ -699,52 +727,22 @@ class TestTableReuse:
         cfg = SearchConfig(n=n, mode="count", prefix_filter=root)
         serial = enumerate_tuples(cfg)
         search = _Search(cfg)
-        slices = [(state, lo, hi, count_coprime_in_range(lo, hi - 1, state[3]))
-                  for state, lo, hi in search.plan()]
-        tasks = enumeration.pool_tasks(slices, 2)
-        assert len(tasks) > 2
+        runs = list(enumeration._runs(search.plan()))
+        tasks = 8
+        assert len(runs) > tasks
         interior = search.nodes
-        for task in reversed(tasks):
-            search.count(task)
+        for r in reversed(range(tasks)):
+            search.count(runs[r::tasks])
         assert (search.counts, search.nodes) == (serial.counts, serial.nodes_visited)
         # One worker entry per task, each with a search of its own.
         counts = dict.fromkeys(cfg.classes, 0)
         nodes = interior
-        for task in reversed(tasks):
-            task_counts, task_nodes = enumeration._count_task(cfg, task)
+        for r in reversed(range(tasks)):
+            task_counts, task_nodes = enumeration._count_task(cfg, tasks, r)
             nodes += task_nodes
             for label, value in task_counts.items():
                 counts[label] += value
         assert (counts, nodes) == (serial.counts, serial.nodes_visited)
-
-
-def _hot_prefixes(n, root=()):
-    """(prefix, S) for the sorted coprime (n+1)-prefixes below root that can carry NewOnlyKE.
-
-    Fraction arithmetic only, as in acceptance criterion [02]; shares no
-    code with the interval solver.  NewOnlyKE needs S > 1.  An entry m with
-    k prefix slots left (its own included) and partial sum s before it can
-    push S above 1 only if s + k/m > 1, since later entries are >= m; and
-    once s >= 1, S - 1 >= s + 1/m - 1 and the last order is >= m, so the
-    new bound needs m*(s - 1) + 1 < n.  Both tests fail for every larger m
-    once they fail.
-    """
-    out = []
-
-    def rec(prefix, s):
-        k = n + 1 - len(prefix)
-        if k == 0:
-            if s > 1:
-                out.append((prefix, s))
-            return
-        for m in itertools.count(prefix[-1] + 1 if prefix else 2):
-            if s + Fraction(k, m) <= 1 or (s >= 1 and m * (s - 1) + 1 >= n):
-                break
-            if math.gcd(m, math.prod(prefix)) == 1:
-                rec(prefix + (m,), s + Fraction(1, m))
-
-    rec(root, sum(Fraction(1, m) for m in root))
-    return out
 
 
 def _recount_new(n, prefix):

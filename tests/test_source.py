@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import sys
 from pathlib import Path
 
 import orbke
@@ -210,3 +211,17 @@ def test_verdict_fields_decides_every_label():
     assert _users("verdict_fields") == {"fano_fields", "blocks"}
     assert {"blocks", "rows"}.isdisjoint(_users("fano_fields"))
     assert {"blocks", "rows"}.isdisjoint(_users("gcd"))
+
+
+def test_recount_imports_only_the_standard_library():
+    # tests/test_recount.py reproduces the frozen counts by a path that
+    # shares no code with the package: it imports no orbke module, and no
+    # test helper either, since those import orbke.
+    path = Path(__file__).with_name("test_recount.py")
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            found.append("." * node.level + (node.module or ""))
+    assert found and all(name.split(".")[0] in sys.stdlib_module_names for name in found), found
