@@ -18,11 +18,17 @@ candidate next order as a slice (state, lo, hi): the state and the window
 walk is lazy, so it holds one path of states at a time, and every
 consumer reads the leaves v of a slice straight from the factorizations,
 one node each.  Both modes clip the cut points of the last coordinate
-into class windows with `_last_windows`, one generator pass over the
-leaves of a slice, by a class plan fixed once per search;
-`admissible_last_interval` reports the same windows for one prefix.
+into class windows by a class plan fixed once per search.  Materialize
+mode reads them from `_last_windows`, one generator pass over the leaves
+of a slice, and `admissible_last_interval` reports the same windows for
+one prefix.
 
-Count mode (`_Search.count`) counts each class interval of a leaf by one
+Count mode (`_Search.count`) makes one flat pass per slice.  It takes the
+slice's invariants once (N - P, n*P, the coprime-count table and the
+class plan), solves each leaf's cut points inline from D = (N - P)*v + P
+with the divisions of `_cuts`, clips them as `_last_windows` does, and
+adds each class interval's count straight to its class, with no window
+list between the sieve and the count.  Each count is one
 inclusion-exclusion count over the primes of v and those of R outside the
 slice's coprime-count table (`_Search.table`), its signed products built
 one prime at a time (`_count_positive`).  A slice may spend 8 table
@@ -52,10 +58,10 @@ A parallel count lists the plan first and weighs each slice by its number
 of leaves, the v in range coprime to the prefix, one inclusion-exclusion
 count (`_count`).  The interior nodes of the walk and the weights sum to
 nodes_visited before any leaf is counted.  Below POOL_MIN_LEAVES leaves
-the slices are counted in-process.  Above it a process pool counts
-4*workers tasks: the plan is cut into runs of at most _BLOCK_CAP
-consecutive v of a window, and task r counts every (4*workers)-th run
-from the r-th.  Each worker walks the deterministic plan itself, so a
+the slices are counted in-process.  Above it a process pool counts one
+task per worker: the plan is cut into runs of at most _BLOCK_CAP
+consecutive v of a window, and task r counts every workers-th run from
+the r-th.  Each worker walks the deterministic plan itself, once, so a
 task is the config and two integers, not a list of states.
 
 Key facts the pruning relies on (all for sorted tuples, exact arithmetic;
@@ -267,8 +273,9 @@ def _last_windows(N: int, P: int, n: int, leaves, cap, old: bool, new: bool, tai
     None leaves the tail window unbounded (hi None).  old and new request
     OldKE and NewOnlyKE, and tails holds the requested tail classes; data
     rides along untouched.  One pass solves every leaf of a slice, and
-    it is the one place the cut points become windows: the search's
-    leaves and `admissible_last_interval` read them.
+    it is the one caller of `_cuts`: materialize mode's leaves and
+    `admissible_last_interval` read its windows.  `_Search.count` solves
+    and clips the same cut points inline.
     """
     for v, data in leaves:
         a, b, tail = _cuts(N * v + P, P * v, n)
@@ -462,21 +469,26 @@ class _Search:
         v*(P-N) < k*P; the old and new bounds must already hold with v as
         the largest order, since the final sum is at least the sum up to v
         and the final largest order is at least v.
-        Each class is reachable on one window of v.  The windows overlap
-        (all but OldKE's start at 1; OldKE's lies within NoCriterion's and
-        starts below the end of NewOnlyKE's), so their union is one window.
-        A pinned entry narrows it to that entry; None means no candidate.
+        Each class is reachable on one window of v, and only the requested
+        classes' windows are solved.  The windows overlap (all but OldKE's
+        start at 1; OldKE's lies within NoCriterion's and starts below the
+        end of NewOnlyKE's), so their union is one window.  A pinned entry
+        narrows it to that entry; None means no candidate.
         """
         n = self.n
         k = n + 1 - len(prefix)
-        fano = _solve(P - N, (k + 1) * P)
-        reach = {
-            "NotFano": (1, None),
-            "NoCriterion": fano,
-            "OldKE": _meet(fano, _solve(n * (N - P), (1 - n) * P)),
-            "NewOnlyKE": _meet(_solve(P - N, k * P), _solve(N - P, (n - 1) * P)),
-        }
-        spans = [reach[c] for c in self.cfg.classes if reach[c] is not None]
+        reach = []
+        if "NotFano" in self.tails:
+            reach.append((1, None))
+        if self.old or "NoCriterion" in self.tails:
+            fano = _solve(P - N, (k + 1) * P)
+            if "NoCriterion" in self.tails:
+                reach.append(fano)
+            if self.old:
+                reach.append(_meet(fano, _solve(n * (N - P), (1 - n) * P)))
+        if self.new:
+            reach.append(_meet(_solve(P - N, k * P), _solve(N - P, (n - 1) * P)))
+        spans = [span for span in reach if span is not None]
         if not spans:
             return None
         his = [hi for _, hi in spans]
@@ -549,28 +561,59 @@ class _Search:
         """Count the tuples in plan slices, in the given order: the one leaf loop.
 
         A slice is (state, lo, hi): a plan slice, or a run of one cut by
-        `_runs`.  The leaves v in [lo, hi) come straight from
-        `coprime_factorizations`, their windows from one `_last_windows`
-        pass over the slice, and each leaf is one node, checked against the
-        node cap before its windows are counted.  Each class window of a
-        leaf is one inclusion-exclusion count over primes(v) and the
-        state's primes outside the slice's coprime-count table (`table`).
+        `_runs`.  Each slice is one flat pass: its invariants (D0 = N - P,
+        n*P, the coprime-count table of `table` and the class plan) are
+        taken once, and the leaves v in [lo, hi) come straight from
+        `coprime_factorizations`, one node each, checked against the node
+        cap before the leaf is counted.  A leaf's cut points are those of
+        `_cuts` after the head (prefix + v, sum (N*v + P)/(P*v)), with
+        D = D0*v + P, clipped to the order cap and to [v, ...) as
+        `_last_windows` clips them; each requested class window is one
+        inclusion-exclusion count over primes(v) and the state's primes
+        outside the table, added to its class in place.  No window list
+        or per-leaf tuple is built.
         """
         n, counts, order_cap = self.n, self.counts, self.cap
-        old, new, tails = self.old, self.new, self.tails
-        cap = self.cfg.node_cap
+        old, new = self.old, self.new
+        # The tail class past the cut points when the head's sum is above 1
+        # (D > 0) and below it, or None when it is not requested.
+        above = "NoCriterion" if "NoCriterion" in self.tails else None
+        below = "NotFano" if "NotFano" in self.tails else None
+        node_cap = self.cfg.node_cap
         for (_, N, P, primes), lo, hi in slices:
+            D0 = N - P
+            nP = n * P
             phi, rest = self.table(N, P, primes, lo, hi)
-            leaves = coprime_factorizations(lo, hi, primes)
-            for _, v_primes, windows in _last_windows(N, P, n, leaves, order_cap,
-                                                      old, new, tails):
+            for v, v_primes in coprime_factorizations(lo, hi, primes):
                 self.nodes += 1
-                if cap is not None and self.nodes > cap:
+                if node_cap is not None and self.nodes > node_cap:
                     self._stop()
-                if rest and windows:
+                D = D0 * v + P
+                if D > 0:
+                    a = -(-P * v // (n * D))
+                    b = -(-nP * v // D)
+                    tail = above
+                else:
+                    a = b = -(-P * v // -D)
+                    tail = below
+                if order_cap is not None:
+                    if a > order_cap:
+                        a = order_cap
+                    if b > order_cap:
+                        b = order_cap
+                if rest:
                     v_primes = sorted(rest + tuple(v_primes))
-                for label, a, b in windows:
-                    counts[label] += _count_positive(a, b - 1, v_primes, phi)
+                if old and v < a:
+                    counts["OldKE"] += _count_positive(v, a - 1, v_primes, phi)
+                if a < v:
+                    a = v
+                if new and a < b:
+                    counts["NewOnlyKE"] += _count_positive(a, b - 1, v_primes, phi)
+                if tail is not None:
+                    if b < v:
+                        b = v
+                    if b < order_cap:
+                        counts[tail] += _count_positive(b, order_cap - 1, v_primes, phi)
 
     def blocks(self):
         """Yield (head, Ph, Nh, verdict, ms): every requested tuple, one sieve block at a time.
@@ -721,9 +764,10 @@ def _count(search: _Search):
     inclusion-exclusion count per slice.  With fewer than POOL_MIN_LEAVES
     leaves in total, or one usable worker, the parent counts the slices
     itself in plan order.  Otherwise the plan is cut into runs (`_runs`)
-    and the pool counts 4*workers tasks, task r the runs r, r + 4*workers,
-    ... in plan order, each worker walking the plan itself (`_count_task`);
-    their counts and leaf nodes add to the parent's.
+    and the pool counts one task per worker, task r the runs r,
+    r + workers, ... in plan order, each worker walking the plan once
+    itself (`_count_task`); their counts and leaf nodes add to the
+    parent's.
     """
     cfg = search.cfg
     if cfg.parallel_width == 1 or cfg.node_cap is not None:
@@ -735,9 +779,8 @@ def _count(search: _Search):
     if width == 1 or total < POOL_MIN_LEAVES:
         search.count(slices)
         return
-    tasks = 4 * width
     with ProcessPoolExecutor(max_workers=width) as pool:
-        for counts, nodes in pool.map(partial(_count_task, cfg, tasks), range(tasks)):
+        for counts, nodes in pool.map(partial(_count_task, cfg, width), range(width)):
             search.nodes += nodes
             for label, value in counts.items():
                 search.counts[label] += value

@@ -243,14 +243,20 @@ def _keep_mask(start: int, width: int, primes) -> bytearray:
     return keep
 
 
-def _primes_upto(top: int) -> list[int]:
-    """All primes p <= top, by the sieve of Eratosthenes."""
+@lru_cache(maxsize=64)
+def _primes_upto(top: int) -> tuple[int, ...]:
+    """All primes p <= top, by the sieve of Eratosthenes.
+
+    The last 64 tops are kept: `coprime_factorizations` asks for the same
+    few tops call after call (75 times for 12 tops in a count below
+    (2, 3, 7, 29)).  A kept tuple is shared by every caller.
+    """
     marks = bytearray([1]) * (top + 1)
     marks[:2] = b"\0\0"
     for p in range(2, math.isqrt(top) + 1):
         if marks[p]:
             marks[p * p::p] = bytes(len(range(p * p, top + 1, p)))
-    return list(compress(range(top + 1), marks))
+    return tuple(compress(range(top + 1), marks))
 
 
 def _split(g: int, primes) -> list[int]:

@@ -37,13 +37,22 @@ GOLDEN_LAST = (17, 19, 23, 29, 31, 37, 41, 43, 47, 49, 53, 59)
 ALL_CLASSES = ("NotFano", "OldKE", "NewOnlyKE", "NoCriterion")
 
 # (kwargs, partial counts) of the search at a node cap of kwargs["node_cap"].
+# Every cap lands inside a slice: dimension 4's three caps after 127 of
+# the 248 leaves of (2, 3, 7, 37), 1,378 of the 1,429 of (2, 3, 7, 41) and
+# 691 of the 717 of (2, 3, 11, 13); dimension 3's after 3 of the 15 of
+# (2, 3, 11), with OldKE and NotFano still counting.
 _PINNED_PARTIALS = (
     (dict(n=5, node_cap=1000), {"NewOnlyKE": 1897}),
     (dict(n=4, node_cap=500), {"NewOnlyKE": 12883}),
     (dict(n=4, node_cap=2000), {"NewOnlyKE": 435779}),
+    (dict(n=4, node_cap=3500), {"NewOnlyKE": 8285139}),
     (
         dict(n=4, node_cap=300, classes=ALL_CLASSES, max_order=60),
         {"NotFano": 0, "OldKE": 96, "NewOnlyKE": 556, "NoCriterion": 523},
+    ),
+    (
+        dict(n=3, node_cap=38, classes=ALL_CLASSES, max_order=60),
+        {"NotFano": 4, "OldKE": 58, "NewOnlyKE": 116, "NoCriterion": 68},
     ),
 )
 
@@ -602,7 +611,7 @@ class TestSlicePlan:
         # Each worker entry counts what it hands to count: record that.
         cfg = SearchConfig(n=n, mode="count")
         plan = list(_Search(cfg).plan())
-        tasks = 4 * workers
+        tasks = workers
         counted = []
         monkeypatch.setattr(_Search, "count", lambda search, runs: counted.append(list(runs)))
         for r in range(tasks):
@@ -621,11 +630,11 @@ class TestSlicePlan:
 
     @pytest.mark.parametrize("workers", [2, 4])
     def test_strided_tasks_balance_the_leaves(self, workers):
-        # Every one of the 4*workers tasks of the dimension-5 plan holds
-        # within 5% of the mean number of leaves.
+        # Every one of the tasks of the dimension-5 plan, one per worker,
+        # holds within 5% of the mean number of leaves.
         runs = enumeration._runs(_Search(SearchConfig(n=5, mode="count")).plan())
         weights = [exactmath._count_positive(lo, hi - 1, state[3]) for state, lo, hi in runs]
-        tasks = 4 * workers
+        tasks = workers
         loads = [sum(weights[r::tasks]) for r in range(tasks)]
         assert sum(loads) == _TREE_SHAPE[5][1]
         mean = sum(loads) / tasks
@@ -743,6 +752,38 @@ class TestTableReuse:
             for label, value in task_counts.items():
                 counts[label] += value
         assert (counts, nodes) == (serial.counts, serial.nodes_visited)
+
+
+class TestFlatLeafPass:
+    # count inlines the clipping of _last_windows into its leaf loop (see
+    # test_source.py::test_only_last_windows_clips_the_cut_points).  Every
+    # leaf, counted alone as the run (state, v, v + 1), must give the sum
+    # of count_coprime_in_range over its _last_windows windows, one node.
+    @pytest.mark.parametrize("kwargs", [
+        dict(n=4, classes=("OldKE", "NewOnlyKE")),
+        *(dict(n=5, prefix_filter=prefix) for prefix, _, _ in _DIM5_SUBTREES),
+        dict(n=3, classes=ALL_CLASSES, max_order=40),
+        dict(n=3, min_order=1, classes=ALL_CLASSES, max_order=40),
+        dict(n=4, classes=ALL_CLASSES, max_order=60, prefix_filter=(2, 3, 5, 7)),
+        dict(n=2, classes=("OldKE", "NewOnlyKE"), max_order=6),
+    ], ids=lambda kwargs: "-".join(f"{k}={v}" for k, v in kwargs.items() if k != "classes"))
+    def test_each_leaf_counts_its_last_windows(self, kwargs):
+        cfg = SearchConfig(mode="count", **kwargs)
+        search = _Search(cfg)
+        leaves = 0
+        for state, lo, hi in _Search(cfg).plan():
+            _, N, P, primes = state
+            for v, v_primes, windows in _last_windows(
+                    N, P, cfg.n, exactmath.coprime_factorizations(lo, hi, primes), search.cap,
+                    search.old, search.new, search.tails):
+                want = dict.fromkeys(cfg.classes, 0)
+                for label, a, b in windows:
+                    want[label] += count_coprime_in_range(a, b - 1, primes + tuple(v_primes))
+                search.counts = dict.fromkeys(cfg.classes, 0)
+                search.count([(state, v, v + 1)])
+                leaves += 1
+                assert (search.counts, search.nodes) == (want, leaves), (state[0], v)
+        assert leaves > 0
 
 
 def _recount_new(n, prefix):

@@ -187,10 +187,12 @@ def test_only_the_plan_walks_the_search_tree():
 
 
 def test_only_last_windows_clips_the_cut_points():
-    # _last_windows is the one place the last coordinate's cut points
-    # become class windows: the search's leaves and admissible_last_interval
-    # both read it, so a second caller of _cuts would be a second copy of
-    # the clipping to keep in step with it.
+    # _last_windows is the one caller of _cuts: materialize mode's leaves
+    # and admissible_last_interval read their class windows from it, so a
+    # second caller would be a second copy of the clipping to keep in step
+    # with it.  Count mode's flat leaf pass solves the same cut points
+    # inline, without _cuts; test_enumeration.py::TestFlatLeafPass guards
+    # that copy, leaf by leaf against _last_windows.
     assert _users("_cuts") == {"_last_windows"}
 
 
